@@ -5,21 +5,19 @@ micro scale."""
 from .bits import (BitString, RowMatrix, blocks, concat, from_int,
                    from_str, matrix, pad_to, segment, slice_bits, suffix,
                    zeros)
-from .prob import (Dist, avg_cond_min_entropy, flat, from_counts,
-                   min_entropy, point_mass, sample_flat_source,
-                   stat_distance, stat_distance_maps, twise_deviation,
+from .prob import (Dist, flat, from_counts, min_entropy, point_mass,
+                   sample_flat_source, stat_distance, stat_distance_maps,
                    uniform, xor_bit_dists)
 from .sext import (ExtScheme, affine_scheme, avg_case_bound, ext,
                    lhl_bound, poly_scheme, sample_positions)
 from .altx import AltTrace, ChainParams, alt_extract, look_ahead
 from .nipm import (LevelPlan, NipmParams, ParamError, assembled_bound,
-                   compose_merger, l_nipm, lt_nipm, plan_nipm,
-                   recursive_nipm)
+                   lt_nipm, plan_nipm, recursive_nipm)
 from .ipm import IpmParams, ipm_weak, micro_ipm, plan_ipm
 from .cbreak import (AdvGenParams, FlipFlopParams, adv_gen, flip_flop,
                      plan_adv_gen)
 from .nmx import (NmExtParams, NominalPlan, desk_params, micro_params,
-                  nm_ext, plan_params, t_nm_ext)
+                  nm_ext, plan_params)
 from .msrc import (MultiParams, SyntheticGenerator, default_params,
                    exact_majority_prob_one, majority, majority_bias_bound,
                    make_generator, multi_ext, reduce_bits)

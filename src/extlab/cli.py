@@ -134,8 +134,7 @@ def cmd_plan_nipm(args) -> int:
 
 def cmd_plan_nmext(args) -> int:
     p = nmx.plan_params(args.n, args.k, args.d, args.m, args.eps,
-                        t=args.t, merger_mode=args.merger_mode,
-                        rescale=args.rescale)
+                        t=args.t, rescale=args.rescale)
     nom = p.nominal
     rows = [
         {"name": "L_advice", "value": p.adv.advice_len,
@@ -276,14 +275,29 @@ def cmd_verify(args) -> int:
     return OK if all(r.get("pass", True) for r in rows) else FAIL
 
 
+def _load_adversary(path: str) -> pamp.Adversary:
+    """The adversary of a JSON file ``{"name": ..., "round1": [mask],
+    "round2": [w_mask, tag_mask]}``; masks are strings int(., 0) parses."""
+    spec = json.loads(Path(path).read_text())
+    if not isinstance(spec, dict):
+        raise ValueError("adversary: expected a JSON object")
+    masks = {}
+    for key, count in (("round1", 1), ("round2", 2)):
+        got = spec.get(key)
+        if (not isinstance(got, list) or len(got) != count
+                or not all(isinstance(m, str) for m in got)):
+            raise ValueError(f"adversary: {key} must be a list of "
+                             f"{count} mask string(s), got {got!r}")
+        masks[key] = [int(m, 0) for m in got]
+    return pamp.table_adversary(spec.get("name", "custom"),
+                                masks["round1"], masks["round2"])
+
+
 def cmd_pa(args) -> int:
     rng = make_rng(args.seed)
     p = pamp.make_params(nmx.desk_params())
     if args.adversary.endswith(".json"):
-        spec = json.loads(Path(args.adversary).read_text())
-        adv = pamp.table_adversary(spec.get("name", "custom"),
-                                   [int(m, 0) for m in spec["round1"]],
-                                   [int(m, 0) for m in spec["round2"]])
+        adv = _load_adversary(args.adversary)
     else:
         adv = {
             "passive": pamp.passive,
@@ -345,6 +359,13 @@ def cmd_multisource(args) -> int:
     return OK if ok else FAIL
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="extlab")
     common = argparse.ArgumentParser(add_help=False)
@@ -371,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--m", type=int, required=True)
     pe.add_argument("--eps", type=float, required=True)
     pe.add_argument("--t", type=int, default=1)
-    pe.add_argument("--merger-mode", default="basic",
-                    choices=["basic", "bootstrapped"])
     pe.add_argument("--rescale", default="linear",
                     choices=["linear", "log"])
     pe.set_defaults(fn=cmd_plan_nmext)
@@ -396,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("pa").add_subparsers(dest="sub", required=True)
     sim = pa.add_parser("simulate", parents=[common])
     sim.add_argument("--adversary", default="passive")
-    sim.add_argument("--trials", type=int, default=200)
+    sim.add_argument("--trials", type=positive_int, default=200)
     sim.set_defaults(fn=cmd_pa)
 
     ms = sub.add_parser("multisource").add_subparsers(dest="sub",
@@ -404,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = ms.add_parser("run", parents=[common])
     run.add_argument("--r", type=int, default=11)
     run.add_argument("--bad", type=int, default=1)
-    run.add_argument("--trials", type=int, default=400)
+    run.add_argument("--trials", type=positive_int, default=400)
     run.set_defaults(fn=cmd_multisource)
     return ap
 

@@ -105,12 +105,10 @@ def _tables(b_bits: int) -> tuple[list[int], list[int]]:
     order = (1 << b_bits) - 1
     # Find a generator: try small elements; the group is cyclic of order 2^b-1.
     for g in range(2, 1 << b_bits):
-        seen = 1
-        x = 1
         ok = True
         # quick check: g generates iff g^(order/p) != 1 for prime p | order
         for p in _prime_factors(order):
-            if _pow(g, order // p, b_bits) == 1:
+            if pow_(g, order // p, b_bits) == 1:
                 ok = False
                 break
         if ok:
@@ -143,7 +141,8 @@ def _prime_factors(n: int) -> list[int]:
     return f
 
 
-def _pow(a: int, e: int, b_bits: int) -> int:
+def pow_(a: int, e: int, b_bits: int) -> int:
+    """a^e in GF(2^b_bits) by square-and-multiply."""
     r = 1
     while e:
         if e & 1:
@@ -174,10 +173,6 @@ def mul(a: int, b: int, b_bits: int) -> int:
         log, exp = _tables(b_bits)
         return exp[log[a] + log[b]]
     return mul_slow(a, b, b_bits)
-
-
-def pow_(a: int, e: int, b_bits: int) -> int:
-    return _pow(a, e, b_bits)
 
 
 def poly_eval(coeffs: list[int], x: int, b_bits: int) -> int:

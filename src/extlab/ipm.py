@@ -9,7 +9,6 @@ z itself.  A single Y is shared by all tampered copies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .bits import BitString, RowMatrix, matrix, slice_bits
@@ -86,10 +85,3 @@ def _fit(v: BitString, width: int) -> BitString:
         return slice_bits(v, width)
     raise ValueError("refresh slice narrower than scheme seed")
 
-
-def entropy_floor(p: IpmParams, c: int = 4) -> int:
-    """Minimum row entropy for the planned merger to make nominal sense:
-    2 * c * ell * log(m/eps) * (t+2)^(r+2)."""
-    lv = p.nipm.levels[0]
-    logterm = max(1, math.ceil(math.log2(p.m / p.nipm.eps)))
-    return 2 * c * lv.ell * logterm * (p.nipm.t + 2) ** (p.nipm.r + 2)

@@ -1,11 +1,8 @@
 """Independence-preserving mergers built on look-ahead extraction.
 
 ``lt_nipm`` merges up to ell rows against t tampered row/seed pairs in
-one look-ahead chain; ``l_nipm`` is the t=1 case.  ``recursive_nipm``
-stacks levels of lt_nipm to merge L rows with geometrically growing
-seed slices.  ``compose_merger`` runs the same level loop around an
-arbitrary inner merger, so a bootstrapped or experimental merger can be
-dropped into the recursion.
+one look-ahead chain.  ``recursive_nipm`` stacks levels of lt_nipm to
+merge L rows with geometrically growing seed slices.
 
 Planners emit the nominal parameter schedule (output lengths and errors
 as stated for the abstract construction, with all logs ceiled) next to
@@ -18,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .altx import ChainParams, look_ahead
 from .bits import BitString, RowMatrix, slice_bits
@@ -152,41 +149,6 @@ def lt_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
     return look_ahead(tuple(rows), slice_bits(y, lp.d_slice), lp.chain())
 
 
-def l_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
-           ) -> BitString:
-    """t = 1 merger; computationally identical to lt_nipm."""
-    return lt_nipm(rows, y, lp)
-
-
-InnerMerger = Callable[[Sequence[BitString], BitString, LevelPlan], BitString]
-
-
-def compose_merger(inner: InnerMerger, params: NipmParams
-                   ) -> Callable[[RowMatrix, BitString], BitString]:
-    """Run the recursive level loop around an arbitrary inner merger."""
-
-    def merged(mat: RowMatrix, y: BitString) -> BitString:
-        rows: Sequence[BitString] = mat.rows
-        for lv in params.levels:
-            nxt: list[BitString] = []
-            for i in range(0, len(rows), lv.ell):
-                block = rows[i:i + lv.ell]
-                if len(block) == 1:
-                    # a leftover short block is carried through unmerged,
-                    # trimmed to the level's output width
-                    nxt.append(slice_bits(block[0], lv.m_out))
-                else:
-                    nxt.append(inner(block, y, lv))
-            rows = nxt
-            if len(rows) == 1:
-                break
-        if len(rows) != 1:
-            raise ValueError("level schedule did not reduce to one row")
-        return rows[0]
-
-    return merged
-
-
 def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
                    ) -> BitString:
     """Merge an L-row matrix level by level with lt_nipm."""
@@ -196,6 +158,8 @@ def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
         for i in range(0, len(rows), lv.ell):
             block = rows[i:i + lv.ell]
             if len(block) == 1:
+                # a leftover short block is carried through unmerged,
+                # trimmed to the level's output width
                 nxt.append(slice_bits(block[0], lv.m_out))
             else:
                 nxt.append(lt_nipm(block, y, lv))

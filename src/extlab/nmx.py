@@ -10,8 +10,7 @@ the output, seeded by ybar.
 ``plan_params`` emits the nominal schedule (rescaled error, advice
 length, fan-in and recursion depth as stated for the abstract
 construction) side by side with the implemented widths of the affine
-chain family.  ``t_nm_ext`` runs the same pipeline with the t-copy
-merger schedule; ``nm_ext`` is exactly the t = 1 case.
+chain family; a plan with t > 1 gives the merger a t-copy schedule.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from dataclasses import dataclass
 from .bits import BitString, matrix, slice_bits
 from .cbreak import AdvGenParams, FlipFlopParams, adv_gen, flip_flop, \
     plan_adv_gen
-from .nipm import NipmParams, ParamError, plan_nipm, recursive_nipm, \
-    compose_merger, lt_nipm
+from .nipm import NipmParams, ParamError, plan_nipm, recursive_nipm
 from .sext import ExtScheme, affine_scheme, ext
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
@@ -49,7 +47,6 @@ class NmExtParams:
     d: int
     m: int
     t: int
-    merger_mode: str          # "basic" | "bootstrapped"
     adv: AdvGenParams
     ff: FlipFlopParams
     d1: int                   # slice of y feeding the flip-flops
@@ -60,8 +57,6 @@ class NmExtParams:
     nominal: NominalPlan
 
     def __post_init__(self) -> None:
-        if self.merger_mode not in ("basic", "bootstrapped"):
-            raise ParamError("merger_mode", self.merger_mode)
         if self.d1 > self.d:
             raise ParamError("d1", "y1 slice exceeds seed")
         if self.d2 > self.ff.m_out:
@@ -75,10 +70,6 @@ class NmExtParams:
 
     def scheme_refresh(self) -> ExtScheme:
         return affine_scheme(self.ff.m_out, self.m_mid)
-
-    @property
-    def ybar_len(self) -> int:
-        return self.d2
 
 
 def _nominal_plan(n: int, k: int, d: int, eps: float,
@@ -105,7 +96,6 @@ def _nominal_plan(n: int, k: int, d: int, eps: float,
 
 
 def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
-                merger_mode: str = "basic",
                 rescale: str = "linear") -> NmExtParams:
     """Plan the pipeline for an (n, k) source and d-bit seed.
 
@@ -136,13 +126,11 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
     nipm = plan_nipm(L, t, m_mid, d2, eps1, ell=ell_impl, m_target=m)
     if nipm.d_min > d2:
         raise ParamError("d", "merger seed slices exceed ybar")
-    return NmExtParams(n=n, d=d, m=m, t=t, merger_mode=merger_mode,
-                       adv=adv, ff=ff, d1=d1, d2=d2, d3=d3, m_mid=m_mid,
-                       nipm=nipm, nominal=nominal)
+    return NmExtParams(n=n, d=d, m=m, t=t, adv=adv, ff=ff, d1=d1, d2=d2,
+                       d3=d3, m_mid=m_mid, nipm=nipm, nominal=nominal)
 
 
-def micro_params(eps: float = 0.05, merger_mode: str = "basic"
-                 ) -> NmExtParams:
+def micro_params(eps: float = 0.05) -> NmExtParams:
     """Oracle-scale pipeline: 16-bit source, 16-bit seed, 1-bit output.
 
     Built by hand because the general planner floors every width at 8
@@ -161,9 +149,8 @@ def micro_params(eps: float = 0.05, merger_mode: str = "basic"
                       m_nominal=(2, 1), d_nominal=(4, 8),
                       error_nominal=min(2.0 * 4 * L * eps, 1.0))
     ff = FlipFlopParams(n=n, d_y=16, w=8, m_out=m_ff)
-    return NmExtParams(n=n, d=d, m=m, t=1, merger_mode=merger_mode,
-                       adv=adv, ff=ff, d1=16, d2=8, d3=4, m_mid=m_mid,
-                       nipm=nipm,
+    return NmExtParams(n=n, d=d, m=m, t=1, adv=adv, ff=ff, d1=16, d2=8,
+                       d3=4, m_mid=m_mid, nipm=nipm,
                        nominal=_nominal_plan(n, 12, d, eps, "linear"))
 
 
@@ -174,7 +161,8 @@ def desk_params(eps: float = 2 ** -8) -> NmExtParams:
     return plan_params(n=1024, k=768, d=512, m=32, eps=eps)
 
 
-def t_nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
+def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
+    """Non-malleable extraction of x with seed y."""
     if x.n != p.n or y.n != p.d:
         raise ValueError("input width mismatch")
     advice = adv_gen(x, y, p.adv)
@@ -186,13 +174,4 @@ def t_nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
     ybar1 = slice_bits(ybar, p.d3)
     refresh = p.scheme_refresh()
     z = [ext(refresh, v, ybar1) for v in rows]
-    if p.merger_mode == "bootstrapped":
-        merged = compose_merger(lt_nipm, p.nipm)
-        return merged(matrix(z), ybar)
     return recursive_nipm(matrix(z), ybar, p.nipm)
-
-
-def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
-    """Single-tampering non-malleable extraction; identical computation
-    to t_nm_ext with a t = 1 schedule."""
-    return t_nm_ext(x, y, p)

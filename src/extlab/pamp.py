@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import gf2
-from .bits import BitString, concat, segment, slice_bits
+from .bits import BitString, segment, slice_bits
 from .nipm import ParamError
 from .nmx import NmExtParams, nm_ext
 from .sext import ExtScheme, ext, poly_scheme

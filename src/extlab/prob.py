@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .bits import BitString
-
 N_MAX = 20
 
 ONE = Fraction(1)
@@ -100,23 +98,6 @@ def min_entropy(p: Dist) -> float:
     return -_log2_fraction(top)
 
 
-def avg_cond_min_entropy(joint: dict, x_index: int = 0) -> float:
-    """Average conditional min-entropy H~(X | rest) of a sparse joint
-    weight map keyed by tuples; coordinate x_index is X.
-
-    Computed exactly as -log2( sum over side info of max_x P[x, w] ).
-    """
-    best: dict = {}
-    for key, pr in joint.items():
-        if pr <= 0:
-            continue
-        side = key[:x_index] + key[x_index + 1:]
-        if pr > best.get(side, ZERO):
-            best[side] = pr
-    total = sum(best.values(), ZERO)
-    return -_log2_fraction(total)
-
-
 def pushforward(src: Dist, f: Callable[[int], int], n_out: int) -> Dist:
     w = [ZERO] * (1 << n_out)
     for x, p in enumerate(src.w):
@@ -125,19 +106,8 @@ def pushforward(src: Dist, f: Callable[[int], int], n_out: int) -> Dist:
     return Dist(n_out, tuple(w))
 
 
-def pushforward_map(weights: dict, f: Callable) -> dict:
-    """Sparse pushforward: weights keyed by anything, f maps key -> key."""
-    out: dict = {}
-    for k, p in weights.items():
-        if p > 0:
-            kk = f(k)
-            out[kk] = out.get(kk, ZERO) + p
-    return out
-
-
 def xor_bit_dists(dists: Sequence[Dist]) -> Dist:
     """Distribution of the XOR of independent 1-bit distributions."""
-    p1 = ONE  # running Pr[xor = 0] via bias arithmetic
     # bias representation: Pr[0] - Pr[1]
     bias = ONE
     for d in dists:
@@ -155,30 +125,6 @@ def bit_error(d: Dist) -> Fraction:
     return abs(d.w[0] - Fraction(1, 2))
 
 
-def twise_deviation(joint_bits: Dist, t: int) -> Fraction:
-    """Max over index sets S (|S| <= t) and assignments v of
-    |Pr[X_S = v] - 2^-|S||, treating the n-bit Dist as n single bits."""
-    n = joint_bits.n
-    worst = ZERO
-    from itertools import combinations
-
-    for size in range(1, min(t, n) + 1):
-        target = Fraction(1, 1 << size)
-        for idxs in combinations(range(n), size):
-            marg = [ZERO] * (1 << size)
-            for x, p in enumerate(joint_bits.w):
-                if p > 0:
-                    v = 0
-                    for j, i in enumerate(idxs):
-                        v = (v << 1) | ((x >> (n - 1 - i)) & 1)
-                    marg[v] += p
-            for pv in marg:
-                dev = abs(pv - target)
-                if dev > worst:
-                    worst = dev
-    return worst
-
-
 def sample_flat_source(rng, n: int, k: int) -> Dist:
     """Random flat (n, k) source: uniform over 2^k sampled distinct points."""
     size = 1 << k
@@ -187,6 +133,3 @@ def sample_flat_source(rng, n: int, k: int) -> Dist:
     sup = rng.choice(1 << n, size=size, replace=False)
     return flat(n, (int(x) for x in sup))
 
-
-def bitstring_of(x: int, n: int) -> BitString:
-    return BitString(n, x)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import gf2
-from .bits import BitString, blocks, pad_to, segment, slice_bits
+from .bits import BitString, blocks, pad_to, segment
 
 FAMILIES = ("poly", "affine")
 

@@ -3,23 +3,25 @@
 Everything in this module computes exact rational quantities by
 enumerating supports: strong extractor distance, non-malleability
 distance against explicit tamper tables, and merger distance on planted
-instances.  Instances are described by their latent free bits, so a
-matrix whose rows are all functions of one shared block enumerates over
-the block, not over the ambient row space.
+instances.  All three are one quantity, the distance of (Z, side
+information) from (uniform, side information), which
+``distance_given_rest`` computes from integer counts.  Instances are
+described by their latent free bits, so a matrix whose rows are all
+functions of one shared block enumerates over the block, not over the
+ambient row space.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .bits import BitString
-from .prob import Dist, stat_distance_maps
+from .prob import Dist
 from .sext import ExtScheme, ext
-
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------- tampering
@@ -68,6 +70,40 @@ def flip_low_bit_tamper(d: int) -> TamperFn:
     return TamperFn(d, tuple(x ^ 1 for x in range(1 << d)))
 
 
+# ------------------------------------------------------------ the kernel
+
+def distance_given_rest(counts: dict, m_out: int, total: int) -> Fraction:
+    """Exact distance of (Z, R) from (U, R), U uniform on m_out bits and
+    independent of R: the average over the side information R of Z's
+    distance from uniform.  ``counts`` maps (z, r) to an integer weight;
+    the weights sum to ``total``.  The sum is over integers, and one
+    Fraction is made at the end."""
+    size = 1 << m_out
+    side_total: dict = {}
+    side_seen: dict = {}
+    for (z, side), c in counts.items():
+        if not 0 <= z < size:
+            raise ValueError(f"output {z} does not fit in {m_out} bits")
+        side_total[side] = side_total.get(side, 0) + c
+        side_seen[side] = side_seen.get(side, 0) + 1
+    # sum over seen cells of |c/total - c_side/(2^m total)|, plus
+    # c_side/(2^m total) for each of the 2^m - seen unseen cells
+    acc = sum(abs(c * size - side_total[side])
+              for (_, side), c in counts.items())
+    acc += sum(c_side * (size - side_seen[side])
+               for side, c_side in side_total.items())
+    return Fraction(acc, 2 * size * total)
+
+
+def _integer_weights(source: Dist) -> tuple[list[tuple[int, int]], int]:
+    """Every support point x with an integer weight c, and the common
+    denominator den, so that Pr[X = x] = c / den.  A flat source gets
+    c = 1 everywhere."""
+    sup = [(x, p) for x, p in enumerate(source.w) if p]
+    den = math.lcm(*(p.denominator for _, p in sup))
+    return [(x, p.numerator * (den // p.denominator)) for x, p in sup], den
+
+
 # ------------------------------------------------------- extractor oracles
 
 ExtFn = Callable[[int, int], int]  # (x, seed) -> output, plain ints
@@ -83,19 +119,13 @@ def ext_fn_of(scheme: ExtScheme) -> ExtFn:
 def strong_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int
                     ) -> Fraction:
     """Exact distance of (Ext(X, S), S) from (U_m, S) with S uniform."""
-    n_seeds = 1 << d_seed
-    u = Fraction(1, 1 << m_out)
-    total = ZERO
-    sup = [(x, p) for x, p in enumerate(source.w) if p > 0]
-    for s in range(n_seeds):
-        hist: dict[int, Fraction] = {}
-        for x, p in sup:
-            z = f(x, s)
-            hist[z] = hist.get(z, ZERO) + p
-        acc = sum((abs(p - u) for p in hist.values()), ZERO)
-        acc += u * ((1 << m_out) - len(hist))
-        total += acc
-    return total / (2 * n_seeds)
+    sup, den = _integer_weights(source)
+    counts: dict = {}
+    for s in range(1 << d_seed):
+        for x, c in sup:
+            key = (f(x, s), s)
+            counts[key] = counts.get(key, 0) + c
+    return distance_given_rest(counts, m_out, den << d_seed)
 
 
 def strong_distance_poly_fast(scheme: ExtScheme, source: Dist) -> Fraction:
@@ -128,23 +158,14 @@ def nm_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int,
     with Y uniform on d_seed bits."""
     if tamper.d != d_seed:
         raise ValueError("tamper arity mismatch")
-    n_seeds = 1 << d_seed
-    qy = Fraction(1, n_seeds)
-    p: dict = {}
-    for y in range(n_seeds):
+    sup, den = _integer_weights(source)
+    counts: dict = {}
+    for y in range(1 << d_seed):
         ya = tamper(y)
-        for x, pw in enumerate(source.w):
-            if pw > 0:
-                key = (f(x, y), f(x, ya), y)
-                p[key] = p.get(key, ZERO) + pw * qy
-    # marginal over (z', y)
-    marg: dict = {}
-    for (z, za, y), pr in p.items():
-        marg[(za, y)] = marg.get((za, y), ZERO) + pr
-    u = Fraction(1, 1 << m_out)
-    q = {(z, za, y): u * pr
-         for (za, y), pr in marg.items() for z in range(1 << m_out)}
-    return stat_distance_maps(p, q)
+        for x, c in sup:
+            key = (f(x, y), (f(x, ya), y))
+            counts[key] = counts.get(key, 0) + c
+    return distance_given_rest(counts, m_out, den << d_seed)
 
 
 # --------------------------------------------------------- merger oracles
@@ -183,8 +204,7 @@ def merger_distance(merge: MergerFn, inst: MergerInstance, m_out: int
     with M replaced by an independent uniform string."""
     n_lat = 1 << inst.lat_x_bits
     n_y = 1 << inst.d
-    w = Fraction(1, n_lat * n_y)
-    p: dict = {}
+    counts: dict = {}
     cache: dict = {}
     for lat in range(n_lat):
         rows = inst.rows_of(lat)
@@ -195,8 +215,7 @@ def merger_distance(merge: MergerFn, inst: MergerInstance, m_out: int
             if mv is None:
                 mv = merge(rows, y)
                 cache[ck] = mv
-            outs = [mv]
-            ys = [y]
+            rest = [y]      # side information: (y, M^g, Y^g for each g)
             for g in range(inst.t):
                 yg = inst.tamper_y[g](y)
                 ck = (tampered[g], yg)
@@ -204,20 +223,10 @@ def merger_distance(merge: MergerFn, inst: MergerInstance, m_out: int
                 if mg is None:
                     mg = merge(tampered[g], yg)
                     cache[ck] = mg
-                outs.append(mg)
-                ys.append(yg)
-            key = (tuple(outs), tuple(ys))
-            p[key] = p.get(key, ZERO) + w
-    marg: dict = {}
-    for (outs, ys), pr in p.items():
-        rest = (outs[1:], ys)
-        marg[rest] = marg.get(rest, ZERO) + pr
-    u = Fraction(1, 1 << m_out)
-    q: dict = {}
-    for (rest_outs, ys), pr in marg.items():
-        for z in range(1 << m_out):
-            q[((z,) + rest_outs, ys)] = u * pr
-    return stat_distance_maps(p, q)
+                rest += (mg, yg)
+            key = (mv, tuple(rest))
+            counts[key] = counts.get(key, 0) + 1
+    return distance_given_rest(counts, m_out, n_lat * n_y)
 
 
 def rot(v: int, m: int, sh: int) -> int:

@@ -19,13 +19,14 @@ from extlab import cbreak, ipm, msrc, nmx, pamp, prob, sext, verify
 from extlab.altx import ChainParams, look_ahead
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.nipm import (LevelPlan, NipmParams, ParamError, assembled_bound,
-                         compose_merger, l_nipm, lt_nipm, nominal_m1,
-                         nominal_schedule, plan_nipm, recursive_nipm)
+                         lt_nipm, nominal_m1, nominal_schedule, plan_nipm,
+                         recursive_nipm)
 from extlab.prob import Dist, bit_error, stat_distance, uniform
 from extlab.sext import ext, poly_scheme
 from extlab.verify import (adversarial_xor_instance, build_instance,
-                           enumerate_tampers, ext_fn_of, merger_distance,
-                           nm_distance, sample_tamper, strong_distance,
+                           distance_given_rest, enumerate_tampers,
+                           ext_fn_of, merger_distance, nm_distance,
+                           sample_tamper, strong_distance,
                            strong_distance_poly_fast, xor_strawman)
 
 ONE = Fraction(1)
@@ -127,17 +128,12 @@ def test_criterion_03_merger_distance_battery():
             inst = build_instance(rng, L=L, m=m, d=d, t=t, witness=witness)
             bound = assembled_bound(p, k_row=m, k_seed=d)
             capped += bound == ONE
-            which = checked % 3
-            if which == 0:
+            if checked % 3 == 0:
                 merge = lambda rows, y: recursive_nipm(
                     matrix([BitString(m, r) for r in rows]),
                     BitString(d, y), p).val
-            elif which == 1:
-                merge = lambda rows, y: lt_nipm(
-                    [BitString(m, r) for r in rows],
-                    BitString(d, y), p.levels[0]).val
             else:
-                merge = lambda rows, y: l_nipm(
+                merge = lambda rows, y: lt_nipm(
                     [BitString(m, r) for r in rows],
                     BitString(d, y), p.levels[0]).val
             check(merger_distance(merge, inst, p.m_out), bound)
@@ -164,7 +160,7 @@ def test_criterion_03_merger_distance_battery():
 
 
 # ---------------------------------------------------------------------------
-# 4. composed merger is bit-identical to the depth-2 recursion
+# 4. two hand-unrolled merger levels are bit-identical to the recursion
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_compose_equals_recursion():
@@ -175,14 +171,16 @@ def test_criterion_04_compose_equals_recursion():
     p = NipmParams(L=4, t=1, levels=levels, eps=0.05, c=4,
                    m1_nominal=nominal_m1(8, 2, 1, 0.05),
                    m_nominal=(4, 2), d_nominal=(8, 12), error_nominal=0.8)
-    merged = compose_merger(lt_nipm, p)
+    lv0, lv1 = levels
     mismatches = 0
     for _ in range(1000):
-        rows = matrix([BitString(8, int(v))
-                       for v in rng.integers(256, size=4)])
+        rows = [BitString(8, int(v)) for v in rng.integers(256, size=4)]
         y = BitString(12, int(rng.integers(1 << 12)))
-        mismatches += merged(rows, y) != recursive_nipm(rows, y, p)
-    _report(4, "composed merger == depth-2 recursion", mismatches == 0,
+        want = lt_nipm([lt_nipm(rows[:2], y, lv0),
+                        lt_nipm(rows[2:], y, lv0)], y, lv1)
+        mismatches += recursive_nipm(matrix(rows), y, p) != want
+    _report(4, "unrolled lt_nipm levels == depth-2 recursion",
+            mismatches == 0,
             f"1000 random inputs, mismatches {mismatches}", t0)
 
 
@@ -223,28 +221,19 @@ def test_criterion_05_advice_collision_rate():
 
 def _ff_joint_distance(p: cbreak.FlipFlopParams, src: Dist, b: int,
                        bp: int, tamper) -> Fraction:
-    """Exact distance of (out, tampered out, Y) from (uniform, ., Y)."""
-    pmap: dict = {}
-    n_y = 1 << p.d_y
-    wy = Fraction(1, n_y)
-    for x, wt in enumerate(src.w):
-        if wt == 0:
-            continue
-        for y in range(n_y):
+    """Exact distance of (out, tampered out, Y) from (uniform, ., Y) for
+    a flat source."""
+    sup = src.support()
+    counts: Counter = Counter()
+    for x in sup:
+        for y in range(1 << p.d_y):
             ya = tamper(y) if tamper else y
             o = cbreak.flip_flop(BitString(p.n, x), BitString(p.d_y, y),
                                  b, p).val
             oa = cbreak.flip_flop(BitString(p.n, x), BitString(p.d_y, ya),
                                   bp, p).val
-            key = (o, oa, y)
-            pmap[key] = pmap.get(key, Fraction(0)) + wt * wy
-    marg: dict = {}
-    for (o, oa, y), pr in pmap.items():
-        marg[(oa, y)] = marg.get((oa, y), Fraction(0)) + pr
-    u = Fraction(1, 1 << p.m_out)
-    q = {(z, oa, y): u * pr
-         for (oa, y), pr in marg.items() for z in range(1 << p.m_out)}
-    return prob.stat_distance_maps(pmap, q)
+            counts[(o, (oa, y))] += 1
+    return distance_given_rest(counts, p.m_out, len(sup) << p.d_y)
 
 
 def _chain_budget(p: cbreak.FlipFlopParams, k: int, t: int = 1) -> Fraction:

@@ -5,6 +5,8 @@ import zlib
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from extlab.cli import _bar_value, main
 
 RUN = [sys.executable, "-m", "extlab.cli"]
@@ -81,6 +83,29 @@ def test_pa_custom_adversary_json(tmp_path):
     rc = main(["pa", "simulate", "--adversary", str(spec), "--trials",
                "10", "--seed", "3"])
     assert rc in (0, 1)  # must run; success budget decides the code
+
+
+def _assert_usage_error(rc, capsys):
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", [["pa", "simulate"], ["multisource", "run"]])
+def test_zero_trials_is_a_usage_error(cmd, capsys):
+    _assert_usage_error(main(cmd + ["--trials", "0"]), capsys)
+
+
+@pytest.mark.parametrize("spec", [
+    '{"round1": [], "round2": ["0x2", "0x0"]}',
+    '{"round1": ["0x1"], "round2": ["0x2"]}',
+    '{"round1": [1], "round2": ["0x2", "0x0"]}',
+], ids=["round1_empty", "round2_one_mask", "mask_not_a_string"])
+def test_bad_adversary_json_is_a_usage_error(spec, tmp_path, capsys):
+    path = tmp_path / "adv.json"
+    path.write_text(spec)
+    _assert_usage_error(main(["pa", "simulate", "--adversary", str(path),
+                              "--trials", "2"]), capsys)
 
 
 def test_multisource_run_in_process(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from extlab.bits import BitString, matrix, slice_bits
-from extlab.ipm import (IpmParams, entropy_floor, ipm_weak, micro_ipm,
-                        plan_ipm)
+from extlab.ipm import ipm_weak, micro_ipm, plan_ipm
 from extlab.nipm import LevelPlan, NipmParams, ParamError, nominal_m1, \
     recursive_nipm
 from extlab.sext import ext
@@ -59,13 +58,3 @@ def test_ipm_weak_width_checks():
         ipm_weak(matrix([BitString(7, 0)] * 2), BitString(8, 0), p)
     with pytest.raises(ValueError):
         ipm_weak(matrix([BitString(8, 0)] * 2), BitString(9, 0), p)
-
-
-def test_entropy_floor_grows_with_t():
-    p1 = micro_ipm(L=2, t=1, m=8, n_y=8, k_y=6, d_z=6, nipm=micro_nipm())
-    lv = LevelPlan(ell=2, m_in=4, w=2, m_out=2, d_slice=4)
-    n2 = NipmParams(L=2, t=2, levels=(lv,), eps=0.05, c=4,
-                    m1_nominal=1, m_nominal=(2,), d_nominal=(4,),
-                    error_nominal=0.8)
-    p2 = micro_ipm(L=2, t=2, m=8, n_y=8, k_y=6, d_z=6, nipm=n2)
-    assert entropy_floor(p2) > entropy_floor(p1)

@@ -5,9 +5,8 @@ import pytest
 
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.nipm import (LevelPlan, NipmParams, ParamError,
-                         assembled_bound, compose_merger, l_nipm, lt_nipm,
-                         nominal_m1, nominal_schedule, plan_nipm,
-                         recursive_nipm)
+                         assembled_bound, lt_nipm, nominal_m1,
+                         nominal_schedule, plan_nipm, recursive_nipm)
 
 
 def micro_params(L=4, t=1):
@@ -65,7 +64,6 @@ def test_lt_nipm_output_width_and_determinism():
     out = lt_nipm(rows, y, lp)
     assert out.n == 4
     assert out == lt_nipm(rows, y, lp)
-    assert out == l_nipm(rows, y, lp)
     # only the d_slice prefix of y matters
     y2 = BitString(12, (y.val >> 4 << 4) | (~y.val & 0xF))
     assert slice_bits(y, 8) == slice_bits(y2, 8)
@@ -98,17 +96,6 @@ def test_recursive_handles_leftover_row():
     a = lt_nipm(rows[:2], y, lv0)
     b = slice_bits(rows[2], 4)        # leftover passes through trimmed
     assert out == lt_nipm([a, b], y, lv1)
-
-
-def test_compose_merger_matches_recursive():
-    p = micro_params()
-    rng = np.random.Generator(np.random.Philox(22))
-    merged = compose_merger(lt_nipm, p)
-    for _ in range(100):
-        rows = matrix([BitString(8, int(v))
-                       for v in rng.integers(256, size=4)])
-        y = BitString(12, int(rng.integers(1 << 12)))
-        assert merged(rows, y) == recursive_nipm(rows, y, p)
 
 
 def test_assembled_bound_monotone_and_capped():

@@ -4,8 +4,7 @@ import pytest
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.cbreak import adv_gen, flip_flop
 from extlab.nipm import ParamError, recursive_nipm
-from extlab.nmx import (desk_params, micro_params, nm_ext, plan_params,
-                        t_nm_ext)
+from extlab.nmx import desk_params, micro_params, nm_ext, plan_params
 from extlab.sext import ext
 
 
@@ -61,17 +60,6 @@ def test_nm_ext_matches_manual_pipeline():
         z = [ext(refresh, v, ybar1) for v in rows]
         want = recursive_nipm(matrix(z), ybar, p.nipm)
         assert nm_ext(x, y, p) == want
-
-
-def test_bootstrapped_mode_agrees_with_basic():
-    # compose_merger(lt_nipm) is the same computation as recursive_nipm
-    basic = micro_params(merger_mode="basic")
-    boot = micro_params(merger_mode="bootstrapped")
-    rng = np.random.Generator(np.random.Philox(52))
-    for _ in range(50):
-        x = BitString(16, int(rng.integers(1 << 16)))
-        y = BitString(16, int(rng.integers(1 << 16)))
-        assert t_nm_ext(x, y, basic) == t_nm_ext(x, y, boot)
 
 
 def test_nm_ext_width_checks():

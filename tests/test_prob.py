@@ -3,10 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extlab.prob import (Dist, avg_cond_min_entropy, bit_error, flat,
-                         from_counts, min_entropy, point_mass,
-                         pushforward, sample_flat_source, stat_distance,
-                         stat_distance_maps, twise_deviation, uniform,
+from extlab.prob import (Dist, bit_error, flat, from_counts, min_entropy,
+                         point_mass, pushforward, sample_flat_source,
+                         stat_distance, stat_distance_maps, uniform,
                          xor_bit_dists)
 
 HALF = Fraction(1, 2)
@@ -38,18 +37,6 @@ def test_min_entropy_of_flat_source():
     assert min_entropy(uniform(5)) == 5.0
 
 
-def test_avg_cond_min_entropy_independent_case():
-    # X uniform 2 bits independent of W uniform 1 bit -> H(X|W) = 2
-    joint = {(x, w): Fraction(1, 8) for x in range(4) for w in range(2)}
-    assert avg_cond_min_entropy(joint) == pytest.approx(2.0)
-
-
-def test_avg_cond_min_entropy_leak():
-    # W = first bit of X: one bit leaks exactly
-    joint = {(x, x >> 1): Fraction(1, 4) for x in range(4)}
-    assert avg_cond_min_entropy(joint) == pytest.approx(1.0)
-
-
 def test_pushforward_conserves_mass():
     d = pushforward(uniform(3), lambda x: x & 1, 1)
     assert d.w == (HALF, HALF)
@@ -63,14 +50,6 @@ def test_xor_bias_product_is_exact():
     assert bit_error(out) == bit_error(a) * bit_error(b) * 2
     # equivalently 2^(l-1) * prod eps_i with l = 2
     assert bit_error(out) == (Fraction(1, 4) * Fraction(1, 8)) * 2
-
-
-def test_twise_deviation_uniform_is_zero():
-    assert twise_deviation(uniform(3), 2) == 0
-    # a pair of perfectly correlated bits deviates by 1/4 at t=2
-    d = flat(2, [0b00, 0b11])
-    assert twise_deviation(d, 1) == 0
-    assert twise_deviation(d, 2) == Fraction(1, 4)
 
 
 def test_sample_flat_source_support_size():

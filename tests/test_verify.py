@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from extlab.bits import BitString
-from extlab.prob import flat, uniform
+from extlab.prob import flat, stat_distance_maps, uniform
 from extlab.sext import poly_scheme
 from extlab.verify import (TamperFn, adversarial_xor_instance,
-                           build_instance, enumerate_tampers, ext_fn_of,
+                           build_instance, distance_given_rest,
+                           enumerate_tampers, ext_fn_of,
                            flip_low_bit_tamper, merger_distance,
                            nm_distance, rot, sample_tamper,
                            strong_distance, xor_strawman)
@@ -108,3 +109,45 @@ def test_xor_strawman_fails_on_rotation_adversary():
     inst = adversarial_xor_instance(rng, L=2, m=4, d=4)
     d = merger_distance(xor_strawman, inst, 4)
     assert d >= Fraction(2, 5)
+
+
+def _dense_distance(counts: dict, m_out: int, total: int) -> Fraction:
+    """Reference: the sparse joint p against the dense map
+    q(z, r) = 2^-m_out * Pr[r], by stat_distance_maps."""
+    p = {key: Fraction(c, total) for key, c in counts.items()}
+    marg: dict = {}
+    for (_, side), pr in p.items():
+        marg[side] = marg.get(side, 0) + pr
+    u = Fraction(1, 1 << m_out)
+    q = {(z, side): u * pr
+         for side, pr in marg.items() for z in range(1 << m_out)}
+    return stat_distance_maps(p, q)
+
+
+@pytest.mark.parametrize("m_out", [1, 2, 3])
+@pytest.mark.parametrize("flat_weights", [True, False])
+def test_distance_given_rest_matches_dense_formula(m_out, flat_weights):
+    rng = np.random.Generator(np.random.Philox(60 + m_out))
+    size = 1 << m_out
+    for _ in range(40):
+        counts = {}
+        for side in range(int(rng.integers(1, 6))):
+            # side 0 always misses all but one z; the others miss a
+            # random number of them
+            seen = 1 if side == 0 else int(rng.integers(1, size + 1))
+            for z in rng.choice(size, size=seen, replace=False):
+                counts[(int(z), (side, "r"))] = (
+                    1 if flat_weights else int(rng.integers(1, 9)))
+        total = sum(counts.values())
+        assert distance_given_rest(counts, m_out, total) == \
+            _dense_distance(counts, m_out, total)
+
+
+def test_distance_given_rest_known_values():
+    uniform_z = {(z, 0): 1 for z in range(4)}
+    assert distance_given_rest(uniform_z, 2, 4) == 0
+    assert distance_given_rest({(0, 0): 3}, 1, 3) == Fraction(1, 2)
+    assert distance_given_rest({(0, 0): 1, (0, 1): 1}, 2, 2) == \
+        Fraction(3, 4)
+    with pytest.raises(ValueError):
+        distance_given_rest({(2, 0): 1}, 1, 1)
