@@ -5,9 +5,9 @@ micro scale."""
 from .bits import (BitString, RowMatrix, blocks, concat, from_int,
                    from_str, matrix, pad_to, segment, slice_bits, suffix,
                    zeros)
-from .prob import (Dist, flat, from_counts, min_entropy, point_mass,
-                   sample_flat_source, stat_distance, stat_distance_maps,
-                   uniform, xor_bit_dists)
+from .prob import (Dist, flat, from_counts, from_weights, min_entropy,
+                   point_mass, sample_flat_source, stat_distance,
+                   stat_distance_maps, uniform, xor_bit_dists)
 from .sext import (ExtScheme, affine_scheme, avg_case_bound, ext,
                    lhl_bound, poly_scheme, sample_positions)
 from .altx import AltTrace, ChainParams, alt_extract, look_ahead

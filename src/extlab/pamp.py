@@ -107,7 +107,7 @@ def flip_round2(bit: int = 0) -> Adversary:
 
 
 def replace_round1(rng, d: int) -> Adversary:
-    fresh = BitString(d, int(rng.integers(1 << min(d, 62))))
+    fresh = BitString(d, _rand_bits(rng, d))
 
     def r1(y: BitString) -> BitString:
         return fresh if fresh != y else y ^ BitString(d, 1)
@@ -116,11 +116,10 @@ def replace_round1(rng, d: int) -> Adversary:
 
 def random_adversary(rng) -> Adversary:
     def r1(y: BitString) -> BitString:
-        mask = int(rng.integers(1, 1 << min(y.n, 62)))
-        return y ^ BitString(y.n, mask)
+        return y ^ BitString(y.n, _nonzero_bits(rng, y.n))
 
     def r2(y: BitString, w: BitString, t: BitString):
-        wmask = int(rng.integers(1, 1 << min(w.n, 62)))
+        wmask = _nonzero_bits(rng, w.n)
         tmask = int(rng.integers(1 << t.n))
         return w ^ BitString(w.n, wmask), t ^ BitString(t.n, tmask)
     return Adversary("random", r1, r2)
@@ -184,6 +183,13 @@ def _rand_bits(rng, n: int) -> int:
     for chunk in rng.integers(0, 1 << 64, size=words, dtype="uint64"):
         v = (v << 64) | int(chunk)
     return v >> (words * 64 - n)
+
+
+def _nonzero_bits(rng, n: int) -> int:
+    v = 0
+    while not v:
+        v = _rand_bits(rng, n)
+    return v
 
 
 @dataclass

@@ -1,128 +1,141 @@
 """Exact finite probability distributions over bit strings.
 
-Everything here is exact: weights are Fractions, statistical distance
-and entropies are computed from them without floating-point error (the
-entropy values themselves are returned as floats of an exact rational).
-Distributions are capped at N_MAX bits of ambient arity so exhaustive
-oracles stay tractable.
+A distribution is stored as its support: ascending points x, each with a
+positive integer weight c, over one integer denominator den, so that
+Pr[x] = c / den.  A flat source has c = 1 everywhere and den = |support|.
+Statistical distance, min-entropy and the XOR bias law are computed on
+those integers and return exact Fractions (min-entropy is returned as
+the float of an exact rational).  Distributions are capped at N_MAX bits
+of ambient arity so exhaustive oracles stay tractable.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 N_MAX = 20
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
-
-
-def _log2_fraction(p: Fraction) -> float:
-    if p <= 0:
-        raise ValueError("log of non-positive weight")
-    # exact split avoids float overflow on huge numerators
-    return math.log2(p.numerator) - math.log2(p.denominator)
 
 
 @dataclass(frozen=True)
 class Dist:
-    """Distribution over {0,1}^n, dense weight vector of length 2^n."""
+    """Distribution over {0,1}^n: Pr[points[i]] = weights[i] / den."""
 
     n: int
-    w: tuple[Fraction, ...]
+    points: tuple[int, ...]
+    weights: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.n > N_MAX:
             raise ValueError(f"arity {self.n} out of range (N_MAX={N_MAX})")
-        if len(self.w) != 1 << self.n:
-            raise ValueError("weight vector has wrong length")
-        if sum(self.w) != ONE:
-            raise ValueError("weights do not sum to 1")
-        if any(x < 0 for x in self.w):
-            raise ValueError("negative weight")
+        xs = self.points
+        if not xs or len(self.weights) != len(xs):
+            raise ValueError("need one weight per point, and some points")
+        if any(a >= b for a, b in zip((-1, *xs), (*xs, 1 << self.n))):
+            raise ValueError("points must be distinct, ascending, in range")
+        if min(self.weights) <= 0:
+            raise ValueError("non-positive weight")
+        if sum(self.weights) != self.den:
+            raise ValueError("weights do not sum to den")
+
+    def weight(self, x: int) -> int:
+        """Integer weight of x; 0 off the support."""
+        i = bisect_left(self.points, x)
+        found = i < len(self.points) and self.points[i] == x
+        return self.weights[i] if found else 0
 
     def p(self, x: int) -> Fraction:
-        return self.w[x]
+        return Fraction(self.weight(x), self.den)
 
     def support(self) -> list[int]:
-        return [x for x, p in enumerate(self.w) if p > 0]
+        return list(self.points)
 
 
 def uniform(n: int) -> Dist:
-    q = Fraction(1, 1 << n)
-    return Dist(n, tuple([q] * (1 << n)))
+    return flat(n, range(1 << n))
 
 
 def point_mass(n: int, x: int) -> Dist:
-    w = [ZERO] * (1 << n)
-    w[x] = ONE
-    return Dist(n, tuple(w))
+    return Dist(n, (x,), (1,), 1)
 
 
 def from_counts(n: int, counts: Sequence[int]) -> Dist:
-    total = sum(counts)
-    if total <= 0:
+    """Pr[x] = counts[x] / sum(counts), for 2^n non-negative counts."""
+    if len(counts) != 1 << n:
+        raise ValueError("weight vector has wrong length")
+    if any(c < 0 for c in counts):
+        raise ValueError("negative weight")
+    sup = [(x, c) for x, c in enumerate(counts) if c]
+    if not sup:
         raise ValueError("empty counts")
-    return Dist(n, tuple(Fraction(c, total) for c in counts))
+    xs, cs = zip(*sup)
+    g = math.gcd(*cs)  # lowest terms, so equal distributions compare equal
+    return Dist(n, xs, tuple(c // g for c in cs), sum(cs) // g)
+
+
+def from_weights(n: int, w: Sequence[Fraction]) -> Dist:
+    """Distribution from a dense vector of 2^n rational weights summing
+    to 1, converted once to integers over the lcm of their denominators."""
+    den = math.lcm(*(p.denominator for p in w))
+    d = from_counts(n, [p.numerator * (den // p.denominator) for p in w])
+    if d.den != den:
+        raise ValueError("weights do not sum to 1")
+    return d
 
 
 def flat(n: int, support: Iterable[int]) -> Dist:
     """Flat (uniform-on-support) source; min-entropy = log2(|support|)."""
-    sup = sorted(set(support))
+    sup = tuple(sorted(set(support)))
     if not sup:
         raise ValueError("empty support")
-    q = Fraction(1, len(sup))
-    w = [ZERO] * (1 << n)
-    for x in sup:
-        w[x] = q
-    return Dist(n, tuple(w))
+    return Dist(n, sup, (1,) * len(sup), len(sup))
 
 
 def stat_distance(p: Dist, q: Dist) -> Fraction:
     if p.n != q.n:
         raise ValueError("arity mismatch")
-    return sum((abs(a - b) for a, b in zip(p.w, q.w)), ZERO) / 2
+    acc = sum(abs(p.weight(x) * q.den - q.weight(x) * p.den)
+              for x in set(p.points) | set(q.points))
+    return Fraction(acc, 2 * p.den * q.den)
 
 
 def stat_distance_maps(p: dict, q: dict) -> Fraction:
     """TV distance of two sparse weight maps (missing keys weigh 0)."""
     keys = set(p) | set(q)
-    return sum((abs(p.get(k, ZERO) - q.get(k, ZERO)) for k in keys), ZERO) / 2
+    return sum(abs(p.get(k, 0) - q.get(k, 0)) for k in keys) / Fraction(2)
 
 
 def min_entropy(p: Dist) -> float:
-    top = max(p.w)
-    return -_log2_fraction(top)
+    top = Fraction(max(p.weights), p.den)
+    # exact split avoids float overflow on huge numerators
+    return -(math.log2(top.numerator) - math.log2(top.denominator))
 
 
-def pushforward(src: Dist, f: Callable[[int], int], n_out: int) -> Dist:
-    w = [ZERO] * (1 << n_out)
-    for x, p in enumerate(src.w):
-        if p > 0:
-            w[f(x)] += p
-    return Dist(n_out, tuple(w))
+def _bit(d: Dist) -> tuple[int, int]:
+    """(c0 - c1, den) of a 1-bit distribution: its bias Pr[0] - Pr[1]."""
+    if d.n != 1:
+        raise ValueError("1-bit distribution required")
+    return d.weight(0) - d.weight(1), d.den
 
 
 def xor_bit_dists(dists: Sequence[Dist]) -> Dist:
     """Distribution of the XOR of independent 1-bit distributions."""
-    # bias representation: Pr[0] - Pr[1]
-    bias = ONE
+    # biases multiply: num / den = prod (Pr[0] - Pr[1])
+    num = den = 1
     for d in dists:
-        if d.n != 1:
-            raise ValueError("xor law applies to 1-bit distributions")
-        bias *= d.w[0] - d.w[1]
-    p0 = (ONE + bias) / 2
-    return Dist(1, (p0, ONE - p0))
+        b, bd = _bit(d)
+        num, den = num * b, den * bd
+    return from_counts(1, [den + num, den - num])
 
 
 def bit_error(d: Dist) -> Fraction:
     """Distance of a 1-bit distribution from uniform: |Pr[0] - 1/2|."""
-    if d.n != 1:
-        raise ValueError("1-bit distribution required")
-    return abs(d.w[0] - Fraction(1, 2))
+    b, den = _bit(d)
+    return Fraction(abs(b), 2 * den)
 
 
 def sample_flat_source(rng, n: int, k: int) -> Dist:
@@ -131,5 +144,4 @@ def sample_flat_source(rng, n: int, k: int) -> Dist:
     if size > (1 << n):
         raise ValueError("k exceeds n")
     sup = rng.choice(1 << n, size=size, replace=False)
-    return flat(n, (int(x) for x in sup))
-
+    return flat(n, sup.tolist())

@@ -14,7 +14,6 @@ ambient row space.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -95,15 +94,6 @@ def distance_given_rest(counts: dict, m_out: int, total: int) -> Fraction:
     return Fraction(acc, 2 * size * total)
 
 
-def _integer_weights(source: Dist) -> tuple[list[tuple[int, int]], int]:
-    """Every support point x with an integer weight c, and the common
-    denominator den, so that Pr[X = x] = c / den.  A flat source gets
-    c = 1 everywhere."""
-    sup = [(x, p) for x, p in enumerate(source.w) if p]
-    den = math.lcm(*(p.denominator for _, p in sup))
-    return [(x, p.numerator * (den // p.denominator)) for x, p in sup], den
-
-
 # ------------------------------------------------------- extractor oracles
 
 ExtFn = Callable[[int, int], int]  # (x, seed) -> output, plain ints
@@ -119,13 +109,13 @@ def ext_fn_of(scheme: ExtScheme) -> ExtFn:
 def strong_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int
                     ) -> Fraction:
     """Exact distance of (Ext(X, S), S) from (U_m, S) with S uniform."""
-    sup, den = _integer_weights(source)
+    sup = list(zip(source.points, source.weights))
     counts: dict = {}
     for s in range(1 << d_seed):
         for x, c in sup:
             key = (f(x, s), s)
             counts[key] = counts.get(key, 0) + c
-    return distance_given_rest(counts, m_out, den << d_seed)
+    return distance_given_rest(counts, m_out, source.den << d_seed)
 
 
 def strong_distance_poly_fast(scheme: ExtScheme, source: Dist) -> Fraction:
@@ -136,13 +126,11 @@ def strong_distance_poly_fast(scheme: ExtScheme, source: Dist) -> Fraction:
 
     from .sext import ext_all_seeds_poly
 
-    sup = source.support()
-    p0 = source.w[sup[0]]
-    if any(source.w[x] != p0 for x in sup):
+    if len(set(source.weights)) > 1:  # not flat
         return strong_distance(ext_fn_of(scheme), source,
                                scheme.d_seed, scheme.m_out)
-    outs = ext_all_seeds_poly(scheme, sup)  # (N, n_seeds)
-    n, n_seeds = len(sup), outs.shape[1]
+    outs = ext_all_seeds_poly(scheme, source.points)  # (N, n_seeds)
+    n, n_seeds = len(source.points), outs.shape[1]
     m = scheme.m_out
     flat = (np.arange(n_seeds, dtype=np.int64)[None, :] << m) | outs
     counts = np.bincount(flat.ravel(), minlength=n_seeds << m)
@@ -158,14 +146,14 @@ def nm_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int,
     with Y uniform on d_seed bits."""
     if tamper.d != d_seed:
         raise ValueError("tamper arity mismatch")
-    sup, den = _integer_weights(source)
+    sup = list(zip(source.points, source.weights))
     counts: dict = {}
     for y in range(1 << d_seed):
         ya = tamper(y)
         for x, c in sup:
             key = (f(x, y), (f(x, ya), y))
             counts[key] = counts.get(key, 0) + c
-    return distance_given_rest(counts, m_out, den << d_seed)
+    return distance_given_rest(counts, m_out, source.den << d_seed)
 
 
 # --------------------------------------------------------- merger oracles

@@ -199,7 +199,7 @@ def test_criterion_05_advice_collision_rate():
     n_src = 200
     for _ in range(n_src):
         src = prob.sample_flat_source(rng, 16, 12)
-        sup = [v for v, w in enumerate(src.w) if w]
+        sup = src.support()
         x = BitString(16, sup[int(rng.integers(len(sup)))])
         cnt = Counter(cbreak.adv_gen(x, BitString(8, y), p).val
                       for y in range(256))
@@ -374,7 +374,7 @@ def test_criterion_08_xor_product_law():
         for _ in range(ell):
             num = int(rng.integers(0, 129))
             p1 = Fraction(1, 2) + Fraction(num, 256)  # bias in [0, 1/2]
-            dists.append(Dist(1, (ONE - p1, p1)))
+            dists.append(prob.from_weights(1, (ONE - p1, p1)))
         out = prob.xor_bit_dists(dists)
         exact = stat_distance(out, uniform(1))
         product_law = Fraction(1 << (ell - 1)) * math.prod(

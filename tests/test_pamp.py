@@ -111,3 +111,21 @@ def test_security_experiment_report():
     assert rep.budget == pytest.approx(DESK.forgery_budget() + 0.01)
     assert "ok" in rep.line()
     assert hoeffding_ci(30) > hoeffding_ci(3000)
+
+
+def test_adversary_masks_reach_the_top_bits():
+    # masks span the whole seed Y and message W, not only the low 62 bits
+    rng = np.random.Generator(np.random.Philox(78))
+    d, w_len = DESK.nmx.d, DESK.w_len
+    y0, w0 = BitString(d, 0), BitString(w_len, 0)
+    t0 = BitString(DESK.mac_bits, 0)
+    adv = random_adversary(rng)
+    top_y = top_w = top_fresh = 0
+    for _ in range(64):
+        ymask = adv.round1(y0).val
+        wmask = adv.round2(y0, w0, t0)[0].val
+        assert ymask and wmask
+        top_y += ymask >> (d - 1)
+        top_w += wmask >> (w_len - 1)
+        top_fresh += replace_round1(rng, d).round1(y0).val >> (d - 1)
+    assert top_y and top_w and top_fresh

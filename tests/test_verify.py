@@ -2,16 +2,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extlab.bits import BitString
-from extlab.prob import flat, stat_distance_maps, uniform
+from extlab.prob import flat, from_counts, stat_distance_maps, uniform
 from extlab.sext import poly_scheme
 from extlab.verify import (TamperFn, adversarial_xor_instance,
                            build_instance, distance_given_rest,
                            enumerate_tampers, ext_fn_of,
                            flip_low_bit_tamper, merger_distance,
                            nm_distance, rot, sample_tamper,
-                           strong_distance, xor_strawman)
+                           strong_distance, strong_distance_poly_fast,
+                           xor_strawman)
 
 
 def test_tamper_fn_rejects_fixed_points():
@@ -112,9 +115,13 @@ def test_xor_strawman_fails_on_rotation_adversary():
 
 
 def _dense_distance(counts: dict, m_out: int, total: int) -> Fraction:
-    """Reference: the sparse joint p against the dense map
-    q(z, r) = 2^-m_out * Pr[r], by stat_distance_maps."""
-    p = {key: Fraction(c, total) for key, c in counts.items()}
+    return _dense_joint_distance(
+        {key: Fraction(c, total) for key, c in counts.items()}, m_out)
+
+
+def _dense_joint_distance(p: dict, m_out: int) -> Fraction:
+    """Reference: the sparse joint p of (z, r), as Fractions, against the
+    dense map q(z, r) = 2^-m_out * Pr[r], by stat_distance_maps."""
     marg: dict = {}
     for (_, side), pr in p.items():
         marg[side] = marg.get(side, 0) + pr
@@ -151,3 +158,54 @@ def test_distance_given_rest_known_values():
         Fraction(3, 4)
     with pytest.raises(ValueError):
         distance_given_rest({(2, 0): 1}, 1, 1)
+
+
+# ------------------------------ oracles against dense Fraction weights
+
+def _dense_oracle(key_of, counts, d_seed: int, m_out: int) -> Fraction:
+    """Reference for the source oracles: the joint law of (z, r) built
+    from the dense Fraction weights Pr[x] = counts[x] / sum(counts) and a
+    uniform d_seed-bit seed; key_of(x, y) gives (z, r)."""
+    total = sum(counts)
+    joint: dict = {}
+    for y in range(1 << d_seed):
+        for x, c in enumerate(counts):
+            if c:
+                key = key_of(x, y)
+                joint[key] = (joint.get(key, 0)
+                              + Fraction(c, total) / (1 << d_seed))
+    return _dense_joint_distance(joint, m_out)
+
+
+def _weights(n: int, hi: int):
+    return st.lists(st.integers(0, hi), min_size=1 << n,
+                    max_size=1 << n).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weights(4, 5), st.integers(1, 2), st.integers(0, 2 ** 32))
+def test_strong_and_nm_distance_match_dense(counts, m_out, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    table = rng.integers(1 << m_out, size=(16, 8)).tolist()
+    src = from_counts(4, counts)
+    for f, d in ((lambda x, s: table[x][s], 3),
+                 (ext_fn_of(poly_scheme(4, m_out, block=2)), 4)):
+        assert strong_distance(f, src, d, m_out) == _dense_oracle(
+            lambda x, y: (f(x, y), y), counts, d, m_out)
+        t = sample_tamper(rng, d)
+        assert nm_distance(f, src, d, m_out, t) == _dense_oracle(
+            lambda x, y: (f(x, y), (f(x, t(y)), y)), counts, d, m_out)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda hi: _weights(6, hi)),
+       st.booleans())
+def test_strong_distance_poly_fast_matches_dense(counts, flatten):
+    # flatten=True takes the numpy path (equal weights), else the scalar
+    # fallback whenever two weights differ
+    if flatten:
+        counts = [3 if c else 0 for c in counts]
+    scheme = poly_scheme(6, 2, block=3)
+    f = ext_fn_of(scheme)
+    want = _dense_oracle(lambda x, y: (f(x, y), y), counts, 6, 2)
+    assert strong_distance_poly_fast(scheme, from_counts(6, counts)) == want
