@@ -366,6 +366,22 @@ def positive_int(text: str) -> int:
     return n
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
+def error_rate(text: str) -> float:
+    """An error bound eps with 0 < eps < 1 (rejects nan and inf too)."""
+    eps = float(text)
+    if not 0 < eps < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be strictly between 0 and 1, got {text}")
+    return eps
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="extlab")
     common = argparse.ArgumentParser(add_help=False)
@@ -378,31 +394,31 @@ def build_parser() -> argparse.ArgumentParser:
     params = sub.add_parser("params").add_subparsers(dest="sub",
                                                      required=True)
     pn = params.add_parser("plan-nipm", parents=[common])
-    pn.add_argument("--L", type=int, required=True)
-    pn.add_argument("--t", type=int, default=1)
-    pn.add_argument("--m", type=int, required=True)
-    pn.add_argument("--d", type=int, required=True)
-    pn.add_argument("--eps", type=float, required=True)
+    pn.add_argument("--L", type=positive_int, required=True)
+    pn.add_argument("--t", type=positive_int, default=1)
+    pn.add_argument("--m", type=positive_int, required=True)
+    pn.add_argument("--d", type=positive_int, required=True)
+    pn.add_argument("--eps", type=error_rate, required=True)
     pn.add_argument("--ell", type=int, default=None)
     pn.set_defaults(fn=cmd_plan_nipm)
     pe = params.add_parser("plan-nmext", parents=[common])
-    pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--k", type=int, required=True)
-    pe.add_argument("--d", type=int, required=True)
-    pe.add_argument("--m", type=int, required=True)
-    pe.add_argument("--eps", type=float, required=True)
-    pe.add_argument("--t", type=int, default=1)
+    pe.add_argument("--n", type=positive_int, required=True)
+    pe.add_argument("--k", type=positive_int, required=True)
+    pe.add_argument("--d", type=positive_int, required=True)
+    pe.add_argument("--m", type=positive_int, required=True)
+    pe.add_argument("--eps", type=error_rate, required=True)
+    pe.add_argument("--t", type=positive_int, default=1)
     pe.add_argument("--rescale", default="linear",
                     choices=["linear", "log"])
     pe.set_defaults(fn=cmd_plan_nmext)
 
     ne = sub.add_parser("nmext").add_subparsers(dest="sub", required=True)
     ev = ne.add_parser("eval", parents=[common])
-    ev.add_argument("--n", type=int, default=1024)
-    ev.add_argument("--k", type=int, default=768)
-    ev.add_argument("--d", type=int, default=512)
-    ev.add_argument("--m", type=int, default=32)
-    ev.add_argument("--eps", type=float, default=2 ** -8)
+    ev.add_argument("--n", type=positive_int, default=1024)
+    ev.add_argument("--k", type=positive_int, default=768)
+    ev.add_argument("--d", type=positive_int, default=512)
+    ev.add_argument("--m", type=positive_int, default=32)
+    ev.add_argument("--eps", type=error_rate, default=2 ** -8)
     ev.add_argument("--x-hex")
     ev.add_argument("--y-hex")
     ev.set_defaults(fn=cmd_nmext_eval)
@@ -421,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     ms = sub.add_parser("multisource").add_subparsers(dest="sub",
                                                       required=True)
     run = ms.add_parser("run", parents=[common])
-    run.add_argument("--r", type=int, default=11)
-    run.add_argument("--bad", type=int, default=1)
+    run.add_argument("--r", type=positive_int, default=11)
+    run.add_argument("--bad", type=nonnegative_int, default=1)
     run.add_argument("--trials", type=positive_int, default=400)
     run.set_defaults(fn=cmd_multisource)
     return ap

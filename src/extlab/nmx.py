@@ -5,7 +5,9 @@ flip-flop per advice bit turns x and a slice y1 of y into an L-row
 matrix whose witness rows break correlation with any tampered seed; a
 slice of the first row re-extracts y into a near-uniform ybar; a slice
 of ybar refreshes every row; the recursive merger folds the matrix into
-the output, seeded by ybar.
+the output, seeded by ybar.  Row i depends on i only through its advice
+bit, so rows with equal advice bits are equal: each distinct row (at
+most two) is built and refreshed once and shared by its rows.
 
 ``plan_params`` emits the nominal schedule (rescaled error, advice
 length, fan-in and recursion depth as stated for the abstract
@@ -80,6 +82,8 @@ def _nominal_plan(n: int, k: int, d: int, eps: float,
         eps1 = eps / (2 * C_RESCALE * max(2, math.log2(n)))
     else:
         raise ParamError("rescale", rescale)
+    if eps1 <= 0:
+        raise ParamError("eps", f"rescaled error of eps={eps} is not > 0")
     L_nom = C_ADV * max(1, math.ceil(math.log2(n / eps1)))
     ell_nom = 1 << math.ceil(math.sqrt(math.log2(max(L_nom, 2))))
     r_nom = math.ceil(math.log(L_nom) / math.log(ell_nom))
@@ -166,12 +170,14 @@ def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
     if x.n != p.n or y.n != p.d:
         raise ValueError("input width mismatch")
     advice = adv_gen(x, y, p.adv)
+    bits = [advice.bit(i) for i in range(advice.n)]
     y1 = slice_bits(y, p.d1)
-    rows = [flip_flop(x, y1, advice.bit(i), p.ff)
-            for i in range(advice.n)]
-    vbar1 = slice_bits(rows[0], p.d2)
+    # row i depends on i only through the advice bit alpha_i, so each
+    # distinct bit's row is built and refreshed once
+    row = {b: flip_flop(x, y1, b, p.ff) for b in dict.fromkeys(bits)}
+    vbar1 = slice_bits(row[bits[0]], p.d2)
     ybar = ext(p.scheme_ybar(), y, vbar1)
     ybar1 = slice_bits(ybar, p.d3)
     refresh = p.scheme_refresh()
-    z = [ext(refresh, v, ybar1) for v in rows]
-    return recursive_nipm(matrix(z), ybar, p.nipm)
+    z = {b: ext(refresh, v, ybar1) for b, v in row.items()}
+    return recursive_nipm(matrix([z[b] for b in bits]), ybar, p.nipm)

@@ -169,7 +169,9 @@ def run_protocol(x: BitString, rng, p: PampParams, adv: Adversary
     z_alice = z_of(y)
     accepted = tag_recv == mac_tag(slice_bits(z_alice, 2 * s), w_recv, s)
     key_bob = ext(p.final, x, w)
-    key_alice = ext(p.final, x, w_recv) if accepted else None
+    key_alice = None
+    if accepted:
+        key_alice = key_bob if w_recv == w else ext(p.final, x, w_recv)
     tampered = (y_recv != y) or (w_recv, tag_recv) != (w, tag)
     agree = accepted and key_alice == key_bob
     success = accepted and (w_recv != w or (y_recv != y and not agree))

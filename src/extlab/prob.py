@@ -144,4 +144,5 @@ def sample_flat_source(rng, n: int, k: int) -> Dist:
     if size > (1 << n):
         raise ValueError("k exceeds n")
     sup = rng.choice(1 << n, size=size, replace=False)
-    return flat(n, sup.tolist())
+    sup.sort()  # a draw without replacement is already distinct
+    return Dist(n, tuple(sup.tolist()), (1,) * size, size)

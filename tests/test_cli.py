@@ -89,6 +89,7 @@ def _assert_usage_error(rc, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("cmd", [["pa", "simulate"], ["multisource", "run"]])
@@ -106,6 +107,33 @@ def test_bad_adversary_json_is_a_usage_error(spec, tmp_path, capsys):
     path.write_text(spec)
     _assert_usage_error(main(["pa", "simulate", "--adversary", str(path),
                               "--trials", "2"]), capsys)
+
+
+PLAN_NIPM = ["params", "plan-nipm", "--L", "20", "--m", "256", "--d", "512"]
+PLAN_NMEXT = ["params", "plan-nmext", "--k", "768", "--d", "512",
+              "--m", "32"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (PLAN_NIPM + ["--eps", "0"], "--eps"),
+    (PLAN_NIPM + ["--eps", "-1"], "--eps"),
+    (PLAN_NIPM + ["--eps", "0.01", "--t", "0"], "--t"),
+    (PLAN_NMEXT + ["--n", "1024", "--eps", "0"], "--eps"),
+    (PLAN_NMEXT + ["--n", "1024", "--eps", "1"], "--eps"),
+    (PLAN_NMEXT + ["--n", "1024", "--eps", "nan"], "--eps"),
+    (PLAN_NMEXT + ["--n", "1024", "--eps", "5e-324"], "eps"),
+    (PLAN_NMEXT + ["--n", "0", "--eps", "0.01"], "--n"),
+    (PLAN_NMEXT + ["--n", "1024", "--eps", "0.01", "--m", "0"], "--m"),
+    (["nmext", "eval", "--eps", "0"], "--eps"),
+    (["nmext", "eval", "--k", "-1"], "--k"),
+    (["multisource", "run", "--bad", "-1"], "--bad"),
+    (["multisource", "run", "--r", "-1"], "--r"),
+], ids=["nipm_eps_0", "nipm_eps_neg", "nipm_t_0", "nmext_eps_0",
+        "nmext_eps_1", "nmext_eps_nan", "nmext_eps_underflow", "nmext_n_0",
+        "nmext_m_0", "eval_eps_0", "eval_k_neg", "ms_bad_neg", "ms_r_neg"])
+def test_bad_number_is_a_usage_error(argv, name, capsys):
+    err = _assert_usage_error(main(argv), capsys)
+    assert f"error: {name}" in err or f"error: argument {name}:" in err
 
 
 def test_multisource_run_in_process(tmp_path):

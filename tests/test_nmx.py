@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from extlab import nmx
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.cbreak import adv_gen, flip_flop
 from extlab.nipm import ParamError, recursive_nipm
 from extlab.nmx import desk_params, micro_params, nm_ext, plan_params
+from extlab.pamp import _rand_bits
 from extlab.sext import ext
 
 
@@ -43,23 +45,57 @@ def test_micro_params_shape():
     assert p.nipm.m_out == 1 and p.d2 == p.ff.m_out == 8
 
 
+def _nm_ext_per_row(x, y, p):
+    """Reference pipeline: one flip-flop and one refresh per advice bit."""
+    advice = adv_gen(x, y, p.adv)
+    y1 = slice_bits(y, p.d1)
+    rows = [flip_flop(x, y1, advice.bit(i), p.ff)
+            for i in range(advice.n)]
+    vbar1 = slice_bits(rows[0], p.d2)
+    ybar = ext(p.scheme_ybar(), y, vbar1)
+    ybar1 = slice_bits(ybar, p.d3)
+    refresh = p.scheme_refresh()
+    z = [ext(refresh, v, ybar1) for v in rows]
+    return recursive_nipm(matrix(z), ybar, p.nipm)
+
+
+def _draws(p, seed, count):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [(BitString(p.n, _rand_bits(rng, p.n)),
+             BitString(p.d, _rand_bits(rng, p.d))) for _ in range(count)]
+
+
 def test_nm_ext_matches_manual_pipeline():
     p = micro_params()
     rng = np.random.Generator(np.random.Philox(51))
     for _ in range(50):
         x = BitString(16, int(rng.integers(1 << 16)))
         y = BitString(16, int(rng.integers(1 << 16)))
+        assert nm_ext(x, y, p) == _nm_ext_per_row(x, y, p)
+
+
+def test_nm_ext_matches_manual_pipeline_at_desk_width():
+    p = desk_params()
+    for x, y in _draws(p, 52, 4):
+        assert nm_ext(x, y, p) == _nm_ext_per_row(x, y, p)
+
+
+@pytest.mark.parametrize("params", [micro_params, desk_params],
+                         ids=["micro", "desk"])
+def test_nm_ext_runs_one_flip_flop_per_advice_value(params, monkeypatch):
+    p = params()
+    calls = []
+
+    def counted(x, y, bit, ff):
+        calls.append(bit)
+        return flip_flop(x, y, bit, ff)
+    monkeypatch.setattr(nmx, "flip_flop", counted)
+    for x, y in _draws(p, 54, 6):
+        calls.clear()
+        nm_ext(x, y, p)
         advice = adv_gen(x, y, p.adv)
-        y1 = slice_bits(y, p.d1)
-        rows = [flip_flop(x, y1, advice.bit(i), p.ff)
-                for i in range(advice.n)]
-        vbar1 = slice_bits(rows[0], p.d2)
-        ybar = ext(p.scheme_ybar(), y, vbar1)
-        ybar1 = slice_bits(ybar, p.d3)
-        refresh = p.scheme_refresh()
-        z = [ext(refresh, v, ybar1) for v in rows]
-        want = recursive_nipm(matrix(z), ybar, p.nipm)
-        assert nm_ext(x, y, p) == want
+        assert sorted(calls) == sorted({advice.bit(i)
+                                        for i in range(advice.n)})
 
 
 def test_nm_ext_width_checks():

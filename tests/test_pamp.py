@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from extlab import gf2
-from extlab.bits import BitString, segment
-from extlab.nmx import desk_params
-from extlab.pamp import (flip_round1, flip_round2, hoeffding_ci, mac_tag,
-                         make_params, passive, random_adversary,
-                         replace_round1, run_protocol,
+from extlab import gf2, pamp
+from extlab.bits import BitString, segment, slice_bits
+from extlab.nmx import desk_params, nm_ext
+from extlab.pamp import (Adversary, flip_round1, flip_round2,
+                         hoeffding_ci, mac_tag, make_params, passive,
+                         random_adversary, replace_round1, run_protocol,
                          security_experiment, table_adversary,
                          _flat_secret, _rand_bits)
+from extlab.sext import ext
 
 DESK = make_params(desk_params())
 
@@ -129,3 +130,45 @@ def test_adversary_masks_reach_the_top_bits():
         top_w += wmask >> (w_len - 1)
         top_fresh += replace_round1(rng, d).round1(y0).val >> (d - 1)
     assert top_y and top_w and top_fresh
+
+
+def _final_ext_seeds(monkeypatch):
+    """The seeds of every final-key extraction run_protocol makes."""
+    seeds = []
+
+    def counted(scheme, x, seed):
+        if scheme is DESK.final:
+            seeds.append(seed)
+        return ext(scheme, x, seed)
+    monkeypatch.setattr(pamp, "ext", counted)
+    return seeds
+
+
+def test_intact_w_extracts_the_final_key_once(monkeypatch):
+    seeds = _final_ext_seeds(monkeypatch)
+    rng = np.random.Generator(np.random.Philox(79))
+    x = _flat_secret(rng, DESK.nmx.n, 768)
+    res = run_protocol(x, rng, DESK, passive())
+    assert res.accepted and res.keys_agree
+    assert len(seeds) == 1
+    seeds.clear()
+    res = run_protocol(x, rng, DESK, flip_round2())
+    assert not res.accepted and not res.keys_agree
+    assert len(seeds) == 1
+
+
+def test_accepted_altered_w_keys_alice_from_her_w(monkeypatch):
+    # an adversary that knows x re-tags a flipped W, so Alice accepts a
+    # W that Bob never sent and must extract her key from it
+    rng = np.random.Generator(np.random.Philox(80))
+    x = _flat_secret(rng, DESK.nmx.n, 768)
+    s = DESK.mac_bits
+
+    def forge(y, w, t):
+        w2 = w ^ BitString(w.n, 1)
+        key = slice_bits(nm_ext(x, y, DESK.nmx), 2 * s)
+        return w2, mac_tag(key, w2, s)
+    seeds = _final_ext_seeds(monkeypatch)
+    res = run_protocol(x, rng, DESK, Adversary("forge", lambda y: y, forge))
+    assert res.accepted and res.attack_success and not res.keys_agree
+    assert len(seeds) == 2 and seeds[0] != seeds[1]
