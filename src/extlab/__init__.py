@@ -10,10 +10,10 @@ from .prob import (Dist, flat, from_counts, from_weights, min_entropy,
                    stat_distance_maps, uniform, xor_bit_dists)
 from .sext import (ExtScheme, affine_scheme, avg_case_bound, ext,
                    lhl_bound, poly_scheme, sample_positions)
-from .altx import AltTrace, ChainParams, alt_extract, look_ahead
+from .altx import ChainParams, look_ahead
 from .nipm import (LevelPlan, NipmParams, ParamError, assembled_bound,
-                   lt_nipm, plan_nipm, recursive_nipm)
-from .ipm import IpmParams, ipm_weak, micro_ipm, plan_ipm
+                   hand_plan, lt_nipm, plan_nipm, recursive_nipm)
+from .ipm import IpmParams, ipm_weak, merge_rows, micro_ipm, plan_ipm
 from .cbreak import (AdvGenParams, FlipFlopParams, adv_gen, flip_flop,
                      plan_adv_gen)
 from .nmx import (NmExtParams, NominalPlan, desk_params, micro_params,

@@ -55,26 +55,6 @@ class ChainParams:
         return affine_scheme(self.m_in, self.m_out)
 
 
-@dataclass(frozen=True)
-class AltTrace:
-    s: tuple[BitString, ...]
-    r: tuple[BitString, ...]
-
-
-def alt_extract(q: BitString, w_src: BitString, rounds: int,
-                p: ChainParams) -> AltTrace:
-    """Plain two-party alternating extraction; returns the full trace."""
-    if q.n != p.m_in or w_src.n != p.n_seed_src:
-        raise ValueError("source widths do not match params")
-    e_w, e_q = p.scheme_seed_src(), p.scheme_row()
-    s = [slice_bits(q, p.w)]
-    r: list[BitString] = []
-    for _ in range(rounds):
-        r.append(ext(e_w, w_src, s[-1]))
-        s.append(ext(e_q, q, r[-1]))
-    return AltTrace(tuple(s), tuple(r))
-
-
 def look_ahead(rows: tuple[BitString, ...], w_src: BitString,
                p: ChainParams) -> BitString:
     """ell-row look-ahead: returns the final token S_ell of width m_out."""

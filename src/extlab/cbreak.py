@@ -130,15 +130,11 @@ def flip_flop(x: BitString, y: BitString, advice_bit: int,
         raise ValueError("advice bit must be 0 or 1")
     if x.n != p.n or y.n != p.d_y:
         raise ValueError("input width mismatch")
-    e_x, e_y, e_tok = p.scheme_x(), p.scheme_y(), p.scheme_tok()
-    # phase 1: two-step look-ahead between x and y
+    # the two-phase recipe with its dead steps dropped: for bit 1 the key
+    # is phase one's s2 = Ext_y(y, r1); for bit 0 phase two restarts from
+    # s1, so its look-ahead reuses r1 and the key is Ext_tok(s1, r1)
     s1 = slice_bits(y, p.w)
-    r1 = ext(e_x, x, s1)
-    s2 = ext(e_y, y, r1)
-    ytil = s2 if advice_bit else s1
-    # phase 2: repeat from (x, ytil)
-    s1p = ytil
-    r1p = ext(e_x, x, s1p)
-    s2p = ext(e_tok, ytil, r1p)
-    key = s1p if advice_bit else s2p
+    r1 = ext(p.scheme_x(), x, s1)
+    key = (ext(p.scheme_y(), y, r1) if advice_bit
+           else ext(p.scheme_tok(), s1, r1))
     return ext(p.scheme_out(), x, slice_bits(key, p.m_out))

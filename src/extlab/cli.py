@@ -139,14 +139,14 @@ def cmd_plan_nmext(args) -> int:
     rows = [
         {"name": "L_advice", "value": p.adv.advice_len,
          "detail": f"nominal={nom.L}"},
-        {"name": "ell", "value": p.nipm.levels[0].ell,
+        {"name": "ell", "value": p.ipm.nipm.levels[0].ell,
          "detail": f"nominal={nom.ell}"},
-        {"name": "r", "value": p.nipm.r, "detail": f"nominal={nom.r}"},
+        {"name": "r", "value": p.ipm.nipm.r, "detail": f"nominal={nom.r}"},
         {"name": "d1", "value": p.d1, "detail": f"nominal={nom.d1}"},
-        {"name": "d2", "value": p.d2, "detail": f"nominal={nom.d2}"},
-        {"name": "d3", "value": p.d3, "detail": f"nominal={nom.d3}"},
+        {"name": "d2", "value": p.ipm.d_z, "detail": f"nominal={nom.d_z}"},
+        {"name": "d3", "value": p.ipm.m_v, "detail": f"nominal={nom.m_v}"},
         {"name": "m_ff", "value": p.ff.m_out},
-        {"name": "m_mid", "value": p.m_mid},
+        {"name": "m_mid", "value": p.ipm.m_v},
         {"name": "m", "value": p.m},
         {"name": "eps1", "value": nom.eps1},
         {"name": "eps_out_nominal", "value": nom.eps_out},
@@ -189,9 +189,7 @@ def _suite_sext(rng) -> list[dict]:
 def _suite_nipm(rng) -> list[dict]:
     rows = []
     lp = nipm.LevelPlan(ell=2, m_in=8, w=2, m_out=1, d_slice=6)
-    params = nipm.NipmParams(L=2, t=1, levels=(lp,), eps=0.05, c=4,
-                             m1_nominal=1, m_nominal=(1,), d_nominal=(6,),
-                             error_nominal=0.4)
+    params = nipm.hand_plan(2, 1, (lp,))
     inst = verify.build_instance(rng, L=2, m=8, d=6, t=1, witness=1)
 
     def merge(rws, y):
@@ -211,10 +209,8 @@ def _suite_nipm(rng) -> list[dict]:
 def _suite_ipm(rng) -> list[dict]:
     from . import ipm as ipm_mod
     lp = nipm.LevelPlan(ell=2, m_in=4, w=2, m_out=1, d_slice=4)
-    np_ = nipm.NipmParams(L=2, t=1, levels=(lp,), eps=0.05, c=4,
-                          m1_nominal=1, m_nominal=(1,), d_nominal=(4,),
-                          error_nominal=0.4)
-    p = ipm_mod.micro_ipm(L=2, t=1, m=8, n_y=8, k_y=6, d_z=6, nipm=np_)
+    p = ipm_mod.micro_ipm(L=2, t=1, m=8, n_y=8, k_y=6, d_z=6,
+                          nipm=nipm.hand_plan(2, 1, (lp,)))
     inst = verify.build_instance(rng, L=2, m=8, d=8, t=1, witness=1)
 
     def merge(rws, y):
@@ -335,7 +331,10 @@ def cmd_multisource(args) -> int:
         hits[bad_bit] += msrc.majority(bits)
     p_one = float(msrc.exact_majority_prob_one(p.r, args.bad))
     expect = {1: p_one, 0: 1.0 - p_one}
+    # a bound above 1 says nothing about a bias: cap it and say so
     bound = msrc.majority_bias_bound(p)
+    capped = bound > 1
+    bound = min(bound, 1.0)
     ci = pamp.hoeffding_ci(max(args.trials // 4, 1))
     rows = []
     ok = True
@@ -353,8 +352,11 @@ def cmd_multisource(args) -> int:
     bias = abs(total / args.trials - 0.5)
     good = bias <= bound + ci
     ok = ok and good
-    rows.append({"name": "majority_bias", "value": bias,
-                 "bound": bound, "pass": good, "seed64": args.seed})
+    row = {"name": "majority_bias", "value": bias,
+           "bound": bound, "pass": good, "seed64": args.seed}
+    if capped:
+        row["detail"] = "capped"
+    rows.append(row)
     emit_report(rows, args.out, "multisource")
     return OK if ok else FAIL
 

@@ -5,11 +5,16 @@ merger first bootstraps: a slice of the first row seeds an extraction
 from Y, giving a near-uniform string z; a slice of z re-extracts every
 row; the refreshed rows are merged by the recursive merger seeded with
 z itself.  A single Y is shared by all tampered copies.
+
+``merge_rows`` is the one bootstrap-and-merge body.  ``ipm_weak`` checks
+widths and calls it; the non-malleable extractor (``nmx.nm_ext``) calls
+it directly on its flip-flop rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .bits import BitString, RowMatrix, matrix, slice_bits
 from .nipm import NipmParams, ParamError, plan_nipm, recursive_nipm
@@ -22,26 +27,19 @@ class IpmParams:
     k_y: int        # weak seed min-entropy floor
     m: int          # row width
     d_z: int        # width of the bootstrap extraction z (0.8 * k_y capped)
-    d_prime: int    # slice of z used to refresh the rows
-    m_v: int        # refreshed row width
+    m_v: int        # refreshed row width, and the slice of z refreshing them
     nipm: NipmParams
 
     def __post_init__(self) -> None:
         if self.d_z > self.m:
-            raise ParamError("d1", "bootstrap slice exceeds row width")
-        if self.d_prime > self.d_z:
-            raise ParamError("d_prime", "refresh slice exceeds z")
-        if self.d_prime != self.m_v:
-            raise ParamError("d_prime",
-                             "refresh slice must match the affine seed law")
+            raise ParamError("d_z", "bootstrap slice exceeds row width")
+        if self.m_v > self.d_z:
+            raise ParamError("m_v", "refresh slice exceeds z")
         if self.m_v > self.m:
             raise ParamError("m_v", "refreshed rows wider than rows")
 
     def scheme_boot(self) -> ExtScheme:
         return affine_scheme(self.n_y, self.d_z, claimed_k=self.k_y)
-
-    def scheme_refresh(self) -> ExtScheme:
-        return affine_scheme(self.m, self.m_v)
 
 
 def plan_ipm(L: int, t: int, m: int, n_y: int, k_y: int, eps: float,
@@ -50,18 +48,15 @@ def plan_ipm(L: int, t: int, m: int, n_y: int, k_y: int, eps: float,
     if d_z < 8:
         raise ParamError("k", "weak seed entropy too low for bootstrap")
     m_v = min(max(m // 2, 8), d_z)
-    d_prime = m_v
     nipm = plan_nipm(L, t, m_v, d_z, eps, m_target=m_target)
-    return IpmParams(n_y=n_y, k_y=k_y, m=m, d_z=d_z, d_prime=d_prime,
-                     m_v=m_v, nipm=nipm)
+    return IpmParams(n_y=n_y, k_y=k_y, m=m, d_z=d_z, m_v=m_v, nipm=nipm)
 
 
 def micro_ipm(L: int, t: int, m: int, n_y: int, k_y: int, d_z: int,
               nipm: NipmParams) -> IpmParams:
     """Oracle-scale parameters without the 8-bit planner floors."""
-    m_v = nipm.levels[0].m_in
     return IpmParams(n_y=n_y, k_y=k_y, m=m, d_z=d_z,
-                     d_prime=m_v, m_v=m_v, nipm=nipm)
+                     m_v=nipm.levels[0].m_in, nipm=nipm)
 
 
 def ipm_weak(mat: RowMatrix, y: BitString, p: IpmParams) -> BitString:
@@ -69,19 +64,16 @@ def ipm_weak(mat: RowMatrix, y: BitString, p: IpmParams) -> BitString:
         raise ValueError("row width mismatch")
     if y.n != p.n_y:
         raise ValueError("seed width mismatch")
-    w = slice_bits(mat[0], p.d_z)
-    z = ext(p.scheme_boot(), y, w)
-    v = slice_bits(z, p.d_prime)
-    refresh = p.scheme_refresh()
-    vbar = [slice_bits(ext(refresh, row, _fit(v, refresh.d_seed)), p.m_v)
-            for row in mat.rows]
-    return recursive_nipm(matrix(vbar), z, p.nipm)
+    return merge_rows(mat.rows, y, p)
 
 
-def _fit(v: BitString, width: int) -> BitString:
-    if v.n == width:
-        return v
-    if v.n > width:
-        return slice_bits(v, width)
-    raise ValueError("refresh slice narrower than scheme seed")
-
+def merge_rows(rows: Sequence[BitString], y: BitString, p: IpmParams
+               ) -> BitString:
+    """Bootstrap z from y keyed by the first row, refresh every row keyed
+    by a slice of z, and merge the refreshed rows seeded by z.  Equal
+    rows refresh to equal rows, so each distinct row is refreshed once."""
+    z = ext(p.scheme_boot(), y, slice_bits(rows[0], p.d_z))
+    v = slice_bits(z, p.m_v)
+    refresh = affine_scheme(p.m, p.m_v)
+    fresh = {r: ext(refresh, r, v) for r in dict.fromkeys(rows)}
+    return recursive_nipm(matrix([fresh[r] for r in rows]), z, p.nipm)

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bits import BitString, RowMatrix, matrix
-from .ipm import IpmParams, ipm_weak
-from .nipm import ParamError
+from .ipm import IpmParams, ipm_weak, micro_ipm
+from .nipm import LevelPlan, ParamError, hand_plan
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,10 @@ def default_params(r: int, t: int = 1, alpha: float = 0.5,
     """r matrices of four 16-bit rows reduced through a micro weak-seed
     merger; the synthetic generator's good bits are exactly independent,
     so gamma defaults to zero."""
-    from .ipm import micro_ipm
-    from .nipm import LevelPlan, NipmParams, nominal_m1
-
     levels = (LevelPlan(ell=2, m_in=8, w=4, m_out=4, d_slice=8),
               LevelPlan(ell=2, m_in=4, w=2, m_out=2, d_slice=12))
-    nipm = NipmParams(L=4, t=t, levels=levels, eps=0.05, c=4,
-                      m1_nominal=nominal_m1(8, 2, t, 0.05),
-                      m_nominal=(4, 2), d_nominal=(8, 12),
-                      error_nominal=min(2.0 * 4 * 4 * 0.05, 1.0))
-    ipm = micro_ipm(L=4, t=t, m=16, n_y=16, k_y=12, d_z=12, nipm=nipm)
+    ipm = micro_ipm(L=4, t=t, m=16, n_y=16, k_y=12, d_z=12,
+                    nipm=hand_plan(4, t, levels))
     return MultiParams(r=r, L=4, m=16, t=t, alpha=alpha, gamma=gamma,
                        c=c, ipm=ipm)
 

@@ -141,6 +141,19 @@ def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
                       error_nominal=err)
 
 
+def hand_plan(L: int, t: int, levels: Sequence[LevelPlan],
+              eps: float = 0.05) -> NipmParams:
+    """A merger over hand-picked levels (micro widths below the planner's
+    8-bit floors), its nominal fields derived from those levels."""
+    c = DEFAULT_C
+    return NipmParams(L=L, t=t, levels=tuple(levels), eps=eps, c=c,
+                      m1_nominal=nominal_m1(levels[0].m_in, levels[0].ell,
+                                            t, eps, c),
+                      m_nominal=tuple(lv.m_out for lv in levels),
+                      d_nominal=tuple(lv.d_slice for lv in levels),
+                      error_nominal=min(2.0 * c * L * eps, 1.0))
+
+
 def lt_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
             ) -> BitString:
     """Merge up to lp.ell rows with one look-ahead chain seeded from y."""

@@ -2,12 +2,13 @@
 
 Pipeline: advice generation fingerprints (x, y) into L advice bits; one
 flip-flop per advice bit turns x and a slice y1 of y into an L-row
-matrix whose witness rows break correlation with any tampered seed; a
-slice of the first row re-extracts y into a near-uniform ybar; a slice
-of ybar refreshes every row; the recursive merger folds the matrix into
-the output, seeded by ybar.  Row i depends on i only through its advice
-bit, so rows with equal advice bits are equal: each distinct row (at
-most two) is built and refreshed once and shared by its rows.
+matrix whose witness rows break correlation with any tampered seed; the
+weak-seed merger (``ipm.merge_rows``, with y as its seed) folds the
+matrix into the output: a slice of the first row re-extracts y into a
+near-uniform z, a slice of z refreshes every row, and the recursive
+merger seeded by z merges them.  Row i depends on i only through its
+advice bit, so rows with equal advice bits are equal: each distinct row
+(at most two) is built and refreshed once and shared by its rows.
 
 ``plan_params`` emits the nominal schedule (rescaled error, advice
 length, fan-in and recursion depth as stated for the abstract
@@ -20,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bits import BitString, matrix, slice_bits
+from .bits import BitString, slice_bits
 from .cbreak import AdvGenParams, FlipFlopParams, adv_gen, flip_flop, \
     plan_adv_gen
-from .nipm import NipmParams, ParamError, plan_nipm, recursive_nipm
-from .sext import ExtScheme, affine_scheme, ext
+from .ipm import IpmParams, merge_rows
+from .nipm import LevelPlan, ParamError, hand_plan, plan_nipm
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
 C_ADV = 2           # advice length multiplier
@@ -37,9 +38,8 @@ class NominalPlan:
     ell: int
     r: int
     d1: int
-    d2: int
-    d3: int
-    d_prime: int
+    d_z: int
+    m_v: int
     eps_out: float
 
 
@@ -52,26 +52,16 @@ class NmExtParams:
     adv: AdvGenParams
     ff: FlipFlopParams
     d1: int                   # slice of y feeding the flip-flops
-    d2: int                   # slice of v_1 that re-extracts y
-    d3: int                   # slice of ybar refreshing the rows
-    m_mid: int                # refreshed row width (merger input)
-    nipm: NipmParams
+    ipm: IpmParams            # weak-seed merger of the flip-flop rows
     nominal: NominalPlan
 
     def __post_init__(self) -> None:
         if self.d1 > self.d:
             raise ParamError("d1", "y1 slice exceeds seed")
-        if self.d2 > self.ff.m_out:
-            raise ParamError("d2", "vbar1 slice exceeds row width")
-        if self.m != self.nipm.m_out:
+        if self.ipm.m != self.ff.m_out or self.ipm.n_y != self.d:
+            raise ParamError("ipm", "merger widths do not match rows and seed")
+        if self.m != self.ipm.nipm.m_out:
             raise ParamError("m", "merger output does not match m")
-
-    def scheme_ybar(self) -> ExtScheme:
-        # re-extract the full seed with the d2-bit slice of row one
-        return affine_scheme(self.d, self.d2)
-
-    def scheme_refresh(self) -> ExtScheme:
-        return affine_scheme(self.ff.m_out, self.m_mid)
 
 
 def _nominal_plan(n: int, k: int, d: int, eps: float,
@@ -89,14 +79,13 @@ def _nominal_plan(n: int, k: int, d: int, eps: float,
     r_nom = math.ceil(math.log(L_nom) / math.log(ell_nom))
     log_n = max(1, math.ceil(math.log2(n / eps1)))
     d1_nom = (C_ADV + C_ADV + 1) * log_n
-    d2_nom = C_RESCALE * max(1, math.ceil(math.log2(max(d, 2) / eps1)))
+    d_z_nom = C_RESCALE * max(1, math.ceil(math.log2(max(d, 2) / eps1)))
     mprime_nom = max(1, (9 * k) // 10)
-    d3_nom = C_RESCALE * max(1, math.ceil(math.log2(mprime_nom / eps1)))
-    d_prime_nom = (9 * d) // 10 - 2 * d1_nom - C_ADV * log_n
+    m_v_nom = C_RESCALE * max(1, math.ceil(math.log2(mprime_nom / eps1)))
     eps_out = C_RESCALE * eps1 * log_n
     return NominalPlan(eps1=eps1, L=L_nom, ell=ell_nom, r=r_nom,
-                       d1=d1_nom, d2=d2_nom, d3=d3_nom,
-                       d_prime=d_prime_nom, eps_out=eps_out)
+                       d1=d1_nom, d_z=d_z_nom, m_v=m_v_nom,
+                       eps_out=eps_out)
 
 
 def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
@@ -116,8 +105,8 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
         raise ParamError("L", "advice below 8 bits")
     ell_impl = 4
     r_impl = max(1, math.ceil(math.log(L) / math.log(ell_impl)))
-    m_mid = m << r_impl               # rows halve once per merger level
-    m_ff = 2 * m_mid
+    m_v = m << r_impl               # rows halve once per merger level
+    m_ff = 2 * m_v
     w_ff = max(m_ff, 8)
     d1 = min(d, max(2 * w_ff, 8))
     if d1 < w_ff:
@@ -125,13 +114,13 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
     if m_ff > k:
         raise ParamError("k", "flip-flop output exceeds the entropy budget")
     ff = FlipFlopParams(n=n, d_y=d1, w=w_ff, m_out=m_ff)
-    d2 = min(2 * m_mid + m, m_ff)
-    d3 = m_mid
-    nipm = plan_nipm(L, t, m_mid, d2, eps1, ell=ell_impl, m_target=m)
-    if nipm.d_min > d2:
-        raise ParamError("d", "merger seed slices exceed ybar")
-    return NmExtParams(n=n, d=d, m=m, t=t, adv=adv, ff=ff, d1=d1, d2=d2,
-                       d3=d3, m_mid=m_mid, nipm=nipm, nominal=nominal)
+    d_z = min(2 * m_v + m, m_ff)
+    nipm = plan_nipm(L, t, m_v, d_z, eps1, ell=ell_impl, m_target=m)
+    if nipm.d_min > d_z:
+        raise ParamError("d", "merger seed slices exceed z")
+    ipm = IpmParams(n_y=d, k_y=d, m=m_ff, d_z=d_z, m_v=m_v, nipm=nipm)
+    return NmExtParams(n=n, d=d, m=m, t=t, adv=adv, ff=ff, d1=d1, ipm=ipm,
+                       nominal=nominal)
 
 
 def micro_params(eps: float = 0.05) -> NmExtParams:
@@ -140,21 +129,14 @@ def micro_params(eps: float = 0.05) -> NmExtParams:
     Built by hand because the general planner floors every width at 8
     bits; the micro widths keep exhaustive tamper enumeration feasible.
     """
-    from .nipm import LevelPlan, NipmParams, nominal_m1
-
     n, d, m = 16, 16, 1
     adv = plan_adv_gen(n, d, eps)
-    L = adv.advice_len                      # 10
-    m_mid, m_ff = 4, 8
     levels = (LevelPlan(ell=4, m_in=4, w=2, m_out=2, d_slice=4),
               LevelPlan(ell=4, m_in=2, w=1, m_out=1, d_slice=8))
-    nipm = NipmParams(L=L, t=1, levels=levels, eps=eps, c=4,
-                      m1_nominal=nominal_m1(m_mid, 4, 1, eps),
-                      m_nominal=(2, 1), d_nominal=(4, 8),
-                      error_nominal=min(2.0 * 4 * L * eps, 1.0))
-    ff = FlipFlopParams(n=n, d_y=16, w=8, m_out=m_ff)
-    return NmExtParams(n=n, d=d, m=m, t=1, adv=adv, ff=ff, d1=16, d2=8,
-                       d3=4, m_mid=m_mid, nipm=nipm,
+    nipm = hand_plan(adv.advice_len, 1, levels, eps)    # L = 10
+    ff = FlipFlopParams(n=n, d_y=16, w=8, m_out=8)
+    ipm = IpmParams(n_y=d, k_y=d, m=ff.m_out, d_z=8, m_v=4, nipm=nipm)
+    return NmExtParams(n=n, d=d, m=m, t=1, adv=adv, ff=ff, d1=16, ipm=ipm,
                        nominal=_nominal_plan(n, 12, d, eps, "linear"))
 
 
@@ -173,11 +155,6 @@ def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
     bits = [advice.bit(i) for i in range(advice.n)]
     y1 = slice_bits(y, p.d1)
     # row i depends on i only through the advice bit alpha_i, so each
-    # distinct bit's row is built and refreshed once
+    # distinct bit's row is built once (and refreshed once by merge_rows)
     row = {b: flip_flop(x, y1, b, p.ff) for b in dict.fromkeys(bits)}
-    vbar1 = slice_bits(row[bits[0]], p.d2)
-    ybar = ext(p.scheme_ybar(), y, vbar1)
-    ybar1 = slice_bits(ybar, p.d3)
-    refresh = p.scheme_refresh()
-    z = {b: ext(refresh, v, ybar1) for b, v in row.items()}
-    return recursive_nipm(matrix([z[b] for b in bits]), ybar, p.nipm)
+    return merge_rows([row[b] for b in bits], y, p.ipm)

@@ -19,7 +19,7 @@ from extlab import cbreak, ipm, msrc, nmx, pamp, prob, sext, verify
 from extlab.altx import ChainParams, look_ahead
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.nipm import (LevelPlan, NipmParams, ParamError, assembled_bound,
-                         lt_nipm, nominal_m1, nominal_schedule, plan_nipm,
+                         hand_plan, lt_nipm, nominal_schedule, plan_nipm,
                          recursive_nipm)
 from extlab.prob import Dist, bit_error, stat_distance, uniform
 from extlab.sext import ext, poly_scheme
@@ -94,10 +94,8 @@ def test_criterion_02_look_ahead_unrolled():
 
 def _one_level(L: int, t: int, m: int, d: int, w: int = 2,
                m_out: int = 2) -> NipmParams:
-    lv = (LevelPlan(ell=L, m_in=m, w=w, m_out=m_out, d_slice=d),)
-    return NipmParams(L=L, t=t, levels=lv, eps=0.05, c=4,
-                      m1_nominal=nominal_m1(m, L, t, 0.05),
-                      m_nominal=(m_out,), d_nominal=(d,), error_nominal=0.8)
+    return hand_plan(L, t, (LevelPlan(ell=L, m_in=m, w=w, m_out=m_out,
+                                      d_slice=d),))
 
 
 def _micro_ipm_params() -> ipm.IpmParams:
@@ -168,9 +166,7 @@ def test_criterion_04_compose_equals_recursion():
     rng = _rng(404)
     levels = (LevelPlan(ell=2, m_in=8, w=4, m_out=4, d_slice=8),
               LevelPlan(ell=2, m_in=4, w=2, m_out=2, d_slice=12))
-    p = NipmParams(L=4, t=1, levels=levels, eps=0.05, c=4,
-                   m1_nominal=nominal_m1(8, 2, 1, 0.05),
-                   m_nominal=(4, 2), d_nominal=(8, 12), error_nominal=0.8)
+    p = hand_plan(4, 1, levels)
     lv0, lv1 = levels
     mismatches = 0
     for _ in range(1000):
@@ -316,8 +312,8 @@ def test_criterion_07_nm_ext_micro_battery():
     # leftover-hash and advice terms cap the sum at one, so the battery
     # check is a sanity floor and the teeth are in the exact scan below
     budget = min(1.0, cbreak.collision_bound(mp.adv)
-                 + float(assembled_bound(mp.nipm, k_row=mp.ff.m_out,
-                                         k_seed=mp.d2)))
+                 + float(assembled_bound(mp.ipm.nipm, k_row=mp.ff.m_out,
+                                         k_seed=mp.ipm.d_z)))
     trials = 25_000
     ci = pamp.hoeffding_ci(trials)
     worst_adv = 0.0
@@ -480,11 +476,11 @@ def test_criterion_11_planner_regression():
     nom = p.nominal
     ok = nom.ell == 2 ** math.ceil(math.sqrt(math.log2(nom.L)))
     ok = ok and nom.r == math.ceil(math.log(nom.L) / math.log(nom.ell))
-    ds = p.nipm.d_nominal
-    ok = ok and all(ds[i] == (p.nipm.t + 2) * ds[i - 1]
+    ds = p.ipm.nipm.d_nominal
+    ok = ok and all(ds[i] == (p.ipm.nipm.t + 2) * ds[i - 1]
                     for i in range(1, len(ds)))
     ok = ok and all(lv.m_out >= 8 and lv.w >= 8 and lv.d_slice >= 8
-                    for lv in p.nipm.levels)
+                    for lv in p.ipm.nipm.levels)
     with pytest.raises(ParamError) as e:
         plan_nipm(0, 1, 64, 64, 0.01)
     ok = ok and e.value.name == "L"
@@ -496,5 +492,5 @@ def test_criterion_11_planner_regression():
     ok = ok and e.value.name == "ell"
     _report(11, "planner regression at n=2^20", ok,
             f"ell {nom.ell} = 2^ceil(sqrt(log L)), r {nom.r}, seed growth "
-            f"x{p.nipm.t + 2} per level, implemented widths >= 8, "
+            f"x{p.ipm.nipm.t + 2} per level, implemented widths >= 8, "
             f"3 named parameter errors", t0)

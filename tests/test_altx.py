@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from extlab.altx import AltTrace, ChainParams, alt_extract, look_ahead
+from extlab import altx
+from extlab.altx import ChainParams, look_ahead
 from extlab.bits import BitString, slice_bits
 from extlab.sext import ext
 
@@ -14,28 +15,6 @@ def test_chain_params_validated():
         ChainParams(4, 8, 16, 5)   # output wider than token
     with pytest.raises(ValueError):
         ChainParams(0, 8, 16, 0)
-
-
-def test_alt_extract_trace_shape_and_width():
-    p = ChainParams(4, 8, 16, 4)
-    q = BitString(8, 0xB7)
-    w = BitString(16, 0xC0DE)
-    tr = alt_extract(q, w, rounds=3, p=p)
-    assert isinstance(tr, AltTrace)
-    assert len(tr.s) == 4 and len(tr.r) == 3
-    assert all(t.n == 4 for t in tr.s + tr.r)
-    assert tr.s[0] == slice_bits(q, 4)
-
-
-def test_alt_extract_unrolled_recurrence():
-    p = ChainParams(4, 8, 16, 4)
-    q = BitString(8, 0x5C)
-    w = BitString(16, 0xBEEF)
-    tr = alt_extract(q, w, rounds=2, p=p)
-    e_w, e_q = p.scheme_seed_src(), p.scheme_row()
-    assert tr.r[0] == ext(e_w, w, tr.s[0])
-    assert tr.s[1] == ext(e_q, q, tr.r[0])
-    assert tr.r[1] == ext(e_w, w, tr.s[1])
 
 
 def test_look_ahead_single_row_degenerates():
@@ -73,10 +52,16 @@ def test_look_ahead_width_checks():
         look_ahead((), BitString(16, 0), p)
 
 
-def test_chain_keeps_constant_width():
-    # tokens never grow or shrink across many rounds
+def test_chain_keeps_constant_width(monkeypatch):
+    # tokens never grow or shrink along a long look-ahead chain
     p = ChainParams(8, 16, 32, 8)
-    tr = alt_extract(BitString(16, 0xABCD), BitString(32, 0xDEADBEEF),
-                     rounds=10, p=p)
-    assert {t.n for t in tr.s} == {8}
-    assert {t.n for t in tr.r} == {8}
+    tokens = []
+
+    def recorded(scheme, x, seed):
+        tokens.append(ext(scheme, x, seed))
+        return tokens[-1]
+    monkeypatch.setattr(altx, "ext", recorded)
+    rows = tuple(BitString(16, 0xABCD ^ (i * 0x1111)) for i in range(11))
+    out = look_ahead(rows, BitString(32, 0xDEADBEEF), p)
+    assert len(tokens) == 2 * 10 and tokens[-1] == out  # R_1..R_10, S_2..S_11
+    assert {t.n for t in tokens} == {8}

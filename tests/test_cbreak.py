@@ -6,6 +6,8 @@ from extlab.bits import BitString, blocks, concat, slice_bits
 from extlab.cbreak import (AdvGenParams, FlipFlopParams, adv_gen,
                            collision_bound, flip_flop, plan_adv_gen)
 from extlab.nipm import ParamError
+from extlab.nmx import desk_params
+from extlab.pamp import _rand_bits
 from extlab.sext import ext, sample_positions
 
 
@@ -64,25 +66,34 @@ def test_flip_flop_params_validated():
         FlipFlopParams(n=16, d_y=16, w=8, m_out=9)
 
 
-def test_flip_flop_matches_pinned_recipe():
-    p = FlipFlopParams(n=16, d_y=16, w=8, m_out=8)
+def _two_phase_recipe(x, y, bit, p):
     e_x, e_y, e_tok, e_out = (p.scheme_x(), p.scheme_y(),
                               p.scheme_tok(), p.scheme_out())
+    s1 = slice_bits(y, p.w)
+    r1 = ext(e_x, x, s1)
+    s2 = ext(e_y, y, r1)
+    ytil = s2 if bit else s1
+    s1p = ytil
+    r1p = ext(e_x, x, s1p)
+    s2p = ext(e_tok, ytil, r1p)
+    key = s1p if bit else s2p
+    return ext(e_out, x, slice_bits(key, p.m_out))
+
+
+def test_flip_flop_matches_pinned_recipe():
+    p = FlipFlopParams(n=16, d_y=16, w=8, m_out=8)
     rng = np.random.Generator(np.random.Philox(42))
     for _ in range(100):
         x = BitString(16, int(rng.integers(1 << 16)))
         y = BitString(16, int(rng.integers(1 << 16)))
         for bit in (0, 1):
-            s1 = slice_bits(y, 8)
-            r1 = ext(e_x, x, s1)
-            s2 = ext(e_y, y, r1)
-            ytil = s2 if bit else s1
-            s1p = ytil
-            r1p = ext(e_x, x, s1p)
-            s2p = ext(e_tok, ytil, r1p)
-            key = s1p if bit else s2p
-            want = ext(e_out, x, slice_bits(key, p.m_out))
-            assert flip_flop(x, y, bit, p) == want
+            assert flip_flop(x, y, bit, p) == _two_phase_recipe(x, y, bit, p)
+    p = desk_params().ff
+    for _ in range(20):
+        x = BitString(p.n, _rand_bits(rng, p.n))
+        y = BitString(p.d_y, _rand_bits(rng, p.d_y))
+        for bit in (0, 1):
+            assert flip_flop(x, y, bit, p) == _two_phase_recipe(x, y, bit, p)
 
 
 def test_flip_flop_advice_bits_usually_disagree():

@@ -253,3 +253,23 @@ def test_png_write_failure_is_reported(tmp_path, capsys):
                "512", "--eps", "1e-4", "--out", str(tmp_path / "r.tsv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _majority_bias_row(r, bad, capsys):
+    rc = main(["multisource", "run", "--r", r, "--bad", bad,
+               "--trials", "40", "--seed", "4"])
+    assert rc == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(header.split("\t"), line.split("\t")))
+            for line in lines]
+    return next(row for row in rows if row["name"] == "majority_bias")
+
+
+@pytest.mark.parametrize("r, bad, capped", [("1", "0", True),
+                                          ("3", "0", True),
+                                          ("5", "1", False)])
+def test_multisource_bias_bound_is_capped_at_one(r, bad, capped, capsys):
+    # majority_bias_bound is 1.5 at r = 1, 1.077 at r = 3 and 0.947 at r = 5
+    row = _majority_bias_row(r, bad, capsys)
+    assert float(row["bound"]) <= 1
+    assert row["detail"] == ("capped" if capped else "")

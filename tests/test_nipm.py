@@ -3,19 +3,34 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from extlab import msrc, nmx
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.nipm import (LevelPlan, NipmParams, ParamError,
-                         assembled_bound, lt_nipm, nominal_m1,
+                         assembled_bound, hand_plan, lt_nipm, nominal_m1,
                          nominal_schedule, plan_nipm, recursive_nipm)
 
 
 def micro_params(L=4, t=1):
     levels = (LevelPlan(ell=2, m_in=8, w=4, m_out=4, d_slice=8),
               LevelPlan(ell=2, m_in=4, w=2, m_out=2, d_slice=12))
-    return NipmParams(L=L, t=t, levels=levels, eps=0.05, c=4,
-                      m1_nominal=nominal_m1(8, 2, t, 0.05),
-                      m_nominal=(4, 2), d_nominal=(8, 12),
-                      error_nominal=0.8)
+    return hand_plan(L, t, levels)
+
+
+def test_hand_plan_keeps_the_hand_written_nominal_fields():
+    # the nominal fields micro_params and default_params spelled out by
+    # hand before hand_plan derived them from the levels
+    micro = (LevelPlan(ell=4, m_in=4, w=2, m_out=2, d_slice=4),
+             LevelPlan(ell=4, m_in=2, w=1, m_out=1, d_slice=8))
+    assert nmx.micro_params().ipm.nipm == NipmParams(
+        L=10, t=1, levels=micro, eps=0.05, c=4, m1_nominal=-198,
+        m_nominal=(2, 1), d_nominal=(4, 8), error_nominal=1.0)
+    multi = (LevelPlan(ell=2, m_in=8, w=4, m_out=4, d_slice=8),
+             LevelPlan(ell=2, m_in=4, w=2, m_out=2, d_slice=12))
+    for t, m1 in ((1, -108), (2, -83)):
+        assert msrc.default_params(11, t=t).ipm.nipm == NipmParams(
+            L=4, t=t, levels=multi, eps=0.05, c=4, m1_nominal=m1,
+            m_nominal=(4, 2), d_nominal=(8, 12), error_nominal=1.0)
+    assert hand_plan(2, 1, multi[:1]).error_nominal == 2 * 4 * 2 * 0.05
 
 
 def test_nominal_m1_formula():

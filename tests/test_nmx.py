@@ -1,22 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from extlab import nmx
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.cbreak import adv_gen, flip_flop
+from extlab.ipm import ipm_weak
 from extlab.nipm import ParamError, recursive_nipm
 from extlab.nmx import desk_params, micro_params, nm_ext, plan_params
 from extlab.pamp import _rand_bits
-from extlab.sext import ext
+from extlab.sext import affine_scheme, ext
 
 
 def test_plan_params_desk_scale():
     p = desk_params()
     assert p.n == 1024 and p.d == 512 and p.m == 32
-    assert p.adv.advice_len == p.nipm.L
-    assert p.d2 <= p.ff.m_out
-    assert p.nipm.d_min <= p.d2
-    assert p.m == p.nipm.m_out
+    assert p.adv.advice_len == p.ipm.nipm.L
+    assert p.ipm.d_z <= p.ff.m_out == p.ipm.m
+    assert p.ipm.nipm.d_min <= p.ipm.d_z
+    assert p.ipm.n_y == p.ipm.k_y == p.d
+    assert p.m == p.ipm.nipm.m_out
     nom = p.nominal
     assert nom.eps1 == pytest.approx(2 ** -8 / (2 * 4 * 1024))
     assert nom.L == 2 * 31  # 2 * ceil(log2(n/eps1)), eps1 ~ 2^-21
@@ -32,6 +36,14 @@ def test_plan_params_named_errors():
     assert e.value.name == "k"
 
 
+def test_params_reject_a_merger_of_other_widths():
+    p = micro_params()
+    for ipm in (replace(p.ipm, m=16), replace(p.ipm, n_y=24, k_y=24)):
+        with pytest.raises(ParamError) as e:
+            replace(p, ipm=ipm)
+        assert e.value.name == "ipm"
+
+
 def test_log_rescale_gives_larger_eps1():
     lin = plan_params(1024, 768, 512, 32, 2 ** -8, rescale="linear")
     log = plan_params(1024, 768, 512, 32, 2 ** -8, rescale="log")
@@ -42,21 +54,25 @@ def test_micro_params_shape():
     p = micro_params()
     assert (p.n, p.d, p.m) == (16, 16, 1)
     assert p.adv.advice_len == 10
-    assert p.nipm.m_out == 1 and p.d2 == p.ff.m_out == 8
+    assert p.ipm.nipm.m_out == 1 and p.ipm.d_z == p.ff.m_out == 8
+
+
+def _flip_flop_rows(x, y, p):
+    advice = adv_gen(x, y, p.adv)
+    y1 = slice_bits(y, p.d1)
+    return [flip_flop(x, y1, advice.bit(i), p.ff) for i in range(advice.n)]
 
 
 def _nm_ext_per_row(x, y, p):
-    """Reference pipeline: one flip-flop and one refresh per advice bit."""
-    advice = adv_gen(x, y, p.adv)
-    y1 = slice_bits(y, p.d1)
-    rows = [flip_flop(x, y1, advice.bit(i), p.ff)
-            for i in range(advice.n)]
-    vbar1 = slice_bits(rows[0], p.d2)
-    ybar = ext(p.scheme_ybar(), y, vbar1)
-    ybar1 = slice_bits(ybar, p.d3)
-    refresh = p.scheme_refresh()
+    """Reference pipeline: one flip-flop and one refresh per advice bit,
+    the bootstrap spelled out from the merger's widths."""
+    rows = _flip_flop_rows(x, y, p)
+    vbar1 = slice_bits(rows[0], p.ipm.d_z)
+    ybar = ext(affine_scheme(p.d, p.ipm.d_z), y, vbar1)
+    ybar1 = slice_bits(ybar, p.ipm.m_v)
+    refresh = affine_scheme(p.ff.m_out, p.ipm.m_v)
     z = [ext(refresh, v, ybar1) for v in rows]
-    return recursive_nipm(matrix(z), ybar, p.nipm)
+    return recursive_nipm(matrix(z), ybar, p.ipm.nipm)
 
 
 def _draws(p, seed, count):
@@ -78,6 +94,17 @@ def test_nm_ext_matches_manual_pipeline_at_desk_width():
     p = desk_params()
     for x, y in _draws(p, 52, 4):
         assert nm_ext(x, y, p) == _nm_ext_per_row(x, y, p)
+
+
+@pytest.mark.parametrize("params, count", [(micro_params, 200),
+                                           (desk_params, 8)],
+                         ids=["micro", "desk"])
+def test_nm_ext_is_the_weak_seed_merger_of_its_flip_flop_rows(params,
+                                                              count):
+    p = params()
+    for x, y in _draws(p, 55, count):
+        rows = _flip_flop_rows(x, y, p)
+        assert nm_ext(x, y, p) == ipm_weak(matrix(rows), y, p.ipm)
 
 
 @pytest.mark.parametrize("params", [micro_params, desk_params],
