@@ -2,18 +2,17 @@
 multi-source randomness extraction, with exact-rational oracles at
 micro scale."""
 
-from .bits import (BitString, RowMatrix, blocks, concat, from_int,
-                   from_str, matrix, pad_to, segment, slice_bits, suffix,
-                   zeros)
+from .bits import (BitString, RowMatrix, blocks, concat, from_str, matrix,
+                   pad_to, segment, slice_bits, suffix, zeros)
 from .prob import (Dist, flat, from_counts, from_weights, min_entropy,
                    point_mass, sample_flat_source, stat_distance,
                    stat_distance_maps, uniform, xor_bit_dists)
 from .sext import (ExtScheme, affine_scheme, avg_case_bound, ext,
                    lhl_bound, poly_scheme, sample_positions)
-from .altx import ChainParams, look_ahead
-from .nipm import (LevelPlan, NipmParams, ParamError, assembled_bound,
-                   hand_plan, lt_nipm, plan_nipm, recursive_nipm)
-from .ipm import IpmParams, ipm_weak, merge_rows, micro_ipm, plan_ipm
+from .altx import LevelPlan, look_ahead
+from .nipm import (NipmParams, ParamError, assembled_bound, hand_plan,
+                   lt_nipm, plan_nipm, recursive_nipm)
+from .ipm import IpmParams, ipm_weak, merge_rows, micro_ipm
 from .cbreak import (AdvGenParams, FlipFlopParams, adv_gen, flip_flop,
                      plan_adv_gen)
 from .nmx import (NmExtParams, NominalPlan, desk_params, micro_params,

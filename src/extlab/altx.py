@@ -9,7 +9,8 @@ chain neither grows nor shrinks.
 ``look_ahead`` is the row-matrix variant used by the mergers: step i
 draws S_{i+1} from row i+1, and the final step applies a wide extractor
 to the last row.  With a single row it degenerates to one wide
-extraction keyed by a slice of the seed source.
+extraction keyed by a slice of the seed source.  ``LevelPlan`` holds
+the widths of one merger level and of the chain it runs.
 """
 
 from __future__ import annotations
@@ -21,18 +22,14 @@ from .sext import ExtScheme, affine_scheme, ext
 
 
 @dataclass(frozen=True)
-class ChainParams:
-    """Widths for one alternating chain.
+class LevelPlan:
+    """Widths for one merger level, which runs one alternating chain."""
 
-    w: common intermediate token width (the d1 of the construction);
-    m_in: row width; n_seed_src: width of the shared seed source;
-    m_out: width of the final wide extraction.
-    """
-
-    w: int
-    m_in: int
-    n_seed_src: int
-    m_out: int
+    ell: int       # fan-in at this level
+    m_in: int      # row width entering the level
+    w: int         # chain token width (the d1 of the construction)
+    m_out: int     # merged row width leaving the level
+    d_slice: int   # prefix of the seed source visible to this level
 
     def __post_init__(self) -> None:
         if self.w < 1:
@@ -46,7 +43,7 @@ class ChainParams:
             raise ValueError("m_out exceeds chain width")
 
     def scheme_seed_src(self) -> ExtScheme:
-        return affine_scheme(self.n_seed_src, self.w)
+        return affine_scheme(self.d_slice, self.w)
 
     def scheme_row(self) -> ExtScheme:
         return affine_scheme(self.m_in, self.w)
@@ -56,7 +53,7 @@ class ChainParams:
 
 
 def look_ahead(rows: tuple[BitString, ...], w_src: BitString,
-               p: ChainParams) -> BitString:
+               p: LevelPlan) -> BitString:
     """ell-row look-ahead: returns the final token S_ell of width m_out."""
     ell = len(rows)
     if ell < 1:
@@ -64,7 +61,7 @@ def look_ahead(rows: tuple[BitString, ...], w_src: BitString,
     for row in rows:
         if row.n != p.m_in:
             raise ValueError("row width mismatch")
-    if w_src.n != p.n_seed_src:
+    if w_src.n != p.d_slice:
         raise ValueError("seed source width mismatch")
     e_final = p.scheme_final()
     if ell == 1:

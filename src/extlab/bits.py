@@ -47,10 +47,6 @@ def from_str(s: str) -> BitString:
     return BitString(len(s), int(s, 2) if s else 0)
 
 
-def from_int(n: int, val: int) -> BitString:
-    return BitString(n, val)
-
-
 def zeros(n: int) -> BitString:
     return BitString(n, 0)
 

@@ -27,21 +27,27 @@ from .sext import (ExtScheme, affine_scheme, ext, poly_scheme,
 
 @dataclass(frozen=True)
 class AdvGenParams:
-    n: int           # x length
     d: int           # y length
-    a0: int          # slice of y used as the sampler seed
     a0p: int         # raw prefix of y copied into the advice
     positions: int   # number of sampled Reed-Solomon symbols
     rs_block: int    # Reed-Solomon symbol size (bits)
-    sampler: ExtScheme
+    sampler: ExtScheme   # samples positions from x, seeded by a slice of y
 
     def __post_init__(self) -> None:
         if self.a0 > self.d or self.a0p > self.d:
             raise ParamError("a0", "advice slices exceed seed length")
-        if self.sampler.d_seed != self.a0:
-            raise ParamError("a0", "sampler seed width mismatch")
         if self.code_n > (1 << self.rs_block):
             raise ParamError("rs_block", "code longer than field")
+
+    @property
+    def n(self) -> int:
+        """x length."""
+        return self.sampler.n_in
+
+    @property
+    def a0(self) -> int:
+        """Slice of y used as the sampler seed."""
+        return self.sampler.d_seed
 
     @property
     def code_n(self) -> int:
@@ -65,7 +71,7 @@ def plan_adv_gen(n: int, d: int, eps: float, positions: int = 2,
     if a0 > d:
         raise ParamError("a0", f"seed too short for the sampler ({a0} > {d})")
     sampler = poly_scheme(n, m_r, block=b)
-    p = AdvGenParams(n=n, d=d, a0=a0, a0p=min(2, d), positions=positions,
+    p = AdvGenParams(d=d, a0p=min(2, d), positions=positions,
                      rs_block=rs_block, sampler=sampler)
     if p.advice_len < 8:
         raise ParamError("L", "advice shorter than 8 bits")

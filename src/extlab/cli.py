@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--m", type=positive_int, required=True)
     pn.add_argument("--d", type=positive_int, required=True)
     pn.add_argument("--eps", type=error_rate, required=True)
-    pn.add_argument("--ell", type=int, default=None)
+    pn.add_argument("--ell", type=positive_int, default=None)
     pn.set_defaults(fn=cmd_plan_nipm)
     pe = params.add_parser("plan-nmext", parents=[common])
     pe.add_argument("--n", type=positive_int, required=True)

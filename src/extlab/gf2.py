@@ -182,10 +182,3 @@ def poly_eval(coeffs: list[int], x: int, b_bits: int) -> int:
         acc = mul(acc, x, b_bits) ^ c
     return acc
 
-
-def rs_encode(message: list[int], n_points: int, b_bits: int) -> list[int]:
-    """Reed-Solomon codeword: evaluate the message polynomial (message
-    symbols as coefficients) at the first n_points field elements 0..n-1."""
-    if n_points > (1 << b_bits):
-        raise ValueError("code length exceeds field size")
-    return [poly_eval(message, x, b_bits) for x in range(n_points)]

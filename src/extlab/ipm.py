@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bits import BitString, RowMatrix, matrix, slice_bits
-from .nipm import NipmParams, ParamError, plan_nipm, recursive_nipm
+from .nipm import NipmParams, ParamError, recursive_nipm
 from .sext import ExtScheme, affine_scheme, ext
 
 
@@ -27,7 +27,6 @@ class IpmParams:
     k_y: int        # weak seed min-entropy floor
     m: int          # row width
     d_z: int        # width of the bootstrap extraction z (0.8 * k_y capped)
-    m_v: int        # refreshed row width, and the slice of z refreshing them
     nipm: NipmParams
 
     def __post_init__(self) -> None:
@@ -38,25 +37,23 @@ class IpmParams:
         if self.m_v > self.m:
             raise ParamError("m_v", "refreshed rows wider than rows")
 
+    @property
+    def m_v(self) -> int:
+        """Refreshed row width, and the slice of z refreshing them."""
+        return self.nipm.levels[0].m_in
+
     def scheme_boot(self) -> ExtScheme:
         return affine_scheme(self.n_y, self.d_z, claimed_k=self.k_y)
-
-
-def plan_ipm(L: int, t: int, m: int, n_y: int, k_y: int, eps: float,
-             m_target: int | None = None) -> IpmParams:
-    d_z = min((8 * k_y) // 10, m)
-    if d_z < 8:
-        raise ParamError("k", "weak seed entropy too low for bootstrap")
-    m_v = min(max(m // 2, 8), d_z)
-    nipm = plan_nipm(L, t, m_v, d_z, eps, m_target=m_target)
-    return IpmParams(n_y=n_y, k_y=k_y, m=m, d_z=d_z, m_v=m_v, nipm=nipm)
 
 
 def micro_ipm(L: int, t: int, m: int, n_y: int, k_y: int, d_z: int,
               nipm: NipmParams) -> IpmParams:
     """Oracle-scale parameters without the 8-bit planner floors."""
-    return IpmParams(n_y=n_y, k_y=k_y, m=m, d_z=d_z,
-                     m_v=nipm.levels[0].m_in, nipm=nipm)
+    if L != nipm.L:
+        raise ParamError("L", f"{L} rows, but the merger takes {nipm.L}")
+    if t != nipm.t:
+        raise ParamError("t", f"t = {t}, but the merger has t = {nipm.t}")
+    return IpmParams(n_y=n_y, k_y=k_y, m=m, d_z=d_z, nipm=nipm)
 
 
 def ipm_weak(mat: RowMatrix, y: BitString, p: IpmParams) -> BitString:

@@ -25,9 +25,6 @@ from .nipm import LevelPlan, ParamError, hand_plan
 @dataclass(frozen=True)
 class MultiParams:
     r: int          # number of matrices / majority arity (odd)
-    L: int          # rows per matrix
-    m: int          # row width
-    t: int          # independence order of the generator contract
     alpha: float    # bad-set exponent: at most r^(1/2 - alpha) bad indices
     gamma: float    # almost-t-wise slack of the good bits
     c: float        # outer constant of the majority bias bound
@@ -38,6 +35,21 @@ class MultiParams:
             raise ParamError("r", "majority arity must be odd")
         if not 0 < self.alpha <= 0.5:
             raise ParamError("alpha", "alpha must lie in (0, 1/2]")
+
+    @property
+    def L(self) -> int:
+        """Rows per matrix."""
+        return self.ipm.nipm.L
+
+    @property
+    def m(self) -> int:
+        """Row width."""
+        return self.ipm.m
+
+    @property
+    def t(self) -> int:
+        """Independence order of the generator contract."""
+        return self.ipm.nipm.t
 
 
 def majority_bias_bound(p: MultiParams) -> float:
@@ -119,8 +131,7 @@ def default_params(r: int, t: int = 1, alpha: float = 0.5,
               LevelPlan(ell=2, m_in=4, w=2, m_out=2, d_slice=12))
     ipm = micro_ipm(L=4, t=t, m=16, n_y=16, k_y=12, d_z=12,
                     nipm=hand_plan(4, t, levels))
-    return MultiParams(r=r, L=4, m=16, t=t, alpha=alpha, gamma=gamma,
-                       c=c, ipm=ipm)
+    return MultiParams(r=r, alpha=alpha, gamma=gamma, c=c, ipm=ipm)
 
 
 def exact_majority_prob_one(r: int, pinned_ones: int) -> Fraction:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .altx import ChainParams, look_ahead
+from .altx import LevelPlan, look_ahead
 from .bits import BitString, RowMatrix, slice_bits
 from .sext import avg_case_bound
 
@@ -34,18 +34,6 @@ class ParamError(ValueError):
 
 def _clog2(x: float) -> int:
     return max(1, math.ceil(math.log2(x)))
-
-
-@dataclass(frozen=True)
-class LevelPlan:
-    ell: int       # fan-in at this level
-    m_in: int      # row width entering the level
-    w: int         # chain token width
-    m_out: int     # merged row width leaving the level
-    d_slice: int   # prefix of the seed source visible to this level
-
-    def chain(self) -> ChainParams:
-        return ChainParams(self.w, self.m_in, self.d_slice, self.m_out)
 
 
 @dataclass(frozen=True)
@@ -113,6 +101,8 @@ def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
     if ell is None:
         ell = 1 << math.ceil(math.sqrt(max(1, math.ceil(math.log2(max(L, 2))))))
         ell = min(max(ell, 2), max(L, 2))
+    elif ell < 2:
+        raise ParamError("ell", "fan-in must be at least 2")
     r, m_nom, d_nom, err = (nominal_schedule(L, ell, t, m, eps, c=c)
                             if L > 1 else (1, [m], [8], c * eps))
 
@@ -120,7 +110,6 @@ def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
     # inside its row; floor at 8 bits
     levels: list[LevelPlan] = []
     m_in = m
-    remaining = L
     for i in range(r):
         m_out = m_target if (m_target and i == r - 1) else max(m_in // 2, 8)
         if m_out < 8:
@@ -132,7 +121,6 @@ def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
             raise ParamError("d_i", f"seed slice {d_slice} too narrow")
         levels.append(LevelPlan(ell, m_in, m_out, m_out, d_slice))
         m_in = m_out
-        remaining = math.ceil(remaining / ell)
     if levels[-1].d_slice > d:
         raise ParamError("d", "seed source shorter than final slice")
     return NipmParams(L=L, t=t, levels=tuple(levels), eps=eps, c=c,
@@ -159,7 +147,7 @@ def lt_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
     """Merge up to lp.ell rows with one look-ahead chain seeded from y."""
     if len(rows) > lp.ell:
         raise ValueError("too many rows for this level")
-    return look_ahead(tuple(rows), slice_bits(y, lp.d_slice), lp.chain())
+    return look_ahead(tuple(rows), slice_bits(y, lp.d_slice), lp)
 
 
 def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
@@ -201,15 +189,14 @@ def assembled_bound(params: NipmParams, k_row: float, k_seed: float,
     ky, kr = k_seed, k_row
     for lv in params.levels:
         eps_level = Fraction(0)
-        chain = lv.chain()
         ky_lvl, kr_lvl = ky, kr
         for j in range(1, lv.ell):
             ky_lvl -= (t + 1) * lv.w          # tokens S_j revealed
-            eps_level += avg_case_bound(chain.scheme_seed_src(),
+            eps_level += avg_case_bound(lv.scheme_seed_src(),
                                         max(ky_lvl, 0))
             kr_step = kr_lvl - (t + 1) * lv.w  # tokens R_j revealed
-            scheme = (chain.scheme_final() if j == lv.ell - 1
-                      else chain.scheme_row())
+            scheme = (lv.scheme_final() if j == lv.ell - 1
+                      else lv.scheme_row())
             eps_level += avg_case_bound(scheme, max(kr_step, 0))
         eps_level += lv.ell * row_slack
         total = lv.ell * total + eps_level

@@ -45,23 +45,35 @@ class NominalPlan:
 
 @dataclass(frozen=True)
 class NmExtParams:
-    n: int
-    d: int
-    m: int
-    t: int
     adv: AdvGenParams
-    ff: FlipFlopParams
-    d1: int                   # slice of y feeding the flip-flops
+    ff: FlipFlopParams        # flip-flop over x and the slice y1 of y
     ipm: IpmParams            # weak-seed merger of the flip-flop rows
     nominal: NominalPlan
 
     def __post_init__(self) -> None:
+        if self.ff.n != self.adv.n:
+            raise ParamError("n", "flip-flop and advice source widths differ")
         if self.d1 > self.d:
             raise ParamError("d1", "y1 slice exceeds seed")
         if self.ipm.m != self.ff.m_out or self.ipm.n_y != self.d:
             raise ParamError("ipm", "merger widths do not match rows and seed")
-        if self.m != self.ipm.nipm.m_out:
-            raise ParamError("m", "merger output does not match m")
+
+    @property
+    def n(self) -> int:
+        return self.adv.n
+
+    @property
+    def d(self) -> int:
+        return self.adv.d
+
+    @property
+    def m(self) -> int:
+        return self.ipm.nipm.m_out
+
+    @property
+    def d1(self) -> int:
+        """Slice of y feeding the flip-flops."""
+        return self.ff.d_y
 
 
 def _nominal_plan(n: int, k: int, d: int, eps: float,
@@ -118,9 +130,8 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
     nipm = plan_nipm(L, t, m_v, d_z, eps1, ell=ell_impl, m_target=m)
     if nipm.d_min > d_z:
         raise ParamError("d", "merger seed slices exceed z")
-    ipm = IpmParams(n_y=d, k_y=d, m=m_ff, d_z=d_z, m_v=m_v, nipm=nipm)
-    return NmExtParams(n=n, d=d, m=m, t=t, adv=adv, ff=ff, d1=d1, ipm=ipm,
-                       nominal=nominal)
+    ipm = IpmParams(n_y=d, k_y=d, m=m_ff, d_z=d_z, nipm=nipm)
+    return NmExtParams(adv=adv, ff=ff, ipm=ipm, nominal=nominal)
 
 
 def micro_params(eps: float = 0.05) -> NmExtParams:
@@ -129,14 +140,14 @@ def micro_params(eps: float = 0.05) -> NmExtParams:
     Built by hand because the general planner floors every width at 8
     bits; the micro widths keep exhaustive tamper enumeration feasible.
     """
-    n, d, m = 16, 16, 1
+    n, d = 16, 16
     adv = plan_adv_gen(n, d, eps)
     levels = (LevelPlan(ell=4, m_in=4, w=2, m_out=2, d_slice=4),
               LevelPlan(ell=4, m_in=2, w=1, m_out=1, d_slice=8))
     nipm = hand_plan(adv.advice_len, 1, levels, eps)    # L = 10
     ff = FlipFlopParams(n=n, d_y=16, w=8, m_out=8)
-    ipm = IpmParams(n_y=d, k_y=d, m=ff.m_out, d_z=8, m_v=4, nipm=nipm)
-    return NmExtParams(n=n, d=d, m=m, t=1, adv=adv, ff=ff, d1=16, ipm=ipm,
+    ipm = IpmParams(n_y=d, k_y=d, m=ff.m_out, d_z=8, nipm=nipm)
+    return NmExtParams(adv=adv, ff=ff, ipm=ipm,
                        nominal=_nominal_plan(n, 12, d, eps, "linear"))
 
 

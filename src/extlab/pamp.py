@@ -30,14 +30,18 @@ class PampParams:
     nmx: NmExtParams
     mac_bits: int          # s'; MAC works in GF(2^s')
     msg_symbols: int       # ell; W is ell symbols of s' bits
-    key_len: int           # final extracted key length
-    final: ExtScheme
+    final: ExtScheme       # final key extraction from x, seeded by W
 
     def __post_init__(self) -> None:
         if self.nmx.m < 2 * self.mac_bits:
             raise ParamError("m", "round-1 key shorter than two MAC words")
         if self.final.d_seed != self.w_len:
             raise ParamError("w_len", "final seed width mismatch")
+
+    @property
+    def key_len(self) -> int:
+        """Final extracted key length."""
+        return self.final.m_out
 
     @property
     def w_len(self) -> int:
@@ -57,8 +61,7 @@ def make_params(nmx_params: NmExtParams, mac_bits: int = 16,
     block = w_len // 2
     final = poly_scheme(nmx_params.n, min(key_len, block), block=block)
     return PampParams(nmx=nmx_params, mac_bits=mac_bits,
-                      msg_symbols=msg_symbols, key_len=final.m_out,
-                      final=final)
+                      msg_symbols=msg_symbols, final=final)
 
 
 def mac_tag(key: BitString, msg: BitString, s: int) -> BitString:

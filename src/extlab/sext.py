@@ -42,7 +42,6 @@ class ExtScheme:
     family: str
     block: int
     claimed_k: int
-    claimed_eps: float
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -64,6 +63,11 @@ class ExtScheme:
         if not 0 <= self.claimed_k <= self.n_in:
             raise ValueError("claimed_k out of range")
 
+    @property
+    def claimed_eps(self) -> float:
+        """Leftover-hash error bound at the claimed min-entropy."""
+        return float(lhl_bound(self, self.claimed_k))
+
 
 @lru_cache(maxsize=None)
 def poly_scheme(n_in: int, m_out: int, claimed_k: int | None = None,
@@ -71,9 +75,7 @@ def poly_scheme(n_in: int, m_out: int, claimed_k: int | None = None,
     if block is None:
         block = max(m_out, 8)
     k = n_in if claimed_k is None else claimed_k
-    s = ExtScheme(n_in, 2 * block, m_out, "poly", block, k, 0.0)
-    return ExtScheme(s.n_in, s.d_seed, s.m_out, s.family, s.block, s.claimed_k,
-                     float(lhl_bound(s, k)))
+    return ExtScheme(n_in, 2 * block, m_out, "poly", block, k)
 
 
 def _affine_block(m_out: int) -> int:
@@ -89,9 +91,7 @@ def affine_scheme(n_in: int, m_out: int, claimed_k: int | None = None,
     if block is None:
         block = _affine_block(m_out)
     k = n_in if claimed_k is None else claimed_k
-    s = ExtScheme(n_in, m_out, m_out, "affine", block, k, 0.0)
-    return ExtScheme(s.n_in, s.d_seed, s.m_out, s.family, s.block, s.claimed_k,
-                     float(lhl_bound(s, k)))
+    return ExtScheme(n_in, m_out, m_out, "affine", block, k)
 
 
 def ext(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:

@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 
 from extlab import altx
-from extlab.altx import ChainParams, look_ahead
+from extlab.altx import LevelPlan, look_ahead
 from extlab.bits import BitString, slice_bits
 from extlab.sext import ext
 
 
 def test_chain_params_validated():
-    ChainParams(4, 8, 16, 4)
+    LevelPlan(3, 8, 4, 4, 16)
     with pytest.raises(ValueError):
-        ChainParams(9, 8, 16, 4)   # token wider than row
+        LevelPlan(3, 8, 9, 4, 16)   # token wider than row
     with pytest.raises(ValueError):
-        ChainParams(4, 8, 16, 5)   # output wider than token
+        LevelPlan(3, 8, 4, 5, 16)   # output wider than token
     with pytest.raises(ValueError):
-        ChainParams(0, 8, 16, 0)
+        LevelPlan(3, 8, 0, 0, 16)
 
 
 def test_look_ahead_single_row_degenerates():
-    p = ChainParams(4, 8, 16, 2)
+    p = LevelPlan(3, 8, 4, 2, 16)
     row = BitString(8, 0x3A)
     w = BitString(16, 0x1234)
     out = look_ahead((row,), w, p)
@@ -27,7 +27,7 @@ def test_look_ahead_single_row_degenerates():
 
 def test_look_ahead_matches_manual_unroll():
     rng = np.random.Generator(np.random.Philox(11))
-    p = ChainParams(4, 8, 16, 4)
+    p = LevelPlan(3, 8, 4, 4, 16)
     e_w, e_q, e_f = (p.scheme_seed_src(), p.scheme_row(),
                      p.scheme_final())
     for _ in range(200):
@@ -43,7 +43,7 @@ def test_look_ahead_matches_manual_unroll():
 
 
 def test_look_ahead_width_checks():
-    p = ChainParams(4, 8, 16, 4)
+    p = LevelPlan(3, 8, 4, 4, 16)
     with pytest.raises(ValueError):
         look_ahead((BitString(7, 0),), BitString(16, 0), p)
     with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ def test_look_ahead_width_checks():
 
 def test_chain_keeps_constant_width(monkeypatch):
     # tokens never grow or shrink along a long look-ahead chain
-    p = ChainParams(8, 16, 32, 8)
+    p = LevelPlan(11, 16, 8, 8, 32)
     tokens = []
 
     def recorded(scheme, x, seed):

@@ -32,7 +32,9 @@ def test_advice_is_prefix_plus_sampled_symbols():
     a = slice_bits(y, p.a0)
     r = ext(p.sampler, x, a)
     pos = sample_positions(r, p.positions, p.code_n)
-    cw = gf2.rs_encode(blocks(y, p.rs_block), p.code_n, p.rs_block)
+    # Reed-Solomon codeword: the message polynomial at 0..code_n-1
+    cw = [gf2.poly_eval(blocks(y, p.rs_block), i, p.rs_block)
+          for i in range(p.code_n)]
     want = concat(slice_bits(y, p.a0p),
                   *[BitString(p.rs_block, cw[i]) for i in pos])
     assert adv_gen(x, y, p) == want

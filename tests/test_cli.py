@@ -112,12 +112,17 @@ def test_bad_adversary_json_is_a_usage_error(spec, tmp_path, capsys):
 PLAN_NIPM = ["params", "plan-nipm", "--L", "20", "--m", "256", "--d", "512"]
 PLAN_NMEXT = ["params", "plan-nmext", "--k", "768", "--d", "512",
               "--m", "32"]
+ONE_ROW = ["params", "plan-nipm", "--L", "1", "--m", "64", "--d", "64",
+           "--eps", "0.01"]
 
 
 @pytest.mark.parametrize("argv, name", [
     (PLAN_NIPM + ["--eps", "0"], "--eps"),
     (PLAN_NIPM + ["--eps", "-1"], "--eps"),
     (PLAN_NIPM + ["--eps", "0.01", "--t", "0"], "--t"),
+    (ONE_ROW + ["--ell", "0"], "--ell"),
+    (ONE_ROW + ["--ell", "-5"], "--ell"),
+    (ONE_ROW + ["--ell", "1"], "ell"),
     (PLAN_NMEXT + ["--n", "1024", "--eps", "0"], "--eps"),
     (PLAN_NMEXT + ["--n", "1024", "--eps", "1"], "--eps"),
     (PLAN_NMEXT + ["--n", "1024", "--eps", "nan"], "--eps"),
@@ -128,7 +133,8 @@ PLAN_NMEXT = ["params", "plan-nmext", "--k", "768", "--d", "512",
     (["nmext", "eval", "--k", "-1"], "--k"),
     (["multisource", "run", "--bad", "-1"], "--bad"),
     (["multisource", "run", "--r", "-1"], "--r"),
-], ids=["nipm_eps_0", "nipm_eps_neg", "nipm_t_0", "nmext_eps_0",
+], ids=["nipm_eps_0", "nipm_eps_neg", "nipm_t_0", "nipm_ell_0",
+        "nipm_ell_neg", "nipm_ell_1", "nmext_eps_0",
         "nmext_eps_1", "nmext_eps_nan", "nmext_eps_underflow", "nmext_n_0",
         "nmext_m_0", "eval_eps_0", "eval_k_neg", "ms_bad_neg", "ms_r_neg"])
 def test_bad_number_is_a_usage_error(argv, name, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from extlab import ipm
 from extlab.bits import BitString, matrix, slice_bits
-from extlab.ipm import ipm_weak, micro_ipm, plan_ipm
+from extlab.ipm import ipm_weak, micro_ipm
 from extlab.nipm import LevelPlan, ParamError, hand_plan, recursive_nipm
 from extlab.sext import affine_scheme, ext
 
@@ -22,17 +22,12 @@ def test_params_validation():
     assert p.m_v == 4
 
 
-def test_plan_ipm_rejects_low_entropy_seed():
-    with pytest.raises(ParamError) as e:
-        plan_ipm(4, 1, 64, 64, 8, 0.01)
-    assert e.value.name == "k"
-
-
-def test_plan_ipm_shapes():
-    p = plan_ipm(4, 1, 64, 128, 96, 0.01)
-    assert p.d_z == min(76, 64) == 64
-    assert p.m_v <= p.d_z
-    assert p.nipm.m_out <= p.m_v
+def test_micro_ipm_rejects_a_merger_of_other_shape():
+    # the row count and t must be those the merger was planned for
+    for L, t, name in ((4, 1, "L"), (2, 2, "t")):
+        with pytest.raises(ParamError) as e:
+            micro_ipm(L=L, t=t, m=8, n_y=8, k_y=6, d_z=6, nipm=micro_nipm())
+        assert e.value.name == name
 
 
 def test_ipm_weak_matches_manual_pipeline():

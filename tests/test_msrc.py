@@ -13,6 +13,9 @@ from extlab.nipm import ParamError
 
 def test_params_validation():
     default_params(11)
+    # rows, row width and t are read off the weak-seed merger
+    p = default_params(11, t=2)
+    assert (p.L, p.m, p.t) == (4, 16, 2)
     with pytest.raises(ParamError):
         default_params(10)  # even arity
     with pytest.raises(ParamError):

@@ -16,6 +16,7 @@ from extlab.sext import affine_scheme, ext
 def test_plan_params_desk_scale():
     p = desk_params()
     assert p.n == 1024 and p.d == 512 and p.m == 32
+    assert p.d1 == 512 and p.ipm.m_v == 256 and p.adv.a0 == 28
     assert p.adv.advice_len == p.ipm.nipm.L
     assert p.ipm.d_z <= p.ff.m_out == p.ipm.m
     assert p.ipm.nipm.d_min <= p.ipm.d_z
@@ -44,6 +45,13 @@ def test_params_reject_a_merger_of_other_widths():
         assert e.value.name == "ipm"
 
 
+def test_params_reject_a_flip_flop_of_another_source_width():
+    p = micro_params()
+    with pytest.raises(ParamError) as e:
+        replace(p, ff=replace(p.ff, n=24))
+    assert e.value.name == "n"
+
+
 def test_log_rescale_gives_larger_eps1():
     lin = plan_params(1024, 768, 512, 32, 2 ** -8, rescale="linear")
     log = plan_params(1024, 768, 512, 32, 2 ** -8, rescale="log")
@@ -53,6 +61,7 @@ def test_log_rescale_gives_larger_eps1():
 def test_micro_params_shape():
     p = micro_params()
     assert (p.n, p.d, p.m) == (16, 16, 1)
+    assert p.d1 == 16 and p.ipm.m_v == 4 and p.adv.a0 == 12
     assert p.adv.advice_len == 10
     assert p.ipm.nipm.m_out == 1 and p.ipm.d_z == p.ff.m_out == 8
 
