@@ -14,7 +14,7 @@ from .nipm import (NipmParams, ParamError, assembled_bound, hand_plan,
                    lt_nipm, plan_nipm, recursive_nipm)
 from .ipm import IpmParams, ipm_weak, merge_rows, micro_ipm
 from .cbreak import (AdvGenParams, FlipFlopParams, adv_gen, flip_flop,
-                     plan_adv_gen)
+                     flip_flop_rows, plan_adv_gen)
 from .nmx import (NmExtParams, NominalPlan, desk_params, micro_params,
                   nm_ext, plan_params)
 from .msrc import (MultiParams, SyntheticGenerator, default_params,

@@ -91,12 +91,15 @@ def blocks(x: BitString, b: int) -> list[int]:
     right-padded with zeros.  Returned as ints."""
     if b <= 0:
         raise ValueError("block size must be positive")
-    padded = pad_to(x, ((x.n + b - 1) // b) * b) if x.n % b else x
-    k = padded.n // b
-    out = []
-    for i in range(k):
-        out.append((padded.val >> ((k - 1 - i) * b)) & ((1 << b) - 1))
-    return out if x.n else []
+    k = -(-x.n // b)
+    v = x.val << (k * b - x.n)
+    mask = (1 << b) - 1
+    out = [0] * k
+    # peel blocks off the low end, so each shift works on a shorter int
+    for i in range(k - 1, -1, -1):
+        out[i] = v & mask
+        v >>= b
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ row derived from (x, y) and its tampered twin: phase one runs a
 two-step look-ahead between x and y and selects its first or second
 token according to the advice bit, phase two repeats the dance from
 (x, selected token), and the output is a wide extraction of x keyed by
-the opposite selection.
+the opposite selection.  ``flip_flop_rows`` builds the outputs of
+several advice bits from one shared first extraction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import gf2
 from .bits import BitString, blocks, concat, slice_bits
@@ -132,8 +134,13 @@ class FlipFlopParams:
 
 def flip_flop(x: BitString, y: BitString, advice_bit: int,
               p: FlipFlopParams) -> BitString:
-    if advice_bit not in (0, 1):
-        raise ValueError("advice bit must be 0 or 1")
+    return flip_flop_rows(x, y, (advice_bit,), p)[advice_bit]
+
+
+def flip_flop_rows(x: BitString, y: BitString, advice_bits: Iterable[int],
+                   p: FlipFlopParams) -> dict[int, BitString]:
+    """The flip-flop output for each advice bit in ``advice_bits``; the
+    bits share phase one's r1, which does not depend on the bit."""
     if x.n != p.n or y.n != p.d_y:
         raise ValueError("input width mismatch")
     # the two-phase recipe with its dead steps dropped: for bit 1 the key
@@ -141,6 +148,10 @@ def flip_flop(x: BitString, y: BitString, advice_bit: int,
     # s1, so its look-ahead reuses r1 and the key is Ext_tok(s1, r1)
     s1 = slice_bits(y, p.w)
     r1 = ext(p.scheme_x(), x, s1)
-    key = (ext(p.scheme_y(), y, r1) if advice_bit
-           else ext(p.scheme_tok(), s1, r1))
-    return ext(p.scheme_out(), x, slice_bits(key, p.m_out))
+    rows = {}
+    for bit in advice_bits:
+        if bit not in (0, 1):
+            raise ValueError("advice bit must be 0 or 1")
+        key = ext(p.scheme_y(), y, r1) if bit else ext(p.scheme_tok(), s1, r1)
+        rows[bit] = ext(p.scheme_out(), x, slice_bits(key, p.m_out))
+    return rows

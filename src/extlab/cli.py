@@ -277,6 +277,9 @@ def _load_adversary(path: str) -> pamp.Adversary:
     spec = json.loads(Path(path).read_text())
     if not isinstance(spec, dict):
         raise ValueError("adversary: expected a JSON object")
+    name = spec.get("name", "custom")
+    if not isinstance(name, str):
+        raise ValueError(f"adversary: name must be a string, got {name!r}")
     masks = {}
     for key, count in (("round1", 1), ("round2", 2)):
         got = spec.get(key)
@@ -285,23 +288,27 @@ def _load_adversary(path: str) -> pamp.Adversary:
             raise ValueError(f"adversary: {key} must be a list of "
                              f"{count} mask string(s), got {got!r}")
         masks[key] = [int(m, 0) for m in got]
-    return pamp.table_adversary(spec.get("name", "custom"),
-                                masks["round1"], masks["round2"])
+    return pamp.table_adversary(name, masks["round1"], masks["round2"])
 
 
 def cmd_pa(args) -> int:
     rng = make_rng(args.seed)
     p = pamp.make_params(nmx.desk_params())
+    builtin = {
+        "passive": pamp.passive,
+        "flip1": pamp.flip_round1,
+        "flip2": pamp.flip_round2,
+        "replace": lambda: pamp.replace_round1(rng, p.nmx.d),
+        "random": lambda: pamp.random_adversary(rng),
+    }
     if args.adversary.endswith(".json"):
         adv = _load_adversary(args.adversary)
+    elif args.adversary in builtin:
+        adv = builtin[args.adversary]()
     else:
-        adv = {
-            "passive": pamp.passive,
-            "flip1": pamp.flip_round1,
-            "flip2": pamp.flip_round2,
-            "replace": lambda: pamp.replace_round1(rng, p.nmx.d),
-            "random": lambda: pamp.random_adversary(rng),
-        }[args.adversary]()
+        raise ValueError(f"adversary: unknown name {args.adversary!r}; "
+                         f"choose one of {', '.join(builtin)} or a .json "
+                         f"file")
     rep = pamp.security_experiment(rng, p, adv, args.trials,
                                    distinguisher_budget=0.05)
     rows = [{"name": "attack_success", "value": rep.estimate,
@@ -454,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE if e.code not in (0, None) else OK
     try:
         return args.fn(args)
-    except (ParamError, ValueError, OSError, KeyError) as e:
+    except (ParamError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
 

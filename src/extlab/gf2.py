@@ -4,8 +4,9 @@ Reed-Solomon advice code and the polynomial MAC.
 Elements are plain Python ints holding the coefficient vector of a
 polynomial over GF(2), reduced modulo the lexicographically least
 irreducible polynomial of the requested degree.  Degrees up to 16 get
-log/antilog tables on first use (the hot path); larger degrees fall back
-to shift-and-add multiplication.
+log/antilog tables on first use (the hot path); ``mul`` falls back to
+shift-and-add multiplication for larger degrees, while ``poly_eval``
+builds 4-bit window tables of its fixed multiplier once per call.
 """
 
 from __future__ import annotations
@@ -176,9 +177,35 @@ def mul(a: int, b: int, b_bits: int) -> int:
 
 
 def poly_eval(coeffs: list[int], x: int, b_bits: int) -> int:
-    """Horner evaluation of sum(coeffs[i] * x^(deg-i)) in GF(2^b_bits)."""
-    acc = 0
-    for c in coeffs:
-        acc = mul(acc, x, b_bits) ^ c
-    return acc
+    """Horner evaluation of sum(coeffs[i] * x^(deg-i)) in GF(2^b_bits).
 
+    The multiplier x is fixed for the whole call, so its tables are built
+    once: log[x] up to degree 16, 4-bit window tables of x above it."""
+    acc = 0
+    if b_bits == 1 or x == 0:
+        for c in coeffs:
+            acc = mul(acc, x, b_bits) ^ c
+        return acc
+    if b_bits <= _TABLE_DEGREE_LIMIT:
+        log, exp = _tables(b_bits)
+        lx = log[x]
+        for c in coeffs:
+            acc = (exp[log[acc] + lx] if acc else 0) ^ c
+        return acc
+    # windows[j][nib] = (nib * 2^(4j)) * x, from the shift-reduce steps x*2^i
+    f, windows = IRREDUCIBLE[b_bits], []
+    for _ in range(0, b_bits, 4):
+        t = [0]
+        for _ in range(4):
+            t += [e ^ x for e in t]
+            x <<= 1
+            if x >> b_bits:
+                x ^= f
+        windows.append(t)
+    for c in coeffs:
+        r = c
+        for t in windows:
+            r ^= t[acc & 15]
+            acc >>= 4
+        acc = r
+    return acc

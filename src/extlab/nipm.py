@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .altx import LevelPlan, look_ahead
 from .bits import BitString, RowMatrix, slice_bits
-from .sext import avg_case_bound
+from .sext import affine_lanes, avg_case_bound, fold
 
 DEFAULT_C = 4  # planner constant for the c * ell * log(m/eps) overhead
 
@@ -152,24 +152,53 @@ def lt_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
 
 def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
                    ) -> BitString:
-    """Merge an L-row matrix level by level with lt_nipm."""
+    """Merge an L-row matrix level by level with lt_nipm; a level whose
+    extractions all run on numpy lanes merges its blocks in lockstep."""
     rows: Sequence[BitString] = mat.rows
     for lv in params.levels:
-        nxt: list[BitString] = []
-        for i in range(0, len(rows), lv.ell):
-            block = rows[i:i + lv.ell]
-            if len(block) == 1:
-                # a leftover short block is carried through unmerged,
-                # trimmed to the level's output width
-                nxt.append(slice_bits(block[0], lv.m_out))
-            else:
-                nxt.append(lt_nipm(block, y, lv))
-        rows = nxt
+        if lv.on_lanes:
+            rows = _lockstep_level(rows, y, lv)
+        else:
+            # a leftover one-row block is carried through unmerged,
+            # trimmed to the level's output width
+            rows = [slice_bits(rows[i], lv.m_out) if i + 1 == len(rows)
+                    else lt_nipm(rows[i:i + lv.ell], y, lv)
+                    for i in range(0, len(rows), lv.ell)]
         if len(rows) == 1:
             break
     if len(rows) != 1:
         raise ValueError("level schedule did not reduce to one row")
     return rows[0]
+
+
+def _lockstep_level(rows: Sequence[BitString], y: BitString, lp: LevelPlan
+                    ) -> list[BitString]:
+    """One level's look-ahead chains, one per block of lp.ell rows, run
+    side by side: each chain step is one ``affine_lanes`` call with a lane
+    per running block.  Same outputs as lt_nipm block by block."""
+    if rows[0].n != lp.m_in:
+        raise ValueError("row width mismatch")
+    w, m_out = lp.w, lp.m_out
+    z_src = fold(slice_bits(y, lp.d_slice), 2 * w)
+    chains = [rows[i:i + lp.ell] for i in range(0, len(rows), lp.ell)]
+    out = [slice_bits(c[0], m_out) for c in chains]     # one-row blocks
+    tok = [c[0].val >> (lp.m_in - w) for c in chains]
+    for j in range(1, lp.ell):
+        live = [i for i, c in enumerate(chains) if len(c) > j]
+        if not live:
+            break
+        r = affine_lanes([(w, z_src, tok[i]) for i in live])
+        lanes = []
+        for i, ri in zip(live, r):
+            # S_{j+1} from row j, or the final extraction from the last row
+            m = m_out if j == len(chains[i]) - 1 else w
+            lanes.append((m, fold(chains[i][j], 2 * m), ri >> (w - m)))
+        for i, v in zip(live, affine_lanes(lanes)):
+            if j == len(chains[i]) - 1:
+                out[i] = BitString(m_out, v)
+            else:
+                tok[i] = v
+    return out
 
 
 def assembled_bound(params: NipmParams, k_row: float, k_seed: float,

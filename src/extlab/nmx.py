@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .bits import BitString, slice_bits
-from .cbreak import AdvGenParams, FlipFlopParams, adv_gen, flip_flop, \
-    plan_adv_gen
+from .cbreak import AdvGenParams, FlipFlopParams, adv_gen, \
+    flip_flop_rows, plan_adv_gen
 from .ipm import IpmParams, merge_rows
 from .nipm import LevelPlan, ParamError, hand_plan, plan_nipm
 
@@ -107,14 +107,14 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
     ``rescale`` picks the error rescaling of the outer reduction:
     "linear" sets eps1 = eps / (2 C n), "log" sets eps1 = eps/(2 C log n).
     """
+    if k > n:
+        raise ParamError("k", f"min-entropy {k} exceeds the source width {n}")
     nominal = _nominal_plan(n, k, d, eps, rescale)
     eps1 = nominal.eps1
 
     # implemented widths (affine chain family)
     adv = plan_adv_gen(n, d, eps1)
     L = adv.advice_len
-    if L < 8:
-        raise ParamError("L", "advice below 8 bits")
     ell_impl = 4
     r_impl = max(1, math.ceil(math.log(L) / math.log(ell_impl)))
     m_v = m << r_impl               # rows halve once per merger level
@@ -167,5 +167,5 @@ def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
     y1 = slice_bits(y, p.d1)
     # row i depends on i only through the advice bit alpha_i, so each
     # distinct bit's row is built once (and refreshed once by merge_rows)
-    row = {b: flip_flop(x, y1, b, p.ff) for b in dict.fromkeys(bits)}
+    row = flip_flop_rows(x, y1, dict.fromkeys(bits), p.ff)
     return merge_rows([row[b] for b in bits], y, p.ipm)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import gf2
-from .bits import BitString, segment, slice_bits
+from .bits import BitString, blocks, slice_bits
 from .nipm import ParamError
 from .nmx import NmExtParams, nm_ext
 from .sext import ExtScheme, ext, poly_scheme
@@ -70,15 +70,9 @@ def mac_tag(key: BitString, msg: BitString, s: int) -> BitString:
         raise ValueError("MAC key must be two field elements")
     if msg.n % s:
         raise ValueError("message must be whole symbols")
-    a = key.val >> s
-    b = key.val & ((1 << s) - 1)
-    tag = b
-    apow = a
-    for i in range(msg.n // s):
-        sym = segment(msg, i * s, s).val
-        tag ^= gf2.mul(sym, apow, s)
-        apow = gf2.mul(apow, a, s)
-    return BitString(s, tag)
+    a, b = key.val >> s, key.val & ((1 << s) - 1)
+    # sum m_i a^(i+1) by Horner, from the last symbol down to a^1
+    return BitString(s, gf2.poly_eval(blocks(msg, s)[::-1] + [0], a, s) ^ b)
 
 
 Round1Fn = Callable[[BitString], BitString]

@@ -24,9 +24,10 @@ Every scheme is a plain description; ``ext`` does the work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from . import gf2
 from .bits import BitString, blocks, pad_to, segment
@@ -42,6 +43,9 @@ class ExtScheme:
     family: str
     block: int
     claimed_k: int
+    # ``ext`` runs the scheme on numpy lanes (``_affine_wide16``): the
+    # wide-output affine path of block 16 (derived)
+    on_lanes: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -62,6 +66,8 @@ class ExtScheme:
                 raise ValueError("affine family: d_seed must equal m_out")
         if not 0 <= self.claimed_k <= self.n_in:
             raise ValueError("claimed_k out of range")
+        object.__setattr__(self, "on_lanes", self.family == "affine"
+                           and self.block == 16 and self.m_out >= 128)
 
     @property
     def claimed_eps(self) -> float:
@@ -113,7 +119,7 @@ def _ext_poly(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
     return BitString(scheme.m_out, out >> (b - scheme.m_out))
 
 
-def _fold(x: BitString, width: int) -> int:
+def fold(x: BitString, width: int) -> int:
     """XOR of consecutive ``width``-bit segments (last padded right)."""
     if x.n <= width:
         return pad_to(x, width).val
@@ -128,9 +134,9 @@ def _fold(x: BitString, width: int) -> int:
 
 def _ext_affine(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
     m, b = scheme.m_out, scheme.block
-    z = _fold(x, 2 * m)
+    z = fold(x, 2 * m)
     u, v, s = z >> m, z & ((1 << m) - 1), seed.val
-    if b == 16 and m >= 128:
+    if scheme.on_lanes:
         return BitString(m, _affine_wide16(u, s, m) ^ v)
     mask = (1 << b) - 1
     out = 0
@@ -139,6 +145,24 @@ def _ext_affine(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
         out = (out << b) | (gf2.mul((u >> sh) & mask, (s >> sh) & mask, b)
                             ^ ((v >> sh) & mask))
     return BitString(m, out)
+
+
+def affine_lanes(lanes: Sequence[tuple[int, int, int]]) -> list[int]:
+    """Several block-16 affine extractions in one ``_affine_wide16`` call.
+    Lane (m, z, s) holds the source folded to 2m bits and the m-bit seed;
+    its output is what ``_ext_affine`` gives, u*s + v blockwise."""
+    u = s = v = total = 0
+    for m, z, seed in lanes:
+        u = (u << m) | (z >> m)
+        v = (v << m) | (z & ((1 << m) - 1))
+        s = (s << m) | seed
+        total += m
+    out = _affine_wide16(u, s, total) ^ v
+    res = []
+    for m, _, _ in reversed(lanes):
+        res.append(out & ((1 << m) - 1))
+        out >>= m
+    return res[::-1]
 
 
 def _affine_wide16(u: int, s: int, m: int) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extlab import cbreak, ipm, msrc, nmx, pamp, prob, sext, verify
+from extlab import cbreak, ipm, msrc, nmx, pamp, prob, sext
 from extlab.altx import look_ahead
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.nipm import (LevelPlan, NipmParams, ParamError, assembled_bound,

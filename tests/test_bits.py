@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extlab.bits import (BitString, blocks, concat, from_str, matrix,
                          pad_to, segment, slice_bits, suffix, zeros)
@@ -54,3 +56,16 @@ def test_matrix_uniform_width():
     assert m[1] == from_str("010")
     with pytest.raises(ValueError):
         matrix([from_str("101"), from_str("01")])
+
+
+@given(st.integers(0, 1100).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))),
+    st.integers(1, 64))
+@settings(max_examples=300, deadline=None)
+def test_blocks_match_a_reference_split(source, b):
+    # split the 0/1 string itself, so the reference shares no shifts
+    n, val = source
+    x = BitString(n, val)
+    padded = str(x) + "0" * (-n % b)
+    assert blocks(x, b) == [int(padded[i:i + b], 2)
+                            for i in range(0, len(padded), b)]

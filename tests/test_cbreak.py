@@ -3,8 +3,8 @@ import pytest
 
 from extlab import gf2
 from extlab.bits import BitString, blocks, concat, slice_bits
-from extlab.cbreak import (AdvGenParams, FlipFlopParams, adv_gen,
-                           collision_bound, flip_flop, plan_adv_gen)
+from extlab.cbreak import (FlipFlopParams, adv_gen, collision_bound,
+                           flip_flop, plan_adv_gen)
 from extlab.nipm import ParamError
 from extlab.nmx import desk_params
 from extlab.pamp import _rand_bits

@@ -3,7 +3,6 @@ import subprocess
 import sys
 import zlib
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -101,12 +100,24 @@ def test_zero_trials_is_a_usage_error(cmd, capsys):
     '{"round1": [], "round2": ["0x2", "0x0"]}',
     '{"round1": ["0x1"], "round2": ["0x2"]}',
     '{"round1": [1], "round2": ["0x2", "0x0"]}',
-], ids=["round1_empty", "round2_one_mask", "mask_not_a_string"])
+    '{"name": null, "round1": ["0x1"], "round2": ["0x2", "0x0"]}',
+    '{"name": 7, "round1": ["0x1"], "round2": ["0x2", "0x0"]}',
+], ids=["round1_empty", "round2_one_mask", "mask_not_a_string",
+        "name_null", "name_not_a_string"])
 def test_bad_adversary_json_is_a_usage_error(spec, tmp_path, capsys):
     path = tmp_path / "adv.json"
     path.write_text(spec)
-    _assert_usage_error(main(["pa", "simulate", "--adversary", str(path),
-                              "--trials", "2"]), capsys)
+    err = _assert_usage_error(main(["pa", "simulate", "--adversary",
+                                    str(path), "--trials", "2"]), capsys)
+    assert "error: adversary:" in err
+
+
+def test_unknown_adversary_is_a_named_usage_error(capsys):
+    err = _assert_usage_error(main(["pa", "simulate", "--adversary",
+                                    "nosuch", "--trials", "2"]), capsys)
+    assert "error: adversary: unknown name 'nosuch'" in err
+    for name in ("passive", "flip1", "flip2", "replace", "random"):
+        assert name in err
 
 
 PLAN_NIPM = ["params", "plan-nipm", "--L", "20", "--m", "256", "--d", "512"]
@@ -128,6 +139,8 @@ ONE_ROW = ["params", "plan-nipm", "--L", "1", "--m", "64", "--d", "64",
     (PLAN_NMEXT + ["--n", "1024", "--eps", "nan"], "--eps"),
     (PLAN_NMEXT + ["--n", "1024", "--eps", "5e-324"], "eps"),
     (PLAN_NMEXT + ["--n", "0", "--eps", "0.01"], "--n"),
+    (["params", "plan-nmext", "--n", "1024", "--k", "2000", "--d", "512",
+      "--m", "32", "--eps", "0.01"], "k"),
     (PLAN_NMEXT + ["--n", "1024", "--eps", "0.01", "--m", "0"], "--m"),
     (["nmext", "eval", "--eps", "0"], "--eps"),
     (["nmext", "eval", "--k", "-1"], "--k"),
@@ -136,7 +149,8 @@ ONE_ROW = ["params", "plan-nipm", "--L", "1", "--m", "64", "--d", "64",
 ], ids=["nipm_eps_0", "nipm_eps_neg", "nipm_t_0", "nipm_ell_0",
         "nipm_ell_neg", "nipm_ell_1", "nmext_eps_0",
         "nmext_eps_1", "nmext_eps_nan", "nmext_eps_underflow", "nmext_n_0",
-        "nmext_m_0", "eval_eps_0", "eval_k_neg", "ms_bad_neg", "ms_r_neg"])
+        "nmext_k_above_n", "nmext_m_0", "eval_eps_0", "eval_k_neg",
+        "ms_bad_neg", "ms_r_neg"])
 def test_bad_number_is_a_usage_error(argv, name, capsys):
     err = _assert_usage_error(main(argv), capsys)
     assert f"error: {name}" in err or f"error: argument {name}:" in err

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,3 +84,23 @@ def test_np_tables_match_mul():
     prod = exp[log[a] + log[b]]
     for ai, pi in zip(a, prod):
         assert gf2.mul(int(ai), 0x37, 8) == int(pi)
+
+
+def _horner_slow(coeffs, x, b):
+    acc = 0
+    for c in coeffs:
+        acc = gf2.mul_slow(acc, x, b) ^ c
+    return acc
+
+
+@pytest.mark.parametrize("b", range(1, gf2.MAX_DEGREE + 1))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_poly_eval_matches_horner_over_mul_slow(b, data):
+    # poly_eval's per-call tables (log[x] up to b = 16, window tables
+    # above) against the scalar shift-and-add reference
+    elem = st.integers(0, (1 << b) - 1)
+    x = data.draw(st.one_of(st.sampled_from([0, 1]), elem), label="x")
+    coeffs = data.draw(st.one_of(st.lists(elem, max_size=1),
+                                 st.lists(elem, max_size=40)), label="coeffs")
+    assert gf2.poly_eval(coeffs, x, b) == _horner_slow(coeffs, x, b)

@@ -1,11 +1,15 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extlab import msrc, nmx
 from extlab.bits import BitString, matrix, slice_bits
-from extlab.nipm import (LevelPlan, NipmParams, ParamError,
+from extlab.nipm import (LevelPlan, NipmParams, ParamError, _lockstep_level,
                          assembled_bound, hand_plan, lt_nipm, nominal_m1,
                          nominal_schedule, plan_nipm, recursive_nipm)
 
@@ -123,3 +127,33 @@ def test_assembled_bound_monotone_and_capped():
     # slack terms enter the budget
     assert assembled_bound(p, 8, 12,
                            witness_slack=Fraction(1, 100)) >= hi
+
+
+def _rows(kind, L, rng):
+    if kind == "equal":
+        return [BitString(256, rng.getrandbits(256))] * L
+    if kind == "two":
+        pair = [BitString(256, rng.getrandbits(256)) for _ in range(2)]
+        return [pair[rng.getrandbits(1)] for _ in range(L)]
+    return [BitString(256, rng.getrandbits(256)) for _ in range(L)]
+
+
+@pytest.mark.parametrize("L", range(2, 22))
+@given(t=st.sampled_from([1, 2]), kind=st.sampled_from(
+    ["distinct", "equal", "two"]), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_lockstep_level_matches_lt_nipm_per_block(L, t, kind, seed):
+    # a wide first level (w = m_out = 128, block 16) runs its blocks in
+    # lockstep; L mod 4 covers full, ragged and carried-through blocks
+    p = plan_nipm(L, t, 256, 512, 1e-4, ell=4)
+    lv = p.levels[0]
+    assert lv.on_lanes and not any(x.on_lanes for x in p.levels[1:])
+    rng = random.Random(seed)
+    rows, y = _rows(kind, L, rng), BitString(512, rng.getrandbits(512))
+    per_block = [slice_bits(b[0], lv.m_out) if len(b) == 1
+                 else lt_nipm(b, y, lv)
+                 for b in (rows[i:i + 4] for i in range(0, L, 4))]
+    assert _lockstep_level(rows, y, lv) == per_block
+    out = per_block[0] if len(per_block) == 1 else recursive_nipm(
+        matrix(per_block), y, replace(p, levels=p.levels[1:]))
+    assert recursive_nipm(matrix(rows), y, p) == out

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from extlab import nmx
+from extlab import cbreak, nmx
 from extlab.bits import BitString, matrix, slice_bits
-from extlab.cbreak import adv_gen, flip_flop
+from extlab.cbreak import adv_gen, flip_flop, flip_flop_rows
 from extlab.ipm import ipm_weak
 from extlab.nipm import ParamError, recursive_nipm
 from extlab.nmx import desk_params, micro_params, nm_ext, plan_params
@@ -119,19 +119,28 @@ def test_nm_ext_is_the_weak_seed_merger_of_its_flip_flop_rows(params,
 @pytest.mark.parametrize("params", [micro_params, desk_params],
                          ids=["micro", "desk"])
 def test_nm_ext_runs_one_flip_flop_per_advice_value(params, monkeypatch):
+    # one call builds every distinct bit's row: one shared r1, then a key
+    # and an output extraction per bit
     p = params()
-    calls = []
+    calls, exts = [], []
 
-    def counted(x, y, bit, ff):
-        calls.append(bit)
-        return flip_flop(x, y, bit, ff)
-    monkeypatch.setattr(nmx, "flip_flop", counted)
+    def counted_ext(scheme, src, seed):
+        exts.append(scheme)
+        return ext(scheme, src, seed)
+
+    def counted(x, y, bits, ff):
+        bits, before = list(bits), len(exts)
+        rows = flip_flop_rows(x, y, bits, ff)
+        calls.append((sorted(bits), len(exts) - before))
+        return rows
+    monkeypatch.setattr(cbreak, "ext", counted_ext)
+    monkeypatch.setattr(nmx, "flip_flop_rows", counted)
     for x, y in _draws(p, 54, 6):
         calls.clear()
         nm_ext(x, y, p)
         advice = adv_gen(x, y, p.adv)
-        assert sorted(calls) == sorted({advice.bit(i)
-                                        for i in range(advice.n)})
+        distinct = sorted({advice.bit(i) for i in range(advice.n)})
+        assert calls == [(distinct, 1 + 2 * len(distinct))]
 
 
 def test_nm_ext_width_checks():

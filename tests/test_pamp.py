@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extlab import gf2, pamp
-from extlab.bits import BitString, segment, slice_bits
+from extlab.bits import BitString, concat, slice_bits
 from extlab.nmx import desk_params, nm_ext
 from extlab.pamp import (Adversary, flip_round1, flip_round2,
                          hoeffding_ci, mac_tag, make_params, passive,
@@ -33,6 +35,22 @@ def test_mac_is_polynomial_in_the_key():
     assert tag.val == want
     with pytest.raises(ValueError):
         mac_tag(BitString(15, 0), msg, s)
+
+
+@given(st.integers(1, 64).flatmap(lambda s: st.tuples(
+    st.just(s), st.integers(0, (1 << 2 * s) - 1),
+    st.lists(st.integers(0, (1 << s) - 1), max_size=8))))
+@settings(max_examples=200, deadline=None)
+def test_mac_tag_matches_its_power_sum(case):
+    # b + sum m_i a^(i+1) term by term over mul_slow, the scalar reference
+    s, key, syms = case
+    a, want = key >> s, key & ((1 << s) - 1)
+    apow = a
+    for m in syms:
+        want ^= gf2.mul_slow(m, apow, s)
+        apow = gf2.mul_slow(apow, a, s)
+    msg = concat(*(BitString(s, m) for m in syms))
+    assert mac_tag(BitString(2 * s, key), msg, s).val == want
 
 
 def test_mac_forgery_needs_a_root():

@@ -9,8 +9,8 @@ from extlab import gf2
 from extlab.bits import BitString, blocks
 from extlab.prob import sample_flat_source
 from extlab.sext import (affine_scheme, avg_case_bound, ext,
-                         ext_all_seeds_poly, lhl_bound, poly_scheme,
-                         sample_positions, _fold)
+                         ext_all_seeds_poly, fold, lhl_bound, poly_scheme,
+                         sample_positions)
 from extlab.verify import strong_distance, strong_distance_poly_fast, \
     ext_fn_of
 
@@ -46,16 +46,16 @@ def test_poly_ext_zero_source_is_zero():
 
 def test_fold_xors_segments():
     x = BitString(12, 0b101101001110)
-    assert _fold(x, 4) == 0b1011 ^ 0b0100 ^ 0b1110
+    assert fold(x, 4) == 0b1011 ^ 0b0100 ^ 0b1110
     # non-dividing width: last segment padded right
-    assert _fold(BitString(5, 0b10110), 3) == 0b101 ^ 0b100
+    assert fold(BitString(5, 0b10110), 3) == 0b101 ^ 0b100
 
 
 def test_affine_ext_blockwise_law():
     s = affine_scheme(16, 8, block=4)
     x = BitString(16, 0xBEEF)
     seed = BitString(8, 0x5A)
-    z = _fold(x, 16)
+    z = fold(x, 16)
     u, v = z >> 8, z & 0xFF
     want = 0
     for i in (1, 0):
@@ -74,7 +74,7 @@ def test_affine_wide_path_matches_blockwise():
         x = BitString(512, int.from_bytes(rng.bytes(64), "big"))
         seed = BitString(256, int.from_bytes(rng.bytes(32), "big"))
         got = ext(s, x, seed).val
-        z = _fold(x, 512)
+        z = fold(x, 512)
         u, v = z >> 256, z & ((1 << 256) - 1)
         want = 0
         for i in range(16):

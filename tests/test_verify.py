@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab.bits import BitString
 from extlab.prob import flat, from_counts, stat_distance_maps, uniform
 from extlab.sext import poly_scheme
 from extlab.verify import (TamperFn, adversarial_xor_instance,
