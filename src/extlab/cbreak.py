@@ -134,7 +134,10 @@ class FlipFlopParams:
 
 def flip_flop(x: BitString, y: BitString, advice_bit: int,
               p: FlipFlopParams) -> BitString:
-    return flip_flop_rows(x, y, (advice_bit,), p)[advice_bit]
+    if x.n != p.n or y.n != p.d_y:
+        raise ValueError("input width mismatch")
+    s1 = slice_bits(y, p.w)
+    return _flip_flop_row(x, y, s1, ext(p.scheme_x(), x, s1), advice_bit, p)
 
 
 def flip_flop_rows(x: BitString, y: BitString, advice_bits: Iterable[int],
@@ -143,15 +146,17 @@ def flip_flop_rows(x: BitString, y: BitString, advice_bits: Iterable[int],
     bits share phase one's r1, which does not depend on the bit."""
     if x.n != p.n or y.n != p.d_y:
         raise ValueError("input width mismatch")
+    s1 = slice_bits(y, p.w)
+    r1 = ext(p.scheme_x(), x, s1)
+    return {bit: _flip_flop_row(x, y, s1, r1, bit, p) for bit in advice_bits}
+
+
+def _flip_flop_row(x: BitString, y: BitString, s1: BitString, r1: BitString,
+                   bit: int, p: FlipFlopParams) -> BitString:
     # the two-phase recipe with its dead steps dropped: for bit 1 the key
     # is phase one's s2 = Ext_y(y, r1); for bit 0 phase two restarts from
     # s1, so its look-ahead reuses r1 and the key is Ext_tok(s1, r1)
-    s1 = slice_bits(y, p.w)
-    r1 = ext(p.scheme_x(), x, s1)
-    rows = {}
-    for bit in advice_bits:
-        if bit not in (0, 1):
-            raise ValueError("advice bit must be 0 or 1")
-        key = ext(p.scheme_y(), y, r1) if bit else ext(p.scheme_tok(), s1, r1)
-        rows[bit] = ext(p.scheme_out(), x, slice_bits(key, p.m_out))
-    return rows
+    if bit not in (0, 1):
+        raise ValueError("advice bit must be 0 or 1")
+    key = ext(p.scheme_y(), y, r1) if bit else ext(p.scheme_tok(), s1, r1)
+    return ext(p.scheme_out(), x, slice_bits(key, p.m_out))

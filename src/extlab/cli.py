@@ -158,20 +158,28 @@ def cmd_plan_nmext(args) -> int:
 def cmd_nmext_eval(args) -> int:
     rng = make_rng(args.seed)
     p = nmx.plan_params(args.n, args.k, args.d, args.m, args.eps)
-    if args.x_hex:
-        x = BitString(args.n, int(args.x_hex, 16))
-    else:
-        x = BitString(args.n, pamp._rand_bits(rng, args.n))
-    if args.y_hex:
-        y = BitString(args.d, int(args.y_hex, 16))
-    else:
-        y = BitString(args.d, pamp._rand_bits(rng, args.d))
+    x = _bits_arg("x-hex", args.x_hex, args.n, rng)
+    y = _bits_arg("y-hex", args.y_hex, args.d, rng)
     out = nmx.nm_ext(x, y, p)
     rows = [{"name": "output_hex", "value": format(out.val, "x")},
             {"name": "output_bits", "value": out.n},
             {"name": "seed64", "value": args.seed}]
     emit_report(rows, args.out, "nmext-eval")
     return OK
+
+
+def _bits_arg(name: str, text: str | None, width: int, rng) -> BitString:
+    """A --x-hex / --y-hex value as a width-bit string, or width random
+    bits when the flag is not given."""
+    if not text:
+        return BitString(width, pamp._rand_bits(rng, width))
+    try:
+        v = int(text, 16)
+    except ValueError:
+        raise ParamError(name, f"not a hex number: {text}") from None
+    if v < 0 or v >> width:
+        raise ParamError(name, f"not a {width}-bit value: {text}")
+    return BitString(width, v)
 
 
 def _suite_sext(rng) -> list[dict]:

@@ -1,8 +1,8 @@
 """Independence-preserving mergers built on look-ahead extraction.
 
 ``lt_nipm`` merges up to ell rows against t tampered row/seed pairs in
-one look-ahead chain.  ``recursive_nipm`` stacks levels of lt_nipm to
-merge L rows with geometrically growing seed slices.
+one look-ahead chain.  ``recursive_nipm`` merges L rows with geometrically
+growing seed slices, running each level's chains in lockstep.
 
 Planners emit the nominal parameter schedule (output lengths and errors
 as stated for the abstract construction, with all logs ceiled) next to
@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .altx import LevelPlan, look_ahead
 from .bits import BitString, RowMatrix, slice_bits
-from .sext import affine_lanes, avg_case_bound, fold
+from .sext import affine_int, affine_lanes, avg_case_bound, fold
 
 DEFAULT_C = 4  # planner constant for the c * ell * log(m/eps) overhead
 
@@ -152,18 +152,11 @@ def lt_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
 
 def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
                    ) -> BitString:
-    """Merge an L-row matrix level by level with lt_nipm; a level whose
-    extractions all run on numpy lanes merges its blocks in lockstep."""
+    """Merge an L-row matrix level by level; every level runs its blocks'
+    look-ahead chains in lockstep (``_lockstep_level``)."""
     rows: Sequence[BitString] = mat.rows
     for lv in params.levels:
-        if lv.on_lanes:
-            rows = _lockstep_level(rows, y, lv)
-        else:
-            # a leftover one-row block is carried through unmerged,
-            # trimmed to the level's output width
-            rows = [slice_bits(rows[i], lv.m_out) if i + 1 == len(rows)
-                    else lt_nipm(rows[i:i + lv.ell], y, lv)
-                    for i in range(0, len(rows), lv.ell)]
+        rows = _lockstep_level(rows, y, lv)
         if len(rows) == 1:
             break
     if len(rows) != 1:
@@ -171,29 +164,36 @@ def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
     return rows[0]
 
 
+def _scalar_lanes(lanes: Sequence[tuple[int, int, int]]) -> list[int]:
+    return [affine_int(m, z, s) for m, z, s in lanes]
+
+
 def _lockstep_level(rows: Sequence[BitString], y: BitString, lp: LevelPlan
                     ) -> list[BitString]:
     """One level's look-ahead chains, one per block of lp.ell rows, run
-    side by side: each chain step is one ``affine_lanes`` call with a lane
-    per running block.  Same outputs as lt_nipm block by block."""
+    side by side: each chain step is one step kernel call with a lane
+    (m, z, s) per running block, ``affine_lanes`` (numpy) if lp.on_lanes
+    else ``affine_int`` per lane.  Same outputs as lt_nipm block by block;
+    a leftover one-row block is carried through, trimmed to m_out."""
     if rows[0].n != lp.m_in:
         raise ValueError("row width mismatch")
+    step = affine_lanes if lp.on_lanes else _scalar_lanes
     w, m_out = lp.w, lp.m_out
     z_src = fold(slice_bits(y, lp.d_slice), 2 * w)
     chains = [rows[i:i + lp.ell] for i in range(0, len(rows), lp.ell)]
-    out = [slice_bits(c[0], m_out) for c in chains]     # one-row blocks
+    out = [slice_bits(c[0], m_out) if len(c) == 1 else None for c in chains]
     tok = [c[0].val >> (lp.m_in - w) for c in chains]
     for j in range(1, lp.ell):
         live = [i for i, c in enumerate(chains) if len(c) > j]
         if not live:
             break
-        r = affine_lanes([(w, z_src, tok[i]) for i in live])
+        r = step([(w, z_src, tok[i]) for i in live])
         lanes = []
         for i, ri in zip(live, r):
             # S_{j+1} from row j, or the final extraction from the last row
             m = m_out if j == len(chains[i]) - 1 else w
             lanes.append((m, fold(chains[i][j], 2 * m), ri >> (w - m)))
-        for i, v in zip(live, affine_lanes(lanes)):
+        for i, v in zip(live, step(lanes)):
             if j == len(chains[i]) - 1:
                 out[i] = BitString(m_out, v)
             else:

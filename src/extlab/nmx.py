@@ -19,13 +19,13 @@ chain family; a plan with t > 1 gives the merger a t-copy schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bits import BitString, slice_bits
 from .cbreak import AdvGenParams, FlipFlopParams, adv_gen, \
     flip_flop_rows, plan_adv_gen
 from .ipm import IpmParams, merge_rows
-from .nipm import LevelPlan, ParamError, hand_plan, plan_nipm
+from .nipm import LevelPlan, NipmParams, ParamError, hand_plan, plan_nipm
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
 C_ADV = 2           # advice length multiplier
@@ -47,16 +47,20 @@ class NominalPlan:
 class NmExtParams:
     adv: AdvGenParams
     ff: FlipFlopParams        # flip-flop over x and the slice y1 of y
-    ipm: IpmParams            # weak-seed merger of the flip-flop rows
+    d_z: int                  # bootstrap width of the weak-seed merger
+    nipm: NipmParams          # recursive merger of the refreshed rows
     nominal: NominalPlan
+    # weak-seed merger of the flip-flop rows, seeded by y (derived)
+    ipm: IpmParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ff.n != self.adv.n:
             raise ParamError("n", "flip-flop and advice source widths differ")
         if self.d1 > self.d:
             raise ParamError("d1", "y1 slice exceeds seed")
-        if self.ipm.m != self.ff.m_out or self.ipm.n_y != self.d:
-            raise ParamError("ipm", "merger widths do not match rows and seed")
+        object.__setattr__(self, "ipm", IpmParams(
+            n_y=self.d, k_y=self.d, m=self.ff.m_out, d_z=self.d_z,
+            nipm=self.nipm))
 
     @property
     def n(self) -> int:
@@ -68,7 +72,7 @@ class NmExtParams:
 
     @property
     def m(self) -> int:
-        return self.ipm.nipm.m_out
+        return self.nipm.m_out
 
     @property
     def d1(self) -> int:
@@ -130,8 +134,7 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
     nipm = plan_nipm(L, t, m_v, d_z, eps1, ell=ell_impl, m_target=m)
     if nipm.d_min > d_z:
         raise ParamError("d", "merger seed slices exceed z")
-    ipm = IpmParams(n_y=d, k_y=d, m=m_ff, d_z=d_z, nipm=nipm)
-    return NmExtParams(adv=adv, ff=ff, ipm=ipm, nominal=nominal)
+    return NmExtParams(adv=adv, ff=ff, d_z=d_z, nipm=nipm, nominal=nominal)
 
 
 def micro_params(eps: float = 0.05) -> NmExtParams:
@@ -146,8 +149,7 @@ def micro_params(eps: float = 0.05) -> NmExtParams:
               LevelPlan(ell=4, m_in=2, w=1, m_out=1, d_slice=8))
     nipm = hand_plan(adv.advice_len, 1, levels, eps)    # L = 10
     ff = FlipFlopParams(n=n, d_y=16, w=8, m_out=8)
-    ipm = IpmParams(n_y=d, k_y=d, m=ff.m_out, d_z=8, nipm=nipm)
-    return NmExtParams(adv=adv, ff=ff, ipm=ipm,
+    return NmExtParams(adv=adv, ff=ff, d_z=8, nipm=nipm,
                        nominal=_nominal_plan(n, 12, d, eps, "linear"))
 
 

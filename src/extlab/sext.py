@@ -60,8 +60,9 @@ class ExtScheme:
             if self.d_seed != 2 * self.block:
                 raise ValueError("poly family: d_seed must be 2*block")
         else:
-            if self.m_out % self.block:
-                raise ValueError("affine family: block must divide m_out")
+            if self.block != min(self.m_out & -self.m_out, 16):
+                raise ValueError("affine family: block must be "
+                                 "min(m_out & -m_out, 16)")
             if self.d_seed != self.m_out:
                 raise ValueError("affine family: d_seed must equal m_out")
         if not 0 <= self.claimed_k <= self.n_in:
@@ -84,20 +85,12 @@ def poly_scheme(n_in: int, m_out: int, claimed_k: int | None = None,
     return ExtScheme(n_in, 2 * block, m_out, "poly", block, k)
 
 
-def _affine_block(m_out: int) -> int:
-    for b in (16, 8, 4, 2, 1):
-        if m_out % b == 0:
-            return b
-    raise AssertionError
-
-
 @lru_cache(maxsize=None)
-def affine_scheme(n_in: int, m_out: int, claimed_k: int | None = None,
-                  block: int | None = None) -> ExtScheme:
-    if block is None:
-        block = _affine_block(m_out)
+def affine_scheme(n_in: int, m_out: int,
+                  claimed_k: int | None = None) -> ExtScheme:
+    """Block: the largest power of two <= 16 that divides m_out."""
     k = n_in if claimed_k is None else claimed_k
-    return ExtScheme(n_in, m_out, m_out, "affine", block, k)
+    return ExtScheme(n_in, m_out, m_out, "affine", min(m_out & -m_out, 16), k)
 
 
 def ext(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
@@ -133,24 +126,31 @@ def fold(x: BitString, width: int) -> int:
 
 
 def _ext_affine(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
-    m, b = scheme.m_out, scheme.block
+    m = scheme.m_out
     z = fold(x, 2 * m)
-    u, v, s = z >> m, z & ((1 << m) - 1), seed.val
     if scheme.on_lanes:
-        return BitString(m, _affine_wide16(u, s, m) ^ v)
+        return BitString(m, _affine_wide16(z >> m, seed.val, m)
+                         ^ (z & ((1 << m) - 1)))
+    return BitString(m, affine_int(m, z, seed.val))
+
+
+def affine_int(m: int, z: int, s: int) -> int:
+    """The affine law on ints: z is the source folded to 2m bits and s the
+    m-bit seed; the output is u*s + v blockwise over GF(2^b), where u and
+    v are z's halves and b is ``affine_scheme``'s block."""
+    b = m & -m if m & 15 else 16
     mask = (1 << b) - 1
+    u = z >> m
     out = 0
-    for i in range(m // b):
-        sh = (m // b - 1 - i) * b
-        out = (out << b) | (gf2.mul((u >> sh) & mask, (s >> sh) & mask, b)
-                            ^ ((v >> sh) & mask))
-    return BitString(m, out)
+    for sh in range(m - b, -1, -b):
+        out = (out << b) | gf2.mul((u >> sh) & mask, (s >> sh) & mask, b)
+    return out ^ (z & ((1 << m) - 1))
 
 
 def affine_lanes(lanes: Sequence[tuple[int, int, int]]) -> list[int]:
     """Several block-16 affine extractions in one ``_affine_wide16`` call.
     Lane (m, z, s) holds the source folded to 2m bits and the m-bit seed;
-    its output is what ``_ext_affine`` gives, u*s + v blockwise."""
+    its output is ``affine_int(m, z, s)``, u*s + v blockwise."""
     u = s = v = total = 0
     for m, z, seed in lanes:
         u = (u << m) | (z >> m)

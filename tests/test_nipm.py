@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -129,13 +128,28 @@ def test_assembled_bound_monotone_and_capped():
                            witness_slack=Fraction(1, 100)) >= hi
 
 
-def _rows(kind, L, rng):
+def _rows(kind, L, m, rng):
     if kind == "equal":
-        return [BitString(256, rng.getrandbits(256))] * L
+        return [BitString(m, rng.getrandbits(m))] * L
     if kind == "two":
-        pair = [BitString(256, rng.getrandbits(256)) for _ in range(2)]
+        pair = [BitString(m, rng.getrandbits(m)) for _ in range(2)]
         return [pair[rng.getrandbits(1)] for _ in range(L)]
-    return [BitString(256, rng.getrandbits(256)) for _ in range(L)]
+    return [BitString(m, rng.getrandbits(m)) for _ in range(L)]
+
+
+def _per_block(rows, y, lv):
+    """A level by the scalar reference: lt_nipm on each block of lv.ell
+    rows, a one-row block carried through trimmed to m_out."""
+    return [slice_bits(b[0], lv.m_out) if len(b) == 1 else lt_nipm(b, y, lv)
+            for b in (rows[i:i + lv.ell] for i in range(0, len(rows), lv.ell))]
+
+
+# levels that run the scalar kernel: micro nm_ext (blocks 2 and 1), the
+# multi-source merger (w = 4 and 2) and desk levels 1-2 (block 16, below
+# 128 bits); crit 3's single level is added per L, with ell = L
+NARROW = (nmx.micro_params().nipm.levels
+          + msrc.default_params(11).ipm.nipm.levels
+          + nmx.desk_params().nipm.levels[1:])
 
 
 @pytest.mark.parametrize("L", range(2, 22))
@@ -143,17 +157,20 @@ def _rows(kind, L, rng):
     ["distinct", "equal", "two"]), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=12, deadline=None)
 def test_lockstep_level_matches_lt_nipm_per_block(L, t, kind, seed):
-    # a wide first level (w = m_out = 128, block 16) runs its blocks in
-    # lockstep; L mod 4 covers full, ragged and carried-through blocks
+    # every level runs its blocks in lockstep: a wide first level (w =
+    # m_out = 128, block 16) on numpy lanes, the narrow levels lane by
+    # lane; L mod ell covers full, ragged and carried-through blocks
     p = plan_nipm(L, t, 256, 512, 1e-4, ell=4)
-    lv = p.levels[0]
-    assert lv.on_lanes and not any(x.on_lanes for x in p.levels[1:])
+    crit3 = LevelPlan(ell=L, m_in=6, w=2, m_out=2, d_slice=6)
+    assert p.levels[0].on_lanes
+    assert not any(lv.on_lanes for lv in NARROW + (crit3,))
     rng = random.Random(seed)
-    rows, y = _rows(kind, L, rng), BitString(512, rng.getrandbits(512))
-    per_block = [slice_bits(b[0], lv.m_out) if len(b) == 1
-                 else lt_nipm(b, y, lv)
-                 for b in (rows[i:i + 4] for i in range(0, L, 4))]
-    assert _lockstep_level(rows, y, lv) == per_block
-    out = per_block[0] if len(per_block) == 1 else recursive_nipm(
-        matrix(per_block), y, replace(p, levels=p.levels[1:]))
-    assert recursive_nipm(matrix(rows), y, p) == out
+    y = BitString(512, rng.getrandbits(512))
+    for lv in (p.levels[0], crit3) + NARROW:
+        rows = _rows(kind, L, lv.m_in, rng)
+        assert _lockstep_level(rows, y, lv) == _per_block(rows, y, lv), lv
+    rows = _rows(kind, L, 256, rng)
+    want = rows
+    for lv in p.levels:
+        want = _per_block(want, y, lv)
+    assert [recursive_nipm(matrix(rows), y, p)] == want

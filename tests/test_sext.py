@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from extlab import gf2
 from extlab.bits import BitString, blocks
 from extlab.prob import sample_flat_source
-from extlab.sext import (affine_scheme, avg_case_bound, ext,
+from extlab.sext import (ExtScheme, affine_scheme, avg_case_bound, ext,
                          ext_all_seeds_poly, fold, lhl_bound, poly_scheme,
                          sample_positions)
 from extlab.verify import strong_distance, strong_distance_poly_fast, \
@@ -27,6 +27,8 @@ def test_affine_scheme_shape():
     assert s.block == 8 and s.d_seed == 24
     assert affine_scheme(64, 32).block == 16
     assert affine_scheme(64, 3).block == 1
+    with pytest.raises(ValueError):
+        ExtScheme(16, 8, 8, "affine", 4, 16)  # block 4 is not m_out's
 
 
 def test_poly_ext_is_blockwise_polynomial():
@@ -52,15 +54,17 @@ def test_fold_xors_segments():
 
 
 def test_affine_ext_blockwise_law():
-    s = affine_scheme(16, 8, block=4)
-    x = BitString(16, 0xBEEF)
-    seed = BitString(8, 0x5A)
-    z = fold(x, 16)
-    u, v = z >> 8, z & 0xFF
+    # m_out = 12 derives block 4: three blocks of u*s + v over GF(2^4)
+    s = affine_scheme(24, 12)
+    assert s.block == 4
+    x = BitString(24, 0xBEEF42)
+    seed = BitString(12, 0x5A3)
+    z = fold(x, 24)
+    u, v = z >> 12, z & 0xFFF
     want = 0
-    for i in (1, 0):
+    for i in (2, 1, 0):
         ub, vb, sb = (u >> 4 * i) & 0xF, (v >> 4 * i) & 0xF, \
-            (0x5A >> 4 * i) & 0xF
+            (0x5A3 >> 4 * i) & 0xF
         want |= (gf2.mul(ub, sb, 4) ^ vb) << (4 * i)
     assert ext(s, x, seed).val == want
 
