@@ -6,7 +6,9 @@ runs with the same configuration and seed.  Reports are delimited text;
 when written to a file with --out, a PNG bar chart of the report's
 numeric values is placed next to it, drawn with the standard library
 (``zlib`` and ``struct``) and carrying the report's title and the bars'
-names in ``tEXt`` chunks.  A failure to write either file is an error.
+names in ``tEXt`` chunks.  A failure to write either file is an error;
+an --out that names a directory, sits in a missing directory or ends in
+the figure's own ``.png`` is rejected before the command runs.
 
 Exit codes: 0 success, 1 verification failure, 2 parameter/usage error.
 """
@@ -461,6 +463,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(out: str | None) -> None:
+    """Reject an --out that cannot hold the report and its figure before
+    any work is done: the report and the .png next to it must be two
+    files, in a directory that exists."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.suffix.lower() == ".png":
+        raise ParamError("out", f"{out} has the figure's .png suffix; "
+                                "the figure would overwrite the report")
+    if path.is_dir():
+        raise ParamError("out", f"{out} is a directory")
+    if not path.parent.is_dir():
+        raise ParamError("out", f"no such directory: {path.parent}")
+    if path.with_suffix(".png").is_dir():
+        raise ParamError("out", f"{path.with_suffix('.png')} is a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
@@ -468,6 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return USAGE if e.code not in (0, None) else OK
     try:
+        _check_out(args.out)
         return args.fn(args)
     except (ParamError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

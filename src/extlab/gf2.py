@@ -164,6 +164,19 @@ def np_tables(b_bits: int):
             np.asarray(exp, dtype=np.int64))
 
 
+@lru_cache(maxsize=None)
+def np_mul_table(b_bits: int):
+    """The full (2^b_bits, 2^b_bits) product table as a numpy array, for
+    the small fields whose every product is looked up at once."""
+    import numpy as np
+
+    log, exp = np_tables(b_bits)
+    table = exp[log[:, None] + log[None, :]]
+    table[0, :] = table[:, 0] = 0
+    table.setflags(write=False)  # cached and shared by every call
+    return table
+
+
 def mul(a: int, b: int, b_bits: int) -> int:
     """Product in GF(2^b_bits)."""
     if b_bits == 1:

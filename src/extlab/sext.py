@@ -235,33 +235,57 @@ def sample_positions(r: BitString, count: int, universe: int) -> list[int]:
 
 
 def ext_all_seeds_poly(scheme: ExtScheme, xs: list[int]):
-    """Vectorized poly-family evaluation over every seed, for the exact
-    strong-distance oracle.  Returns a (len(xs), 2^d_seed) uint16 array of
-    outputs; requires block <= 8 so the seed space is enumerable."""
+    """Poly-family outputs over every seed, tallied for the exact
+    strong-distance oracle.  The xs are a source's points, so they are
+    below 2^N_MAX.  Returns the int64 count table ``counts`` of shape
+    (2^d_seed, 2^m_out): ``counts[s, z]`` is the number of xs with
+    ext(x, s) = z.  Requires block <= 8 so the seed space is
+    enumerable.
+
+    The output prefix_m(acc(x, s1) * s2) sees x only through the Horner
+    value acc(x, s1), so the xs are first tallied into hist[s1, a], the
+    number of xs with acc(x, s1) = a, and hist is then contracted with
+    the 0/1 table O[a, (s2, z)] = [prefix_m(a * s2) = z] in one float64
+    matmul.  That product is exact: every entry and every partial sum
+    is a non-negative integer at most len(xs) <= 2^N_MAX = 2^20, far
+    below float64's 2^53, so any summation order gives the same
+    integers."""
     import numpy as np
 
-    b = scheme.block
+    b, m = scheme.block, scheme.m_out
     if b > 8:
         raise ValueError("seed space too large to enumerate")
     field = 1 << b
-    log, exp = gf2._tables(b) if b > 1 else ([0, 0], [1, 1])
-    LOG = np.asarray(log, dtype=np.int32)
-    EXP = np.asarray(exp, dtype=np.int32)
+    mul = gf2.np_mul_table(b)
+    # blocks(x, b) for every x at once: left to right, the last one
+    # right-padded with zeros
+    n_blocks = -(-scheme.n_in // b)
+    pad = n_blocks * b - scheme.n_in
+    v = np.asarray(xs, dtype=np.int64)[:, None] << pad
+    shifts = np.arange((n_blocks - 1) * b, -1, -b, dtype=np.int64)
+    xb = (v >> shifts) & (field - 1)
+    # acc[s1, x] by Horner, one product-table row per s1
+    acc = np.zeros((field, len(xs)), dtype=np.int64)
+    for j in range(n_blocks):
+        acc = np.take_along_axis(mul, acc, axis=1) ^ xb[:, j]
+    # flat index s1 * 2^b + a, so the bincount is hist[s1, a]
+    acc += np.arange(field, dtype=np.int64)[:, None] << b
+    hist = np.bincount(acc.ravel(), minlength=field * field)
+    hist = hist.reshape(field, field).astype(np.float64)
+    counts = hist @ _prefix_table(b, m)
+    # row s1, column (s2, z): seed s = (s1 << b) | s2
+    return counts.astype(np.int64).reshape(field * field, 1 << m)
 
-    def vmul(a, c):
-        if b == 1:
-            return a & c
-        r = EXP[LOG[a] + LOG[c]]
-        return np.where((a == 0) | (c == 0), 0, r)
 
-    xb = np.asarray(
-        [blocks(BitString(scheme.n_in, x), b) for x in xs], dtype=np.int32)
-    s1 = np.arange(field, dtype=np.int32)[None, :]
-    acc = np.zeros((len(xs), field), dtype=np.int32)
-    for j in range(xb.shape[1]):
-        acc = vmul(acc, s1) ^ xb[:, j:j + 1]
-    # out[x, s1, s2] = prefix_m(acc[x, s1] * s2)
-    s2 = np.arange(field, dtype=np.int32)[None, None, :]
-    prod = vmul(acc[:, :, None], s2)
-    out = (prod >> (b - scheme.m_out)).astype(np.uint16)
-    return out.reshape(len(xs), field * field)
+@lru_cache(maxsize=None)
+def _prefix_table(b: int, m: int):
+    """O[a, (s2 << m) | z] = 1 exactly when prefix_m(a * s2) = z in
+    GF(2^b), as float64 for the count contraction."""
+    import numpy as np
+
+    field = 1 << b
+    table = np.zeros((field, field << m), dtype=np.float64)
+    cols = (np.arange(field)[None, :] << m) | (gf2.np_mul_table(b) >> (b - m))
+    np.put_along_axis(table, cols, 1.0, axis=1)
+    table.setflags(write=False)  # cached and shared by every call
+    return table

@@ -119,9 +119,13 @@ def strong_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int
 
 
 def strong_distance_poly_fast(scheme: ExtScheme, source: Dist) -> Fraction:
-    """Vectorized exact strong distance for poly schemes over flat
-    sources: enumerate every seed with numpy, then do exact arithmetic
-    on the integer counts."""
+    """Exact strong distance for poly schemes over flat sources, from the
+    seed-by-output count table of ``ext_all_seeds_poly``.  With N points
+    and every cell weighing 1/(N 2^d), the distance is the sum over the
+    (s, z) cells of |c 2^m - N| / (2 N 2^(d+m)).  Each term is at most
+    N 2^m and the terms of one seed sum to at most 2 N 2^m, so the whole
+    sum is at most 2^(d+m+1) N <= 2^45 and int64 holds it exactly.
+    Non-flat sources go to the scalar ``strong_distance``."""
     import numpy as np
 
     from .sext import ext_all_seeds_poly
@@ -129,15 +133,10 @@ def strong_distance_poly_fast(scheme: ExtScheme, source: Dist) -> Fraction:
     if len(set(source.weights)) > 1:  # not flat
         return strong_distance(ext_fn_of(scheme), source,
                                scheme.d_seed, scheme.m_out)
-    outs = ext_all_seeds_poly(scheme, source.points)  # (N, n_seeds)
-    n, n_seeds = len(source.points), outs.shape[1]
-    m = scheme.m_out
-    flat = (np.arange(n_seeds, dtype=np.int64)[None, :] << m) | outs
-    counts = np.bincount(flat.ravel(), minlength=n_seeds << m)
-    # distance = sum_{s,z} |c/(N*2^d) - 1/(2^(d+m))| / 2; the per-cell
-    # terms |c*2^m - n| stay well inside int64, so the sum is exact
-    big = int(np.abs(counts * (1 << m) - n, dtype=np.int64).sum(dtype=object))
-    return Fraction(big, 2 * n * (1 << m) * n_seeds)
+    counts = ext_all_seeds_poly(scheme, source.points)  # (2^d, 2^m)
+    n, size = len(source.points), counts.shape[1]
+    big = int(np.abs(counts * size - n).sum())
+    return Fraction(big, 2 * n * counts.size)
 
 
 def nm_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int,

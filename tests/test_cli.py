@@ -281,6 +281,35 @@ def test_png_write_failure_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out, detail, made", [
+    ("r.png", "r.png has the figure's .png suffix", []),
+    ("R.PNG", "R.PNG has the figure's .png suffix", []),
+    (".", ". is a directory", []),
+    ("nosuch/r.tsv", "no such directory: nosuch", []),
+    ("r.tsv", "r.png is a directory", ["r.png"]),
+], ids=["png_suffix", "png_suffix_upper", "directory", "missing_parent",
+        "figure_is_a_directory"])
+def test_bad_out_is_rejected_before_the_run(out, detail, made, tmp_path,
+                                             monkeypatch, capsys):
+    # an unknown adversary fails only once the command runs, so the out
+    # error shows that --out is checked first; nothing is written
+    monkeypatch.chdir(tmp_path)
+    for name in made:
+        (tmp_path / name).mkdir()
+    err = _assert_usage_error(main(["pa", "simulate", "--adversary",
+                                    "nosuch", "--out", out]), capsys)
+    assert f"error: out: {detail}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == made
+
+
+def test_verify_suite_sext_report_is_pinned(capsys):
+    assert main(["verify", "suite", "--module", "sext", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "bound\tname\tpass\tseed64\tvalue\n"
+        "0.13975424859373753\tstrong_distance_max\tTrue\t5\t"
+        "0.08828496932983398\n")
+
+
 def _majority_bias_row(r, bad, capsys):
     rc = main(["multisource", "run", "--r", r, "--bad", bad,
                "--trials", "40", "--seed", "4"])

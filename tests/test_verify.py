@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab.prob import flat, from_counts, stat_distance_maps, uniform
+from extlab.prob import (flat, from_counts, sample_flat_source,
+                         stat_distance_maps, uniform)
 from extlab.sext import poly_scheme
 from extlab.verify import (TamperFn, adversarial_xor_instance,
                            build_instance, distance_given_rest,
@@ -208,3 +209,34 @@ def test_strong_distance_poly_fast_matches_dense(counts, flatten):
     f = ext_fn_of(scheme)
     want = _dense_oracle(lambda x, y: (f(x, y), y), counts, 6, 2)
     assert strong_distance_poly_fast(scheme, from_counts(6, counts)) == want
+
+
+@st.composite
+def _poly_flat_case(draw):
+    """A poly scheme of block b <= 6 and a flat (n_in, k) source.  n_in
+    runs from b to 12, so the last Horner block is often padded.  The
+    scalar oracle makes 2^(2b + k) ext calls; k takes every value that
+    keeps them at 2^15 or fewer (all of 0..n_in for b = 1)."""
+    b = draw(st.integers(1, 6))
+    m = draw(st.integers(1, b))
+    n = draw(st.integers(b, 12))
+    k = draw(st.integers(0, min(n, 15 - 2 * b)))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32))))
+    return poly_scheme(n, m, block=b), sample_flat_source(rng, n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_flat_case())
+def test_strong_distance_poly_fast_matches_scalar(case):
+    scheme, src = case
+    assert strong_distance_poly_fast(scheme, src) == strong_distance(
+        ext_fn_of(scheme), src, scheme.d_seed, scheme.m_out)
+
+
+def test_strong_distance_poly_fast_matches_scalar_at_block_8():
+    # the scheme of `verify suite --module sext`: two blocks of 8, the
+    # second padded by 4 bits, over all 2^16 seeds
+    scheme = poly_scheme(12, 2)
+    src = flat(12, [0x001, 0x0FF, 0x7A5])
+    assert strong_distance_poly_fast(scheme, src) == strong_distance(
+        ext_fn_of(scheme), src, scheme.d_seed, scheme.m_out)
