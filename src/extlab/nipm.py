@@ -180,24 +180,31 @@ def _lockstep_level(rows: Sequence[BitString], y: BitString, lp: LevelPlan
     step = affine_lanes if lp.on_lanes else _scalar_lanes
     w, m_out = lp.w, lp.m_out
     z_src = fold(slice_bits(y, lp.d_slice), 2 * w)
-    chains = [rows[i:i + lp.ell] for i in range(0, len(rows), lp.ell)]
-    out = [slice_bits(c[0], m_out) if len(c) == 1 else None for c in chains]
-    tok = [c[0].val >> (lp.m_in - w) for c in chains]
-    for j in range(1, lp.ell):
-        live = [i for i, c in enumerate(chains) if len(c) > j]
-        if not live:
-            break
-        r = step([(w, z_src, tok[i]) for i in live])
+    out: list = []
+    live = []  # [chain index, next row, last row, token] per running chain
+    for i, lo in enumerate(range(0, len(rows), lp.ell)):
+        hi = min(lo + lp.ell, len(rows)) - 1
+        if hi == lo:
+            out.append(slice_bits(rows[lo], m_out))
+        else:
+            out.append(None)
+            live.append([i, lo + 1, hi, rows[lo].val >> (lp.m_in - w)])
+    while live:
+        r = step([(w, z_src, c[3]) for c in live])
         lanes = []
-        for i, ri in zip(live, r):
+        for c, ri in zip(live, r):
             # S_{j+1} from row j, or the final extraction from the last row
-            m = m_out if j == len(chains[i]) - 1 else w
-            lanes.append((m, fold(chains[i][j], 2 * m), ri >> (w - m)))
-        for i, v in zip(live, step(lanes)):
-            if j == len(chains[i]) - 1:
-                out[i] = BitString(m_out, v)
+            m = m_out if c[1] == c[2] else w
+            lanes.append((m, fold(rows[c[1]], 2 * m), ri >> (w - m)))
+        running = []
+        for c, v in zip(live, step(lanes)):
+            if c[1] == c[2]:
+                out[c[0]] = BitString(m_out, v)
             else:
-                tok[i] = v
+                c[1] += 1
+                c[3] = v
+                running.append(c)
+        live = running
     return out
 
 

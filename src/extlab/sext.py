@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import gf2
-from .bits import BitString, blocks, pad_to, segment
+from .bits import BitString, blocks, segment
 
 FAMILIES = ("poly", "affine")
 
@@ -115,7 +115,7 @@ def _ext_poly(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
 def fold(x: BitString, width: int) -> int:
     """XOR of consecutive ``width``-bit segments (last padded right)."""
     if x.n <= width:
-        return pad_to(x, width).val
+        return x.val << (width - x.n)
     v = x.val << ((-x.n) % width)
     mask = (1 << width) - 1
     acc = 0
@@ -137,14 +137,59 @@ def _ext_affine(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
 def affine_int(m: int, z: int, s: int) -> int:
     """The affine law on ints: z is the source folded to 2m bits and s the
     m-bit seed; the output is u*s + v blockwise over GF(2^b), where u and
-    v are z's halves and b is ``affine_scheme``'s block."""
+    v are z's halves and b is ``affine_scheme``'s block.  Up to 8 bits
+    the products are one lookup in ``_product_table(m)``; wider outputs
+    look each block up in the block's own table, or, at block 16, in the
+    log/exp tables."""
+    u, v = z >> m, z & ((1 << m) - 1)
+    if m <= 8:
+        return _product_table(m)[(u << m) | s] ^ v
     b = m & -m if m & 15 else 16
     mask = (1 << b) - 1
-    u = z >> m
     out = 0
-    for sh in range(m - b, -1, -b):
-        out = (out << b) | gf2.mul((u >> sh) & mask, (s >> sh) & mask, b)
-    return out ^ (z & ((1 << m) - 1))
+    if b <= 8:
+        table = _product_table(b)
+        for sh in range(m - b, -1, -b):
+            out = (out << b) | table[(((u >> sh) & mask) << b)
+                                     | ((s >> sh) & mask)]
+    else:
+        for sh in range(m - b, -1, -b):
+            out = (out << b) | gf2.mul((u >> sh) & mask, (s >> sh) & mask, b)
+    return out ^ v
+
+
+@lru_cache(maxsize=None)
+def _product_table(m: int) -> bytes:
+    """T[(u << m) | s] = the blockwise GF(2^b) product of the m-bit ints u
+    and s, b = m & -m, for m <= 8: 2^(2m) bytes, at most 64 KB.  Built
+    with bytes operations only, so the build allocates little beyond the
+    table and touches no numpy code."""
+    b, size = m & -m, 1 << m
+    if b == 1:
+        return bytes(u & s for u in range(size) for s in range(size))
+    order = (1 << b) - 1
+    log, exp = gf2._tables(b)
+    # row a of the GF(2^b) product table: exp from log[a] on, read at the
+    # logs of every c, with c = 0 sent to index ``order``, a zero byte
+    logs = bytes([order] + log[1:])
+    prods = [bytes(1 << b)] + [
+        logs.translate(bytes(exp[la:la + order]).ljust(256, b"\0"))
+        for la in log[1:]]
+    if m == b:
+        return b"".join(prods)
+    # several blocks (m = 6): row u is the OR over the blocks of the
+    # block's product row, read at that block's digit of every s
+    mask, shifts = (1 << b) - 1, range(0, m, b)
+    digits = [bytes((s >> sh) & mask for s in range(size)) for sh in shifts]
+    rows = []
+    for u in range(size):
+        row = 0
+        for digit, sh in zip(digits, shifts):
+            prod = bytes(c << sh for c in prods[(u >> sh) & mask])
+            row |= int.from_bytes(digit.translate(prod.ljust(256, b"\0")),
+                                  "big")
+        rows.append(row.to_bytes(size, "big"))
+    return b"".join(rows)
 
 
 def affine_lanes(lanes: Sequence[tuple[int, int, int]]) -> list[int]:

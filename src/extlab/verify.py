@@ -145,12 +145,12 @@ def nm_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int,
     with Y uniform on d_seed bits."""
     if tamper.d != d_seed:
         raise ValueError("tamper arity mismatch")
-    sup = list(zip(source.points, source.weights))
+    # f once per (x, seed): out[y][i] = f(points[i], y)
+    out = [[f(x, y) for x in source.points] for y in range(1 << d_seed)]
     counts: dict = {}
     for y in range(1 << d_seed):
-        ya = tamper(y)
-        for x, c in sup:
-            key = (f(x, y), (f(x, ya), y))
+        for z, za, c in zip(out[y], out[tamper(y)], source.weights):
+            key = (z, (za, y))
             counts[key] = counts.get(key, 0) + c
     return distance_given_rest(counts, m_out, source.den << d_seed)
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extlab import gf2
-from extlab.bits import BitString, blocks
+from extlab.bits import BitString, blocks, pad_to
 from extlab.prob import sample_flat_source
-from extlab.sext import (ExtScheme, affine_scheme, avg_case_bound, ext,
-                         ext_all_seeds_poly, fold, lhl_bound, poly_scheme,
-                         sample_positions)
+from extlab.sext import (ExtScheme, affine_int, affine_scheme,
+                         avg_case_bound, ext, ext_all_seeds_poly, fold,
+                         lhl_bound, poly_scheme, sample_positions)
 from extlab.verify import strong_distance, strong_distance_poly_fast, \
     ext_fn_of
 
@@ -51,6 +52,56 @@ def test_fold_xors_segments():
     assert fold(x, 4) == 0b1011 ^ 0b0100 ^ 0b1110
     # non-dividing width: last segment padded right
     assert fold(BitString(5, 0b10110), 3) == 0b101 ^ 0b100
+
+
+@given(st.integers(0, 40).flatmap(lambda w: st.tuples(
+    st.just(w), st.integers(0, w).flatmap(
+        lambda n: st.builds(BitString, st.just(n),
+                            st.integers(0, (1 << n) - 1))))))
+def test_short_fold_is_right_padding(wx):
+    w, x = wx
+    assert fold(x, w) == pad_to(x, w).val
+
+
+def _affine_ref(m, z, s):
+    """The affine law by shift-and-add products, block by block."""
+    b = m & -m if m & 15 else 16
+    mask, u, out = (1 << b) - 1, z >> m, 0
+    for sh in range(m - b, -1, -b):
+        out = (out << b) | gf2.mul_slow((u >> sh) & mask, (s >> sh) & mask, b)
+    return out ^ (z & ((1 << m) - 1))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_affine_int_table_matches_reference_exhaustively(m):
+    # every (u, s) pair of the product table, v drawn at random
+    rng = random.Random(m)
+    for u in range(1 << m):
+        for s in range(1 << m):
+            z = (u << m) | rng.getrandbits(m)
+            assert affine_int(m, z, s) == _affine_ref(m, z, s), (u, s)
+
+
+@pytest.mark.parametrize("m", [12, 24, 64])
+def test_affine_int_wide_matches_reference(m):
+    # block 4 and 8 look their blocks up in the block's table, block 16
+    # multiplies by log/exp
+    rng = random.Random(m)
+    for _ in range(500):
+        z, s = rng.getrandbits(2 * m), rng.getrandbits(m)
+        assert affine_int(m, z, s) == _affine_ref(m, z, s)
+
+
+def test_narrow_affine_int_does_not_call_mul(monkeypatch):
+    # up to 8 bits, and block <= 8 above that, the law is table lookups
+    def no_mul(*args):
+        raise AssertionError("per-block gf2.mul call")
+
+    monkeypatch.setattr(gf2, "mul", no_mul)
+    rng = random.Random(3)
+    for m in [*range(1, 9), 12]:
+        z, s = rng.getrandbits(2 * m), rng.getrandbits(m)
+        assert affine_int(m, z, s) == _affine_ref(m, z, s)
 
 
 def test_affine_ext_blockwise_law():

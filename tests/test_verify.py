@@ -77,6 +77,24 @@ def test_nm_distance_small_for_real_extractor():
     assert d < Fraction(1, 4)
 
 
+def test_nm_distance_evaluates_each_point_once():
+    # one f call per (x, seed): 2^d * |support|, not twice that
+    calls = []
+
+    def f(x, s):
+        calls.append((x, s))
+        return (x ^ s) & 1
+
+    src = flat(4, [1, 4, 6, 9, 13])
+    d = nm_distance(f, src, 3, 1, flip_low_bit_tamper(3))
+    assert len(calls) == (1 << 3) * 5
+    assert sorted(calls) == sorted((x, s) for x in src.points
+                                   for s in range(8))
+    assert d == _dense_oracle(lambda x, y: (f(x, y), (f(x, y ^ 1), y)),
+                              [int(x in src.points) for x in range(16)],
+                              3, 1)
+
+
 def test_rot():
     assert rot(0b0011, 4, 1) == 0b0110
     assert rot(0b1001, 4, 1) == 0b0011
