@@ -89,10 +89,15 @@ def pad_to(x: BitString, n: int) -> BitString:
 def blocks(x: BitString, b: int) -> list[int]:
     """Split into ceil(n/b) blocks of b bits, left to right, the last one
     right-padded with zeros.  Returned as ints."""
+    return int_blocks(x.val, x.n, b)
+
+
+def int_blocks(val: int, n: int, b: int) -> list[int]:
+    """``blocks`` of the n-bit int val."""
     if b <= 0:
         raise ValueError("block size must be positive")
-    k = -(-x.n // b)
-    v = x.val << (k * b - x.n)
+    k = -(-n // b)
+    v = val << (k * b - n)
     mask = (1 << b) - 1
     out = [0] * k
     # peel blocks off the low end, so each shift works on a shorter int

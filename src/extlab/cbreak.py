@@ -12,6 +12,10 @@ token according to the advice bit, phase two repeats the dance from
 (x, selected token), and the output is a wide extraction of x keyed by
 the opposite selection.  ``flip_flop_rows`` builds the outputs of
 several advice bits from one shared first extraction.
+
+Each public function checks its widths, runs its int body (``adv_gen_val``,
+``flip_flop_vals``) and wraps the result in a ``BitString``; the bodies
+pass plain ints between their steps.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import gf2
-from .bits import BitString, blocks, concat, slice_bits
+from .bits import BitString, int_blocks
 from .nipm import ParamError
-from .sext import (ExtScheme, affine_scheme, ext, poly_scheme,
-                   sample_positions)
+from .sext import (ExtScheme, affine_scheme, ext_val, poly_scheme,
+                   sample_positions_val)
 
 
 @dataclass(frozen=True)
@@ -83,16 +87,21 @@ def plan_adv_gen(n: int, d: int, eps: float, positions: int = 2,
 def adv_gen(x: BitString, y: BitString, p: AdvGenParams) -> BitString:
     if x.n != p.n or y.n != p.d:
         raise ValueError("input width mismatch")
-    a = slice_bits(y, p.a0)
-    r = ext(p.sampler, x, a)
-    pos = sample_positions(r, p.positions, p.code_n)
-    msg = blocks(y, p.rs_block)
-    parts = [slice_bits(y, p.a0p)]
+    return BitString(p.advice_len, adv_gen_val(x.val, y.val, p))
+
+
+def adv_gen_val(x: int, y: int, p: AdvGenParams) -> int:
+    """``adv_gen`` on ints: x holds p.n bits and y p.d bits."""
+    r = ext_val(p.sampler, x, y >> (p.d - p.a0))
+    pos = sample_positions_val(r, p.sampler.m_out, p.positions, p.code_n)
+    b = p.rs_block
+    msg = int_blocks(y, p.d, b)
+    adv = y >> (p.d - p.a0p)
     # only the sampled codeword symbols are needed, so evaluate the
     # message polynomial at just those points
-    parts += [BitString(p.rs_block, gf2.poly_eval(msg, i, p.rs_block))
-              for i in pos]
-    return concat(*parts)
+    for i in pos:
+        adv = (adv << b) | gf2.poly_eval(msg, i, b)
+    return adv
 
 
 def collision_bound(p: AdvGenParams) -> float:
@@ -136,8 +145,10 @@ def flip_flop(x: BitString, y: BitString, advice_bit: int,
               p: FlipFlopParams) -> BitString:
     if x.n != p.n or y.n != p.d_y:
         raise ValueError("input width mismatch")
-    s1 = slice_bits(y, p.w)
-    return _flip_flop_row(x, y, s1, ext(p.scheme_x(), x, s1), advice_bit, p)
+    s1 = y.val >> (p.d_y - p.w)
+    r1 = ext_val(p.scheme_x(), x.val, s1)
+    return BitString(p.m_out,
+                     _flip_flop_row(x.val, y.val, s1, r1, advice_bit, p))
 
 
 def flip_flop_rows(x: BitString, y: BitString, advice_bits: Iterable[int],
@@ -146,17 +157,25 @@ def flip_flop_rows(x: BitString, y: BitString, advice_bits: Iterable[int],
     bits share phase one's r1, which does not depend on the bit."""
     if x.n != p.n or y.n != p.d_y:
         raise ValueError("input width mismatch")
-    s1 = slice_bits(y, p.w)
-    r1 = ext(p.scheme_x(), x, s1)
+    return {bit: BitString(p.m_out, v) for bit, v in
+            flip_flop_vals(x.val, y.val, advice_bits, p).items()}
+
+
+def flip_flop_vals(x: int, y: int, advice_bits: Iterable[int],
+                   p: FlipFlopParams) -> dict[int, int]:
+    """``flip_flop_rows`` on ints: x holds p.n bits and y p.d_y bits."""
+    s1 = y >> (p.d_y - p.w)
+    r1 = ext_val(p.scheme_x(), x, s1)
     return {bit: _flip_flop_row(x, y, s1, r1, bit, p) for bit in advice_bits}
 
 
-def _flip_flop_row(x: BitString, y: BitString, s1: BitString, r1: BitString,
-                   bit: int, p: FlipFlopParams) -> BitString:
+def _flip_flop_row(x: int, y: int, s1: int, r1: int, bit: int,
+                   p: FlipFlopParams) -> int:
     # the two-phase recipe with its dead steps dropped: for bit 1 the key
     # is phase one's s2 = Ext_y(y, r1); for bit 0 phase two restarts from
     # s1, so its look-ahead reuses r1 and the key is Ext_tok(s1, r1)
     if bit not in (0, 1):
         raise ValueError("advice bit must be 0 or 1")
-    key = ext(p.scheme_y(), y, r1) if bit else ext(p.scheme_tok(), s1, r1)
-    return ext(p.scheme_out(), x, slice_bits(key, p.m_out))
+    key = (ext_val(p.scheme_y(), y, r1) if bit
+           else ext_val(p.scheme_tok(), s1, r1))
+    return ext_val(p.scheme_out(), x, key >> (p.w - p.m_out))

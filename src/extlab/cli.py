@@ -35,7 +35,7 @@ OK, FAIL, USAGE = 0, 1, 2
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed & ((1 << 64) - 1)))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def emit_report(rows: list[dict], out: str | None, title: str) -> None:
@@ -385,6 +385,15 @@ def positive_int(text: str) -> int:
     return n
 
 
+def seed64(text: str) -> int:
+    """A seed in 0..2^64 - 1, recorded as given and used unmasked."""
+    n = int(text)
+    if not 0 <= n < 1 << 64:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..2^64 - 1, got {n}")
+    return n
+
+
 def nonnegative_int(text: str) -> int:
     n = int(text)
     if n < 0:
@@ -404,7 +413,7 @@ def error_rate(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="extlab")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=seed64, default=0,
                         help="64-bit seed for all randomness")
     common.add_argument("--out",
                         help="write the report here (plus a .png)")

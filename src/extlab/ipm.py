@@ -6,9 +6,11 @@ from Y, giving a near-uniform string z; a slice of z re-extracts every
 row; the refreshed rows are merged by the recursive merger seeded with
 z itself.  A single Y is shared by all tampered copies.
 
-``merge_rows`` is the one bootstrap-and-merge body.  ``ipm_weak`` checks
-widths and calls it; the non-malleable extractor (``nmx.nm_ext``) calls
-it directly on its flip-flop rows.
+``merge_rows_val`` is the one bootstrap-and-merge body, on plain ints.
+``ipm_weak`` checks widths, runs it on a matrix's rows and wraps its
+result in a ``BitString``; ``merge_rows`` is ``ipm_weak`` on a list of
+rows.  The non-malleable extractor (``nmx.nm_ext``) calls
+``merge_rows_val`` on its flip-flop rows.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bits import BitString, RowMatrix, matrix, slice_bits
-from .nipm import NipmParams, ParamError, recursive_nipm
-from .sext import ExtScheme, affine_scheme, ext
+from .bits import BitString, RowMatrix, matrix
+from .nipm import NipmParams, ParamError, recursive_nipm_val
+from .sext import ExtScheme, affine_scheme, ext_val
 
 
 @dataclass(frozen=True)
@@ -61,16 +63,24 @@ def ipm_weak(mat: RowMatrix, y: BitString, p: IpmParams) -> BitString:
         raise ValueError("row width mismatch")
     if y.n != p.n_y:
         raise ValueError("seed width mismatch")
-    return merge_rows(mat.rows, y, p)
+    return BitString(*merge_rows_val([r.val for r in mat.rows], y.val, p))
 
 
 def merge_rows(rows: Sequence[BitString], y: BitString, p: IpmParams
                ) -> BitString:
+    return ipm_weak(matrix(list(rows)), y, p)
+
+
+def merge_rows_val(rows: Sequence[int], y: int, p: IpmParams
+                   ) -> tuple[int, int]:
     """Bootstrap z from y keyed by the first row, refresh every row keyed
-    by a slice of z, and merge the refreshed rows seeded by z.  Equal
-    rows refresh to equal rows, so each distinct row is refreshed once."""
-    z = ext(p.scheme_boot(), y, slice_bits(rows[0], p.d_z))
-    v = slice_bits(z, p.m_v)
+    by a slice of z, and merge the refreshed rows seeded by z, on ints:
+    p.m-bit rows and the p.n_y-bit seed y.  Returns the merged row as
+    (width, value).  Equal rows refresh to equal rows, so each distinct
+    row is refreshed once."""
+    z = ext_val(p.scheme_boot(), y, rows[0] >> (p.m - p.d_z))
+    v = z >> (p.d_z - p.m_v)
     refresh = affine_scheme(p.m, p.m_v)
-    fresh = {r: ext(refresh, r, v) for r in dict.fromkeys(rows)}
-    return recursive_nipm(matrix([fresh[r] for r in rows]), z, p.nipm)
+    fresh = {r: ext_val(refresh, r, v) for r in dict.fromkeys(rows)}
+    return recursive_nipm_val([fresh[r] for r in rows], p.m_v, z, p.d_z,
+                              p.nipm)

@@ -79,16 +79,13 @@ class SyntheticGenerator:
         for s in sources:
             mix = (mix * 0x9E3779B97F4A7C15 + s.val) & ((1 << 64) - 1)
         rng = np.random.Generator(np.random.Philox(mix))
-        out = []
-        ones = BitString(p.m, (1 << p.m) - 1)
-        for i in range(p.r):
-            if i in self.bad_set:
-                out.append(matrix([ones] * p.L))
-            else:
-                rows = [BitString(p.m, int(v))
-                        for v in rng.integers(1 << p.m, size=p.L)]
-                out.append(matrix(rows))
-        return out
+        good = [i not in self.bad_set for i in range(p.r)]
+        # one draw for every good row: the Generator consumes its stream
+        # in order, so these are the draws of one call per good index
+        vals = iter(rng.integers(1 << p.m, size=sum(good) * p.L).tolist())
+        ones = matrix([BitString(p.m, (1 << p.m) - 1)] * p.L)
+        return [matrix([BitString(p.m, next(vals)) for _ in range(p.L)])
+                if g else ones for g in good]
 
 
 def make_generator(rng, p: MultiParams, n_bad: int | None = None

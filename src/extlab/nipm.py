@@ -2,7 +2,9 @@
 
 ``lt_nipm`` merges up to ell rows against t tampered row/seed pairs in
 one look-ahead chain.  ``recursive_nipm`` merges L rows with geometrically
-growing seed slices, running each level's chains in lockstep.
+growing seed slices, running each level's chains in lockstep on plain
+ints (``recursive_nipm_val``); ``lt_nipm`` is the ``BitString`` reference
+that the lockstep levels are tested against.
 
 Planners emit the nominal parameter schedule (output lengths and errors
 as stated for the abstract construction, with all logs ceiled) next to
@@ -154,52 +156,64 @@ def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
                    ) -> BitString:
     """Merge an L-row matrix level by level; every level runs its blocks'
     look-ahead chains in lockstep (``_lockstep_level``)."""
-    rows: Sequence[BitString] = mat.rows
+    return BitString(*recursive_nipm_val([r.val for r in mat.rows], mat.m,
+                                         y.val, y.n, params))
+
+
+def recursive_nipm_val(rows: Sequence[int], m: int, y: int, y_n: int,
+                       params: NipmParams) -> tuple[int, int]:
+    """``recursive_nipm`` on ints: rows of m bits and a y_n-bit seed y.
+    Returns the merged row as (width, value)."""
     for lv in params.levels:
-        rows = _lockstep_level(rows, y, lv)
+        if m != lv.m_in:
+            raise ValueError("row width mismatch")
+        if lv.d_slice > y_n:
+            raise ValueError(f"slice width {lv.d_slice} out of range for "
+                             f"{y_n} bits")
+        rows, m = _lockstep_level(rows, y >> (y_n - lv.d_slice), lv), lv.m_out
         if len(rows) == 1:
             break
     if len(rows) != 1:
         raise ValueError("level schedule did not reduce to one row")
-    return rows[0]
+    return m, rows[0]
 
 
 def _scalar_lanes(lanes: Sequence[tuple[int, int, int]]) -> list[int]:
     return [affine_int(m, z, s) for m, z, s in lanes]
 
 
-def _lockstep_level(rows: Sequence[BitString], y: BitString, lp: LevelPlan
-                    ) -> list[BitString]:
-    """One level's look-ahead chains, one per block of lp.ell rows, run
-    side by side: each chain step is one step kernel call with a lane
-    (m, z, s) per running block, ``affine_lanes`` (numpy) if lp.on_lanes
-    else ``affine_int`` per lane.  Same outputs as lt_nipm block by block;
-    a leftover one-row block is carried through, trimmed to m_out."""
-    if rows[0].n != lp.m_in:
-        raise ValueError("row width mismatch")
+def _lockstep_level(rows: Sequence[int], w_src: int, lp: LevelPlan
+                    ) -> list[int]:
+    """One level's look-ahead chains over lp.m_in-bit rows, keyed by the
+    lp.d_slice-bit seed slice w_src, one chain per block of lp.ell rows,
+    run side by side: each chain step is one step kernel call with a
+    lane (m, z, s) per running block, ``affine_lanes`` (numpy) if
+    lp.on_lanes else ``affine_int`` per lane.  Same outputs as lt_nipm
+    block by block; a leftover one-row block is carried through, trimmed
+    to m_out."""
     step = affine_lanes if lp.on_lanes else _scalar_lanes
-    w, m_out = lp.w, lp.m_out
-    z_src = fold(slice_bits(y, lp.d_slice), 2 * w)
+    w, m_in, m_out = lp.w, lp.m_in, lp.m_out
+    z_src = fold(w_src, lp.d_slice, 2 * w)
     out: list = []
     live = []  # [chain index, next row, last row, token] per running chain
     for i, lo in enumerate(range(0, len(rows), lp.ell)):
         hi = min(lo + lp.ell, len(rows)) - 1
         if hi == lo:
-            out.append(slice_bits(rows[lo], m_out))
+            out.append(rows[lo] >> (m_in - m_out))
         else:
             out.append(None)
-            live.append([i, lo + 1, hi, rows[lo].val >> (lp.m_in - w)])
+            live.append([i, lo + 1, hi, rows[lo] >> (m_in - w)])
     while live:
         r = step([(w, z_src, c[3]) for c in live])
         lanes = []
         for c, ri in zip(live, r):
             # S_{j+1} from row j, or the final extraction from the last row
             m = m_out if c[1] == c[2] else w
-            lanes.append((m, fold(rows[c[1]], 2 * m), ri >> (w - m)))
+            lanes.append((m, fold(rows[c[1]], m_in, 2 * m), ri >> (w - m)))
         running = []
         for c, v in zip(live, step(lanes)):
             if c[1] == c[2]:
-                out[c[0]] = BitString(m_out, v)
+                out[c[0]] = v
             else:
                 c[1] += 1
                 c[3] = v

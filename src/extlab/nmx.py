@@ -3,12 +3,13 @@
 Pipeline: advice generation fingerprints (x, y) into L advice bits; one
 flip-flop per advice bit turns x and a slice y1 of y into an L-row
 matrix whose witness rows break correlation with any tampered seed; the
-weak-seed merger (``ipm.merge_rows``, with y as its seed) folds the
+weak-seed merger (``ipm.merge_rows_val``, with y as its seed) folds the
 matrix into the output: a slice of the first row re-extracts y into a
 near-uniform z, a slice of z refreshes every row, and the recursive
 merger seeded by z merges them.  Row i depends on i only through its
 advice bit, so rows with equal advice bits are equal: each distinct row
-(at most two) is built and refreshed once and shared by its rows.
+(at most two) is built and refreshed once and shared by its rows.  The
+stages pass plain ints; ``nm_ext`` builds one ``BitString``, its result.
 
 ``plan_params`` emits the nominal schedule (rescaled error, advice
 length, fan-in and recursion depth as stated for the abstract
@@ -21,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bits import BitString, slice_bits
-from .cbreak import AdvGenParams, FlipFlopParams, adv_gen, \
-    flip_flop_rows, plan_adv_gen
-from .ipm import IpmParams, merge_rows
+from .bits import BitString
+from .cbreak import AdvGenParams, FlipFlopParams, adv_gen_val, \
+    flip_flop_vals, plan_adv_gen
+from .ipm import IpmParams, merge_rows_val
 from .nipm import LevelPlan, NipmParams, ParamError, hand_plan, plan_nipm
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
@@ -164,10 +165,10 @@ def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
     """Non-malleable extraction of x with seed y."""
     if x.n != p.n or y.n != p.d:
         raise ValueError("input width mismatch")
-    advice = adv_gen(x, y, p.adv)
-    bits = [advice.bit(i) for i in range(advice.n)]
-    y1 = slice_bits(y, p.d1)
+    advice = adv_gen_val(x.val, y.val, p.adv)
+    bits = [(advice >> i) & 1 for i in range(p.adv.advice_len - 1, -1, -1)]
+    y1 = y.val >> (p.d - p.d1)
     # row i depends on i only through the advice bit alpha_i, so each
-    # distinct bit's row is built once (and refreshed once by merge_rows)
-    row = flip_flop_rows(x, y1, dict.fromkeys(bits), p.ff)
-    return merge_rows([row[b] for b in bits], y, p.ipm)
+    # distinct bit's row is built once (and refreshed once by the merger)
+    row = flip_flop_vals(x.val, y1, dict.fromkeys(bits), p.ff)
+    return BitString(*merge_rows_val([row[b] for b in bits], y.val, p.ipm))

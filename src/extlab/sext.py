@@ -18,7 +18,8 @@ Two hash families are provided:
   outputs wider than one block, and its strength is established by the
   exhaustive micro oracles and Monte-Carlo suites instead.
 
-Every scheme is a plain description; ``ext`` does the work.
+Every scheme is a plain description; ``ext_val`` does the work on ints
+and ``ext`` checks the widths and wraps its result in a ``BitString``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import gf2
-from .bits import BitString, blocks, segment
+from .bits import BitString, int_blocks
 
 FAMILIES = ("poly", "affine")
 
@@ -98,40 +99,36 @@ def ext(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
         raise ValueError(f"source width {x.n} != {scheme.n_in}")
     if seed.n != scheme.d_seed:
         raise ValueError(f"seed width {seed.n} != {scheme.d_seed}")
+    return BitString(scheme.m_out, ext_val(scheme, x.val, seed.val))
+
+
+def ext_val(scheme: ExtScheme, x: int, s: int) -> int:
+    """``ext`` on ints: x holds n_in bits and s d_seed bits, and the
+    result m_out bits.  The widths are not checked: callers pass values
+    their parameters sized."""
+    m = scheme.m_out
     if scheme.family == "poly":
-        return _ext_poly(scheme, x, seed)
-    return _ext_affine(scheme, x, seed)
+        b = scheme.block
+        acc = gf2.poly_eval(int_blocks(x, scheme.n_in, b), s >> b, b)
+        return gf2.mul(acc, s & ((1 << b) - 1), b) >> (b - m)
+    z = fold(x, scheme.n_in, 2 * m)
+    if scheme.on_lanes:
+        return _affine_wide16(z >> m, s, m) ^ (z & ((1 << m) - 1))
+    return affine_int(m, z, s)
 
 
-def _ext_poly(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
-    b = scheme.block
-    s1 = seed.val >> b
-    s2 = seed.val & ((1 << b) - 1)
-    acc = gf2.poly_eval(blocks(x, b), s1, b)
-    out = gf2.mul(acc, s2, b)
-    return BitString(scheme.m_out, out >> (b - scheme.m_out))
-
-
-def fold(x: BitString, width: int) -> int:
-    """XOR of consecutive ``width``-bit segments (last padded right)."""
-    if x.n <= width:
-        return x.val << (width - x.n)
-    v = x.val << ((-x.n) % width)
+def fold(x: int, n: int, width: int) -> int:
+    """XOR of consecutive ``width``-bit segments of the n-bit int x (last
+    padded right)."""
+    if n <= width:
+        return x << (width - n)
+    v = x << ((-n) % width)
     mask = (1 << width) - 1
     acc = 0
     while v:
         acc ^= v & mask
         v >>= width
     return acc
-
-
-def _ext_affine(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
-    m = scheme.m_out
-    z = fold(x, 2 * m)
-    if scheme.on_lanes:
-        return BitString(m, _affine_wide16(z >> m, seed.val, m)
-                         ^ (z & ((1 << m) - 1)))
-    return BitString(m, affine_int(m, z, seed.val))
 
 
 def affine_int(m: int, z: int, s: int) -> int:
@@ -270,13 +267,21 @@ def _sqrt_fraction_upper(x: Fraction) -> Fraction:
 def sample_positions(r: BitString, count: int, universe: int) -> list[int]:
     """Deterministically turn extractor output r into ``count`` positions
     in range(universe), reading fixed-width chunks left to right."""
+    return sample_positions_val(r.val, r.n, count, universe)
+
+
+def sample_positions_val(r: int, n: int, count: int, universe: int
+                         ) -> list[int]:
+    """``sample_positions`` of the n-bit int r."""
     if universe < 1:
         raise ValueError("empty universe")
     w = max(1, (universe - 1).bit_length())
-    if count * w > r.n:
+    if count * w > n:
         raise ValueError(
-            f"sampler needs {count * w} bits, extractor output has {r.n}")
-    return [segment(r, i * w, w).val % universe for i in range(count)]
+            f"sampler needs {count * w} bits, extractor output has {n}")
+    mask = (1 << w) - 1
+    return [((r >> (n - (i + 1) * w)) & mask) % universe
+            for i in range(count)]
 
 
 def ext_all_seeds_poly(scheme: ExtScheme, xs: list[int]):

@@ -3,10 +3,10 @@ import pytest
 
 from extlab import gf2
 from extlab.bits import BitString, blocks, concat, slice_bits
-from extlab.cbreak import (FlipFlopParams, adv_gen, collision_bound,
-                           flip_flop, plan_adv_gen)
+from extlab.cbreak import (FlipFlopParams, adv_gen, adv_gen_val,
+                           collision_bound, flip_flop, plan_adv_gen)
 from extlab.nipm import ParamError
-from extlab.nmx import desk_params
+from extlab.nmx import desk_params, micro_params
 from extlab.pamp import _rand_bits
 from extlab.sext import ext, sample_positions
 
@@ -38,6 +38,33 @@ def test_advice_is_prefix_plus_sampled_symbols():
     want = concat(slice_bits(y, p.a0p),
                   *[BitString(p.rs_block, cw[i]) for i in pos])
     assert adv_gen(x, y, p) == want
+
+
+def _adv_gen_ref(x, y, p):
+    """adv_gen step by step on BitStrings: the sampler seed sliced from y,
+    positions from its output, the raw prefix and the sampled symbols
+    concatenated."""
+    a = slice_bits(y, p.a0)
+    r = ext(p.sampler, x, a)
+    pos = sample_positions(r, p.positions, p.code_n)
+    msg = blocks(y, p.rs_block)
+    parts = [slice_bits(y, p.a0p)]
+    parts += [BitString(p.rs_block, gf2.poly_eval(msg, i, p.rs_block))
+              for i in pos]
+    return concat(*parts)
+
+
+@pytest.mark.parametrize("p, draws", [
+    (micro_params().adv, 500), (plan_adv_gen(16, 8, 0.1), 500),
+    (desk_params().adv, 40)], ids=["micro", "census", "desk"])
+def test_adv_gen_int_body_matches_bitstring_reference(p, draws):
+    rng = np.random.Generator(np.random.Philox(44))
+    for _ in range(draws):
+        x = BitString(p.n, _rand_bits(rng, p.n))
+        y = BitString(p.d, _rand_bits(rng, p.d))
+        want = _adv_gen_ref(x, y, p)
+        assert adv_gen_val(x.val, y.val, p) == want.val
+        assert adv_gen(x, y, p) == want
 
 
 def test_distinct_seeds_rarely_share_advice():

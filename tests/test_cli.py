@@ -310,6 +310,70 @@ def test_verify_suite_sext_report_is_pinned(capsys):
         "0.08828496932983398\n")
 
 
+# reports recorded before the pipeline stages passed ints between them;
+# the int bodies must reproduce them byte for byte
+PINNED_REPORTS = {
+    "nmext eval --seed 5": (
+        "name\tvalue\n"
+        "output_hex\tc442e2c6\n"
+        "output_bits\t32\n"
+        "seed64\t5\n"),
+    "verify suite --module nmx --seed 5": (
+        "bound\tname\tpass\tseed64\tvalue\n"
+        "0.13639477080072093\ttampered_agreement_bias\tTrue\t5\t"
+        "0.016500000000000015\n"),
+    "verify suite --module cbreak --seed 5": (
+        "bound\tname\tpass\tseed64\tvalue\n"
+        "0.1\tadvice_collision_rate\tTrue\t5\t0.0026393995098039215\n"),
+    "verify suite --module nipm --seed 5": (
+        "bound\tname\tpass\tseed64\tvalue\n"
+        "1.0\tlt_nipm_distance\tTrue\t5\t0.0\n"
+        "0.4\txor_strawman_distance\tTrue\t5\t0.9375\n"),
+    "multisource run --r 11 --trials 40 --seed 5": (
+        "bound\tdetail\tname\tpass\tseed64\tvalue\n"
+        "0.37695+-0.51470\ttrials=23\tmaj_rate_bad0\tTrue\t5\t"
+        "0.17391304347826086\n"
+        "0.62305+-0.51470\ttrials=17\tmaj_rate_bad1\tTrue\t5\t"
+        "0.5294117647058824\n"
+        "0.8015113445777636\t\tmajority_bias\tTrue\t5\t0.175\n"),
+}
+
+
+@pytest.mark.parametrize("cmd", PINNED_REPORTS)
+def test_report_is_pinned(cmd, capsys):
+    assert main(cmd.split()) == 0
+    assert capsys.readouterr().out == PINNED_REPORTS[cmd]
+
+
+SEEDED = [PLAN_NIPM + ["--eps", "0.01"],
+          PLAN_NMEXT + ["--n", "1024", "--eps", "0.01"],
+          ["nmext", "eval"], ["verify", "suite", "--module", "sext"],
+          ["pa", "simulate", "--trials", "1"],
+          ["multisource", "run", "--trials", "1"]]
+SEEDED_IDS = ["plan_nipm", "plan_nmext", "nmext_eval", "verify_suite",
+              "pa_simulate", "multisource_run"]
+
+
+@pytest.mark.parametrize("argv", SEEDED, ids=SEEDED_IDS)
+def test_seed_outside_64_bits_is_a_usage_error(argv, capsys):
+    for seed in ("-1", str(1 << 64)):
+        err = _assert_usage_error(main(argv + ["--seed", seed]), capsys)
+        assert f"error: argument --seed: must be in 0..2^64 - 1, got {seed}" \
+            in err
+
+
+@pytest.mark.parametrize("argv", SEEDED, ids=SEEDED_IDS)
+def test_largest_seed_is_accepted_and_recorded(argv, capsys):
+    top = str((1 << 64) - 1)
+    assert main(argv + ["--seed", top]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    if "seed64" in header.split("\t"):
+        col = header.split("\t").index("seed64")
+        assert {line.split("\t")[col] for line in lines} == {top}
+    elif argv[0] == "nmext":
+        assert f"seed64\t{top}" in lines
+
+
 def _majority_bias_row(r, bad, capsys):
     rc = main(["multisource", "run", "--r", r, "--bad", bad,
                "--trials", "40", "--seed", "4"])

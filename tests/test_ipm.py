@@ -5,7 +5,7 @@ from extlab import ipm
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.ipm import ipm_weak, micro_ipm
 from extlab.nipm import LevelPlan, ParamError, hand_plan, recursive_nipm
-from extlab.sext import affine_scheme, ext
+from extlab.sext import affine_scheme, ext, ext_val
 
 
 def micro_nipm():
@@ -58,9 +58,9 @@ def test_ipm_weak_refreshes_each_distinct_row_once(monkeypatch):
 
     def counted(scheme, x, seed):
         if scheme == refresh:
-            refreshed.append(x)
-        return ext(scheme, x, seed)
-    monkeypatch.setattr(ipm, "ext", counted)
+            refreshed.append(BitString(scheme.n_in, x))
+        return ext_val(scheme, x, seed)
+    monkeypatch.setattr(ipm, "ext_val", counted)
     a, b, c = (BitString(8, v) for v in (0x3C, 0xA5, 0x0F))
     for rows in ([a] * 4, [a, b, a, b], [a, b, c, a], [c, b, a, a]):
         refreshed.clear()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from extlab.bits import BitString
+from extlab.bits import BitString, matrix
 from extlab.msrc import (SyntheticGenerator, default_params,
                          exact_majority_prob_one, majority,
                          majority_bias_bound, make_generator, multi_ext,
@@ -49,6 +49,37 @@ def test_generator_is_deterministic_under_seed():
     # different sources give different matrices
     c = gen.matrices([BitString(16, v) for v in (0x1111, 0x2222, 0x4444)])
     assert any(x.rows != y.rows for x, y in zip(a, c))
+
+
+def _matrices_per_index(gen, sources):
+    """The generator's matrices with one draw of L rows per good index."""
+    p = gen.params
+    mix = gen.seed
+    for s in sources:
+        mix = (mix * 0x9E3779B97F4A7C15 + s.val) & ((1 << 64) - 1)
+    rng = np.random.Generator(np.random.Philox(mix))
+    out = []
+    for i in range(p.r):
+        if i in gen.bad_set:
+            out.append(matrix([BitString(p.m, (1 << p.m) - 1)] * p.L))
+        else:
+            out.append(matrix([BitString(p.m, int(v))
+                               for v in rng.integers(1 << p.m, size=p.L)]))
+    return out
+
+
+@pytest.mark.parametrize("r, n_bad", [(r, n_bad) for r in (1, 11, 101)
+                                      for n_bad in (0, 1, 10) if n_bad <= r])
+def test_matrices_match_per_index_draws(r, n_bad):
+    p = default_params(r)
+    rng = np.random.Generator(np.random.Philox(62 + r))
+    for seed in range(5):
+        bad = tuple(sorted(int(i) for i in
+                           rng.choice(r, size=n_bad, replace=False)))
+        gen = SyntheticGenerator(params=p, seed=seed * 0x1F3D5B79,
+                                 bad_set=bad)
+        srcs = [BitString(16, int(v)) for v in rng.integers(1 << 16, size=3)]
+        assert gen.matrices(srcs) == _matrices_per_index(gen, srcs)
 
 
 def test_make_generator_caps_bad_set():

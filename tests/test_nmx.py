@@ -5,12 +5,12 @@ import pytest
 
 from extlab import cbreak, nmx
 from extlab.bits import BitString, matrix, slice_bits
-from extlab.cbreak import adv_gen, flip_flop, flip_flop_rows
+from extlab.cbreak import adv_gen, flip_flop, flip_flop_vals
 from extlab.ipm import ipm_weak
 from extlab.nipm import ParamError, recursive_nipm
 from extlab.nmx import desk_params, micro_params, nm_ext, plan_params
 from extlab.pamp import _rand_bits
-from extlab.sext import affine_scheme, ext
+from extlab.sext import affine_scheme, ext, ext_val
 
 
 def test_plan_params_desk_scale():
@@ -120,21 +120,38 @@ def test_nm_ext_runs_one_flip_flop_per_advice_value(params, monkeypatch):
 
     def counted_ext(scheme, src, seed):
         exts.append(scheme)
-        return ext(scheme, src, seed)
+        return ext_val(scheme, src, seed)
 
     def counted(x, y, bits, ff):
         bits, before = list(bits), len(exts)
-        rows = flip_flop_rows(x, y, bits, ff)
+        rows = flip_flop_vals(x, y, bits, ff)
         calls.append((sorted(bits), len(exts) - before))
         return rows
-    monkeypatch.setattr(cbreak, "ext", counted_ext)
-    monkeypatch.setattr(nmx, "flip_flop_rows", counted)
+    monkeypatch.setattr(cbreak, "ext_val", counted_ext)
+    monkeypatch.setattr(nmx, "flip_flop_vals", counted)
     for x, y in _draws(p, 54, 6):
         calls.clear()
         nm_ext(x, y, p)
         advice = adv_gen(x, y, p.adv)
         distinct = sorted({advice.bit(i) for i in range(advice.n)})
         assert calls == [(distinct, 1 + 2 * len(distinct))]
+
+
+@pytest.mark.parametrize("params", [micro_params, desk_params],
+                         ids=["micro", "desk"])
+def test_nm_ext_builds_one_bitstring(params, monkeypatch):
+    # the stages pass ints; the only BitString built is the result
+    p = params()
+    (x, y), = _draws(p, 56, 1)
+    built = []
+    check = BitString.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        check(self)
+    monkeypatch.setattr(BitString, "__post_init__", counted)
+    z = nm_ext(x, y, p)
+    assert built == [p.m] and z.n == p.m
 
 
 def test_nm_ext_width_checks():

@@ -10,8 +10,8 @@ from extlab import gf2
 from extlab.bits import BitString, blocks, pad_to
 from extlab.prob import sample_flat_source
 from extlab.sext import (ExtScheme, affine_int, affine_scheme,
-                         avg_case_bound, ext, ext_all_seeds_poly, fold,
-                         lhl_bound, poly_scheme, sample_positions)
+                         avg_case_bound, ext, ext_all_seeds_poly, ext_val,
+                         fold, lhl_bound, poly_scheme, sample_positions)
 from extlab.verify import strong_distance, strong_distance_poly_fast, \
     ext_fn_of
 
@@ -49,9 +49,9 @@ def test_poly_ext_zero_source_is_zero():
 
 def test_fold_xors_segments():
     x = BitString(12, 0b101101001110)
-    assert fold(x, 4) == 0b1011 ^ 0b0100 ^ 0b1110
+    assert fold(x.val, x.n, 4) == 0b1011 ^ 0b0100 ^ 0b1110
     # non-dividing width: last segment padded right
-    assert fold(BitString(5, 0b10110), 3) == 0b101 ^ 0b100
+    assert fold(0b10110, 5, 3) == 0b101 ^ 0b100
 
 
 @given(st.integers(0, 40).flatmap(lambda w: st.tuples(
@@ -60,7 +60,7 @@ def test_fold_xors_segments():
                             st.integers(0, (1 << n) - 1))))))
 def test_short_fold_is_right_padding(wx):
     w, x = wx
-    assert fold(x, w) == pad_to(x, w).val
+    assert fold(x.val, x.n, w) == pad_to(x, w).val
 
 
 def _affine_ref(m, z, s):
@@ -104,13 +104,53 @@ def test_narrow_affine_int_does_not_call_mul(monkeypatch):
         assert affine_int(m, z, s) == _affine_ref(m, z, s)
 
 
+def _ext_ref(scheme, x, seed):
+    """ext on BitStrings, the scalar way: poly is Horner over blocks(x, b)
+    times the seed's second element; affine XORs blocks(x, 2m) into z and
+    applies affine_int's law (also at the widths ext runs on lanes)."""
+    if scheme.family == "poly":
+        b = scheme.block
+        acc = gf2.poly_eval(blocks(x, b), seed.val >> b, b)
+        return gf2.mul(acc, seed.val & ((1 << b) - 1), b) >> (b - scheme.m_out)
+    m, z = scheme.m_out, 0
+    for part in blocks(x, 2 * m):
+        z ^= part
+    return affine_int(m, z, seed.val)
+
+
+@st.composite
+def _ext_cases(draw):
+    if draw(st.booleans()):
+        b = draw(st.sampled_from([*range(1, 9), 14, 32]))
+        scheme = poly_scheme(draw(st.integers(1, 96)),
+                             draw(st.integers(1, b)), block=b)
+    else:
+        m = draw(st.sampled_from([*range(1, 9), 12, 64, 128, 512]))
+        scheme = affine_scheme(draw(st.integers(1, 3 * m + 8)), m)
+    x = draw(st.integers(0, (1 << scheme.n_in) - 1))
+    s = draw(st.integers(0, (1 << scheme.d_seed) - 1))
+    return scheme, BitString(scheme.n_in, x), BitString(scheme.d_seed, s)
+
+
+@given(_ext_cases())
+@settings(max_examples=400, deadline=None)
+def test_ext_val_matches_the_bitstring_body(case):
+    scheme, x, seed = case
+    # m = 128 and 512 run on numpy lanes, checked against the scalar law
+    assert scheme.on_lanes == (scheme.family == "affine"
+                               and scheme.m_out >= 128)
+    want = _ext_ref(scheme, x, seed)
+    assert ext_val(scheme, x.val, seed.val) == want
+    assert ext(scheme, x, seed) == BitString(scheme.m_out, want)
+
+
 def test_affine_ext_blockwise_law():
     # m_out = 12 derives block 4: three blocks of u*s + v over GF(2^4)
     s = affine_scheme(24, 12)
     assert s.block == 4
     x = BitString(24, 0xBEEF42)
     seed = BitString(12, 0x5A3)
-    z = fold(x, 24)
+    z = fold(x.val, x.n, 24)
     u, v = z >> 12, z & 0xFFF
     want = 0
     for i in (2, 1, 0):
@@ -129,7 +169,7 @@ def test_affine_wide_path_matches_blockwise():
         x = BitString(512, int.from_bytes(rng.bytes(64), "big"))
         seed = BitString(256, int.from_bytes(rng.bytes(32), "big"))
         got = ext(s, x, seed).val
-        z = fold(x, 512)
+        z = fold(x.val, x.n, 512)
         u, v = z >> 256, z & ((1 << 256) - 1)
         want = 0
         for i in range(16):
