@@ -12,9 +12,9 @@ from .sext import (ExtScheme, affine_scheme, avg_case_bound, ext,
 from .altx import LevelPlan, look_ahead
 from .nipm import (NipmParams, ParamError, assembled_bound, hand_plan,
                    lt_nipm, plan_nipm, recursive_nipm)
-from .ipm import IpmParams, ipm_weak, merge_rows, micro_ipm
+from .ipm import IpmParams, ipm_weak, micro_ipm
 from .cbreak import (AdvGenParams, FlipFlopParams, adv_gen, flip_flop,
-                     flip_flop_rows, plan_adv_gen)
+                     plan_adv_gen)
 from .nmx import (NmExtParams, NominalPlan, desk_params, micro_params,
                   nm_ext, plan_params)
 from .msrc import (MultiParams, SyntheticGenerator, default_params,

@@ -10,12 +10,13 @@ row derived from (x, y) and its tampered twin: phase one runs a
 two-step look-ahead between x and y and selects its first or second
 token according to the advice bit, phase two repeats the dance from
 (x, selected token), and the output is a wide extraction of x keyed by
-the opposite selection.  ``flip_flop_rows`` builds the outputs of
-several advice bits from one shared first extraction.
+the opposite selection.  ``flip_flop_vals`` builds the outputs of
+several advice bits from one shared first extraction, on ints; the
+non-malleable extractor (``nmx.nm_ext``) calls it.
 
-Each public function checks its widths, runs its int body (``adv_gen_val``,
-``flip_flop_vals``) and wraps the result in a ``BitString``; the bodies
-pass plain ints between their steps.
+``adv_gen`` and ``flip_flop`` check their widths, run their int bodies
+and wrap the result in a ``BitString``; the bodies pass plain ints
+between their steps.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ class AdvGenParams:
         return self.a0p + self.positions * self.rs_block
 
 
-def plan_adv_gen(n: int, d: int, eps: float, positions: int = 2,
-                 rs_block: int | None = None) -> AdvGenParams:
-    if rs_block is None:
-        rs_block = max(4, math.ceil(math.log2(max(d, 4))))
+def plan_adv_gen(n: int, d: int, eps: float) -> AdvGenParams:
+    """Advice of a 2-bit raw prefix and two Reed-Solomon symbols of
+    max(4, ceil(log2 d)) bits."""
+    positions = 2
+    rs_block = max(4, math.ceil(math.log2(max(d, 4))))
     code_n = 2 * -(-d // rs_block)
     w = max(1, (code_n - 1).bit_length())
     m_r = positions * w
@@ -151,19 +153,11 @@ def flip_flop(x: BitString, y: BitString, advice_bit: int,
                      _flip_flop_row(x.val, y.val, s1, r1, advice_bit, p))
 
 
-def flip_flop_rows(x: BitString, y: BitString, advice_bits: Iterable[int],
-                   p: FlipFlopParams) -> dict[int, BitString]:
-    """The flip-flop output for each advice bit in ``advice_bits``; the
-    bits share phase one's r1, which does not depend on the bit."""
-    if x.n != p.n or y.n != p.d_y:
-        raise ValueError("input width mismatch")
-    return {bit: BitString(p.m_out, v) for bit, v in
-            flip_flop_vals(x.val, y.val, advice_bits, p).items()}
-
-
 def flip_flop_vals(x: int, y: int, advice_bits: Iterable[int],
                    p: FlipFlopParams) -> dict[int, int]:
-    """``flip_flop_rows`` on ints: x holds p.n bits and y p.d_y bits."""
+    """The flip-flop output for each advice bit in ``advice_bits``, on
+    ints: x holds p.n bits and y p.d_y bits.  The bits share phase one's
+    r1, which does not depend on the bit."""
     s1 = y >> (p.d_y - p.w)
     r1 = ext_val(p.scheme_x(), x, s1)
     return {bit: _flip_flop_row(x, y, s1, r1, bit, p) for bit in advice_bits}

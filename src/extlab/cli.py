@@ -173,7 +173,7 @@ def cmd_nmext_eval(args) -> int:
 def _bits_arg(name: str, text: str | None, width: int, rng) -> BitString:
     """A --x-hex / --y-hex value as a width-bit string, or width random
     bits when the flag is not given."""
-    if not text:
+    if text is None:
         return BitString(width, pamp._rand_bits(rng, width))
     try:
         v = int(text, 16)

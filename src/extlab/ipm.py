@@ -8,9 +8,8 @@ z itself.  A single Y is shared by all tampered copies.
 
 ``merge_rows_val`` is the one bootstrap-and-merge body, on plain ints.
 ``ipm_weak`` checks widths, runs it on a matrix's rows and wraps its
-result in a ``BitString``; ``merge_rows`` is ``ipm_weak`` on a list of
-rows.  The non-malleable extractor (``nmx.nm_ext``) calls
-``merge_rows_val`` on its flip-flop rows.
+result in a ``BitString``.  The non-malleable extractor (``nmx.nm_ext``)
+calls ``merge_rows_val`` on its flip-flop rows.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bits import BitString, RowMatrix, matrix
+from .bits import BitString, RowMatrix
 from .nipm import NipmParams, ParamError, recursive_nipm_val
 from .sext import ExtScheme, affine_scheme, ext_val
 
@@ -64,11 +63,6 @@ def ipm_weak(mat: RowMatrix, y: BitString, p: IpmParams) -> BitString:
     if y.n != p.n_y:
         raise ValueError("seed width mismatch")
     return BitString(*merge_rows_val([r.val for r in mat.rows], y.val, p))
-
-
-def merge_rows(rows: Sequence[BitString], y: BitString, p: IpmParams
-               ) -> BitString:
-    return ipm_weak(matrix(list(rows)), y, p)
 
 
 def merge_rows_val(rows: Sequence[int], y: int, p: IpmParams

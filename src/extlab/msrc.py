@@ -88,11 +88,8 @@ class SyntheticGenerator:
                 if g else ones for g in good]
 
 
-def make_generator(rng, p: MultiParams, n_bad: int | None = None
-                   ) -> SyntheticGenerator:
+def make_generator(rng, p: MultiParams, n_bad: int) -> SyntheticGenerator:
     max_bad = math.ceil(p.r ** (0.5 - p.alpha))
-    if n_bad is None:
-        n_bad = max_bad
     if n_bad > max_bad:
         raise ParamError("bad_set", f"more than r^(1/2-alpha) = {max_bad}")
     bad = tuple(sorted(int(i) for i in

@@ -64,22 +64,22 @@ class NipmParams:
         return max(lv.d_slice for lv in self.levels)
 
 
-def nominal_m1(m: int, ell: int, t: int, eps: float, c: int = DEFAULT_C) -> int:
-    """Nominal merged output length (0.9/t)*(m - c*(t+1)*ell*log(m/eps));
-    the t=1 case reduces to 0.9*(m - c*ell*log(m/eps))."""
-    overhead = c * (t + 1) * ell * _clog2(m / eps)
+def nominal_m1(m: int, ell: int, t: int, eps: float) -> int:
+    """Nominal merged output length (0.9/t)*(m - c*(t+1)*ell*log(m/eps))
+    with c = DEFAULT_C; the t=1 case reduces to 0.9*(m - c*ell*log(m/eps))."""
+    overhead = DEFAULT_C * (t + 1) * ell * _clog2(m / eps)
     return math.floor((0.9 / t) * (m - overhead))
 
 
-def nominal_schedule(L: int, ell: int, t: int, m: int, eps: float,
-                     d_prime: int = 0, c: int = DEFAULT_C
+def nominal_schedule(L: int, ell: int, t: int, m: int, eps: float
                      ) -> tuple[int, list[int], list[int], float]:
     """(r, m_i list, d_i list, total error) for the recursive merger."""
     if ell < 2:
         raise ParamError("ell", "fan-in must be at least 2")
+    c = DEFAULT_C
     r = math.ceil(math.log(L) / math.log(ell)) if L > 1 else 1
     logterm = _clog2(m / eps)
-    d1 = d_prime + _clog2(1 / eps) + c * (t + 1) * ell * logterm
+    d1 = _clog2(1 / eps) + c * (t + 1) * ell * logterm
     d = [d1 * (t + 2) ** i for i in range(r)]
     m_i = [math.floor((0.9 ** i) * (m - i * c * (t + 1) * ell * logterm))
            for i in range(1, r + 1)]
@@ -92,8 +92,8 @@ def nominal_schedule(L: int, ell: int, t: int, m: int, eps: float,
 
 
 def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
-              ell: int | None = None, m_target: int | None = None,
-              c: int = DEFAULT_C) -> NipmParams:
+              ell: int | None = None, m_target: int | None = None
+              ) -> NipmParams:
     """Plan a recursive (L, ell, t) merger over m-bit rows with a d-bit
     seed source.  Implemented widths follow the affine chain family
     (token width = level output width); nominal fields record the
@@ -105,8 +105,8 @@ def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
         ell = min(max(ell, 2), max(L, 2))
     elif ell < 2:
         raise ParamError("ell", "fan-in must be at least 2")
-    r, m_nom, d_nom, err = (nominal_schedule(L, ell, t, m, eps, c=c)
-                            if L > 1 else (1, [m], [8], c * eps))
+    r, m_nom, d_nom, err = (nominal_schedule(L, ell, t, m, eps)
+                            if L > 1 else (1, [m], [8], DEFAULT_C * eps))
 
     # implemented: shrink rows by half per level so every chain stays
     # inside its row; floor at 8 bits
@@ -125,20 +125,20 @@ def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
         m_in = m_out
     if levels[-1].d_slice > d:
         raise ParamError("d", "seed source shorter than final slice")
-    return NipmParams(L=L, t=t, levels=tuple(levels), eps=eps, c=c,
-                      m1_nominal=nominal_m1(m, ell, t, eps, c),
+    return NipmParams(L=L, t=t, levels=tuple(levels), eps=eps, c=DEFAULT_C,
+                      m1_nominal=nominal_m1(m, ell, t, eps),
                       m_nominal=tuple(m_nom), d_nominal=tuple(d_nom),
                       error_nominal=err)
 
 
-def hand_plan(L: int, t: int, levels: Sequence[LevelPlan],
-              eps: float = 0.05) -> NipmParams:
+def hand_plan(L: int, t: int, levels: Sequence[LevelPlan]) -> NipmParams:
     """A merger over hand-picked levels (micro widths below the planner's
-    8-bit floors), its nominal fields derived from those levels."""
-    c = DEFAULT_C
+    8-bit floors) at eps = 0.05, its nominal fields derived from those
+    levels."""
+    eps, c = 0.05, DEFAULT_C
     return NipmParams(L=L, t=t, levels=tuple(levels), eps=eps, c=c,
                       m1_nominal=nominal_m1(levels[0].m_in, levels[0].ell,
-                                            t, eps, c),
+                                            t, eps),
                       m_nominal=tuple(lv.m_out for lv in levels),
                       d_nominal=tuple(lv.d_slice for lv in levels),
                       error_nominal=min(2.0 * c * L * eps, 1.0))

@@ -138,27 +138,28 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
     return NmExtParams(adv=adv, ff=ff, d_z=d_z, nipm=nipm, nominal=nominal)
 
 
-def micro_params(eps: float = 0.05) -> NmExtParams:
-    """Oracle-scale pipeline: 16-bit source, 16-bit seed, 1-bit output.
+def micro_params() -> NmExtParams:
+    """Oracle-scale pipeline: 16-bit source, 16-bit seed, 1-bit output,
+    eps = 0.05.
 
     Built by hand because the general planner floors every width at 8
     bits; the micro widths keep exhaustive tamper enumeration feasible.
     """
-    n, d = 16, 16
+    n, d, eps = 16, 16, 0.05
     adv = plan_adv_gen(n, d, eps)
     levels = (LevelPlan(ell=4, m_in=4, w=2, m_out=2, d_slice=4),
               LevelPlan(ell=4, m_in=2, w=1, m_out=1, d_slice=8))
-    nipm = hand_plan(adv.advice_len, 1, levels, eps)    # L = 10
+    nipm = hand_plan(adv.advice_len, 1, levels)    # L = 10
     ff = FlipFlopParams(n=n, d_y=16, w=8, m_out=8)
     return NmExtParams(adv=adv, ff=ff, d_z=8, nipm=nipm,
                        nominal=_nominal_plan(n, 12, d, eps, "linear"))
 
 
-def desk_params(eps: float = 2 ** -8) -> NmExtParams:
+def desk_params() -> NmExtParams:
     """Protocol-scale pipeline used by the privacy-amplification bench:
     1024-bit source with 768 bits of entropy, 512-bit seed, 32-bit
-    output."""
-    return plan_params(n=1024, k=768, d=512, m=32, eps=eps)
+    output, eps = 2^-8."""
+    return plan_params(n=1024, k=768, d=512, m=32, eps=2 ** -8)
 
 
 def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:

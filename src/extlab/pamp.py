@@ -52,14 +52,12 @@ class PampParams:
         return self.msg_symbols / (1 << self.mac_bits)
 
 
-def make_params(nmx_params: NmExtParams, mac_bits: int = 16,
-                msg_symbols: int | None = None,
-                key_len: int = 32) -> PampParams:
-    if msg_symbols is None:
-        msg_symbols = max(2, -(-2 * max(key_len, 8) // mac_bits))
-    w_len = msg_symbols * mac_bits
-    block = w_len // 2
-    final = poly_scheme(nmx_params.n, min(key_len, block), block=block)
+def make_params(nmx_params: NmExtParams) -> PampParams:
+    """A MAC over GF(2^16), W of four 16-bit symbols, and a 32-bit final
+    key extracted by the poly family seeded by W."""
+    mac_bits, msg_symbols, key_len = 16, 4, 32
+    block = msg_symbols * mac_bits // 2    # W is two field elements
+    final = poly_scheme(nmx_params.n, key_len, block=block)
     return PampParams(nmx=nmx_params, mac_bits=mac_bits,
                       msg_symbols=msg_symbols, final=final)
 
@@ -91,15 +89,17 @@ def passive() -> Adversary:
     return Adversary("passive", lambda y: y, lambda y, w, t: (w, t))
 
 
-def flip_round1(bit: int = 0) -> Adversary:
+def flip_round1() -> Adversary:
+    """Flips the first bit of the round-1 seed Y."""
     def r1(y: BitString) -> BitString:
-        return y ^ BitString(y.n, 1 << (y.n - 1 - bit))
+        return y ^ BitString(y.n, 1 << (y.n - 1))
     return Adversary("flip1", r1, lambda y, w, t: (w, t))
 
 
-def flip_round2(bit: int = 0) -> Adversary:
+def flip_round2() -> Adversary:
+    """Flips the first bit of the round-2 seed W."""
     def r2(y: BitString, w: BitString, t: BitString):
-        return w ^ BitString(w.n, 1 << (w.n - 1 - bit)), t
+        return w ^ BitString(w.n, 1 << (w.n - 1)), t
     return Adversary("flip2", lambda y: y, r2)
 
 
@@ -214,12 +214,12 @@ def hoeffding_ci(trials: int, delta: float = 0.01) -> float:
 
 
 def security_experiment(rng, p: PampParams, adv: Adversary, trials: int,
-                        k_frac: float = 0.75,
                         distinguisher_budget: float = 0.0
                         ) -> SecurityReport:
-    """Estimate attack success over ``trials`` fresh flat secrets."""
+    """Estimate attack success over ``trials`` fresh flat secrets of
+    min-entropy 3n/4."""
     n = p.nmx.n
-    k = int(n * k_frac)
+    k = 3 * n // 4
     accepts = succ = honest_fail = 0
     for _ in range(trials):
         x = _flat_secret(rng, n, k)

@@ -39,7 +39,6 @@ FAMILIES = ("poly", "affine")
 @dataclass(frozen=True)
 class ExtScheme:
     n_in: int
-    d_seed: int
     m_out: int
     family: str
     block: int
@@ -58,18 +57,18 @@ class ExtScheme:
         if self.family == "poly":
             if self.m_out > self.block:
                 raise ValueError("poly family: m_out exceeds block size")
-            if self.d_seed != 2 * self.block:
-                raise ValueError("poly family: d_seed must be 2*block")
-        else:
-            if self.block != min(self.m_out & -self.m_out, 16):
-                raise ValueError("affine family: block must be "
-                                 "min(m_out & -m_out, 16)")
-            if self.d_seed != self.m_out:
-                raise ValueError("affine family: d_seed must equal m_out")
+        elif self.block != min(self.m_out & -self.m_out, 16):
+            raise ValueError("affine family: block must be "
+                             "min(m_out & -m_out, 16)")
         if not 0 <= self.claimed_k <= self.n_in:
             raise ValueError("claimed_k out of range")
         object.__setattr__(self, "on_lanes", self.family == "affine"
                            and self.block == 16 and self.m_out >= 128)
+
+    @property
+    def d_seed(self) -> int:
+        """Seed width: two field elements (poly), or m_out (affine)."""
+        return 2 * self.block if self.family == "poly" else self.m_out
 
     @property
     def claimed_eps(self) -> float:
@@ -83,7 +82,7 @@ def poly_scheme(n_in: int, m_out: int, claimed_k: int | None = None,
     if block is None:
         block = max(m_out, 8)
     k = n_in if claimed_k is None else claimed_k
-    return ExtScheme(n_in, 2 * block, m_out, "poly", block, k)
+    return ExtScheme(n_in, m_out, "poly", block, k)
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +90,7 @@ def affine_scheme(n_in: int, m_out: int,
                   claimed_k: int | None = None) -> ExtScheme:
     """Block: the largest power of two <= 16 that divides m_out."""
     k = n_in if claimed_k is None else claimed_k
-    return ExtScheme(n_in, m_out, m_out, "affine", min(m_out & -m_out, 16), k)
+    return ExtScheme(n_in, m_out, "affine", min(m_out & -m_out, 16), k)
 
 
 def ext(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:

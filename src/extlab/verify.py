@@ -221,29 +221,20 @@ def rot(v: int, m: int, sh: int) -> int:
     return ((v << sh) | (v >> (m - sh))) & ((1 << m) - 1)
 
 
-def build_instance(rng, L: int, m: int, d: int, t: int, witness: int,
-                   shared_block: bool = True) -> MergerInstance:
+def build_instance(rng, L: int, m: int, d: int, t: int, witness: int
+                   ) -> MergerInstance:
     """Plant a valid instance: every row exactly uniform, tampered
     matrices copy the non-witness rows and pin the witness row to a
     constant, tampered seeds are random fixed-point-free tables.
 
-    With shared_block=True all rows are rotations/masks of one m-bit
-    block, keeping the latent space at m + d bits."""
+    All rows are rotations/masks of one m-bit block, keeping the latent
+    space at m + d bits."""
     if not 0 <= witness < L:
         raise ValueError("witness out of range")
     masks = [int(rng.integers(1 << m)) for _ in range(L)]
 
-    if shared_block:
-        lat_bits = m
-
-        def rows_of(lat: int) -> tuple[int, ...]:
-            return tuple(rot(lat, m, i) ^ masks[i] for i in range(L))
-    else:
-        lat_bits = L * m
-
-        def rows_of(lat: int) -> tuple[int, ...]:
-            return tuple(((lat >> (i * m)) & ((1 << m) - 1)) ^ masks[i]
-                         for i in range(L))
+    def rows_of(lat: int) -> tuple[int, ...]:
+        return tuple(rot(lat, m, i) ^ masks[i] for i in range(L))
 
     consts = [int(rng.integers(1 << m)) for _ in range(t)]
 
@@ -255,7 +246,7 @@ def build_instance(rng, L: int, m: int, d: int, t: int, witness: int,
         return tf
 
     return MergerInstance(
-        L=L, m=m, d=d, t=t, witness=witness, lat_x_bits=lat_bits,
+        L=L, m=m, d=d, t=t, witness=witness, lat_x_bits=m,
         rows_of=rows_of,
         tamper_rows=tuple(make_tamper(g) for g in range(t)),
         tamper_y=tuple(sample_tamper(rng, d) for _ in range(t)))

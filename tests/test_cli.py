@@ -148,6 +148,8 @@ ONE_ROW = ["params", "plan-nipm", "--L", "1", "--m", "64", "--d", "64",
     (["nmext", "eval", "--x-hex", "1" + "0" * 256], "x-hex"),
     (["nmext", "eval", "--y-hex", "-5"], "y-hex"),
     (["nmext", "eval", "--y-hex", "1" + "0" * 128], "y-hex"),
+    (["nmext", "eval", "--x-hex", ""], "x-hex: not a hex number: "),
+    (["nmext", "eval", "--y-hex", ""], "y-hex: not a hex number: "),
     (["multisource", "run", "--bad", "-1"], "--bad"),
     (["multisource", "run", "--r", "-1"], "--r"),
 ], ids=["nipm_eps_0", "nipm_eps_neg", "nipm_t_0", "nipm_ell_0",
@@ -155,7 +157,7 @@ ONE_ROW = ["params", "plan-nipm", "--L", "1", "--m", "64", "--d", "64",
         "nmext_eps_1", "nmext_eps_nan", "nmext_eps_underflow", "nmext_n_0",
         "nmext_k_above_n", "nmext_m_0", "eval_eps_0", "eval_k_neg",
         "eval_x_not_hex", "eval_x_too_wide", "eval_y_negative",
-        "eval_y_too_wide",
+        "eval_y_too_wide", "eval_x_empty", "eval_y_empty",
         "ms_bad_neg", "ms_r_neg"])
 def test_bad_number_is_a_usage_error(argv, name, capsys):
     err = _assert_usage_error(main(argv), capsys)

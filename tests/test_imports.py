@@ -1,8 +1,10 @@
-"""No module in ``src/extlab/`` or ``tests/`` imports a name it never reads.
+"""No module in ``src/extlab/`` or ``tests/`` imports a name it never reads,
+and every public top-level function or class of ``src/extlab/`` has a
+reader.
 
-No linter ships with the declared dependencies, so this is a small AST
-scan.  Every import in an ``__init__.py`` is a re-export and counts as
-used."""
+No linter ships with the declared dependencies, so these are small AST
+scans.  Every import in an ``__init__.py`` is a re-export and counts as
+used; a re-export does not count as a reader."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("src/extlab/*.py"), *ROOT.glob("tests/*.py")])
+MODULES = sorted(p for p in ROOT.glob("src/extlab/*.py")
+                 if p.name != "__init__.py")
+READERS = [*MODULES, *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +43,33 @@ def test_scan_flags_an_unused_import():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str]
+                       ) -> list[str]:
+    """Public top-level defs and classes of ``modules`` (name -> source)
+    that no reader source reads as a name or an attribute."""
+    read = set()
+    for source in readers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [f"{mod}.{node.name}" for mod, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in read]
+
+
+def test_scan_flags_an_unread_definition():
+    mod = "def used(): pass\ndef unused(): pass\nclass _Hidden: pass\n"
+    assert unread_definitions({"m": mod}, [mod, "m.used()\n"]) == \
+        ["m.unused"]
+
+
+def test_every_public_definition_has_a_reader():
+    assert unread_definitions(
+        {p.stem: p.read_text() for p in MODULES},
+        [p.read_text() for p in READERS]) == []

@@ -17,6 +17,7 @@ def test_plan_params_desk_scale():
     p = desk_params()
     assert p.n == 1024 and p.d == 512 and p.m == 32
     assert p.d1 == 512 and p.ipm.m_v == 256 and p.adv.a0 == 28
+    assert p.adv.rs_block == 9 and p.adv.positions == 2
     assert p.adv.advice_len == p.ipm.nipm.L
     assert p.ipm.d_z <= p.ff.m_out == p.ipm.m
     assert p.ipm.nipm.d_min <= p.ipm.d_z

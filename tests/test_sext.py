@@ -29,7 +29,7 @@ def test_affine_scheme_shape():
     assert affine_scheme(64, 32).block == 16
     assert affine_scheme(64, 3).block == 1
     with pytest.raises(ValueError):
-        ExtScheme(16, 8, 8, "affine", 4, 16)  # block 4 is not m_out's
+        ExtScheme(16, 8, "affine", 4, 16)  # block 4 is not m_out's
 
 
 def test_poly_ext_is_blockwise_polynomial():
