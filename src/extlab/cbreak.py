@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 from . import gf2
 from .bits import BitString, int_blocks
@@ -36,9 +36,9 @@ from .sext import (ExtScheme, affine_scheme, ext_val, poly_scheme,
 class AdvGenParams:
     d: int           # y length
     a0p: int         # raw prefix of y copied into the advice
-    positions: int   # number of sampled Reed-Solomon symbols
     rs_block: int    # Reed-Solomon symbol size (bits)
     sampler: ExtScheme   # samples positions from x, seeded by a slice of y
+    positions: ClassVar[int] = 2   # number of sampled Reed-Solomon symbols
 
     def __post_init__(self) -> None:
         if self.a0 > self.d or self.a0p > self.d:
@@ -69,7 +69,7 @@ class AdvGenParams:
 def plan_adv_gen(n: int, d: int, eps: float) -> AdvGenParams:
     """Advice of a 2-bit raw prefix and two Reed-Solomon symbols of
     max(4, ceil(log2 d)) bits."""
-    positions = 2
+    positions = AdvGenParams.positions
     rs_block = max(4, math.ceil(math.log2(max(d, 4))))
     code_n = 2 * -(-d // rs_block)
     w = max(1, (code_n - 1).bit_length())
@@ -79,8 +79,7 @@ def plan_adv_gen(n: int, d: int, eps: float) -> AdvGenParams:
     if a0 > d:
         raise ParamError("a0", f"seed too short for the sampler ({a0} > {d})")
     sampler = poly_scheme(n, m_r, block=b)
-    p = AdvGenParams(d=d, a0p=min(2, d), positions=positions,
-                     rs_block=rs_block, sampler=sampler)
+    p = AdvGenParams(d=d, a0p=min(2, d), rs_block=rs_block, sampler=sampler)
     if p.advice_len < 8:
         raise ParamError("L", "advice shorter than 8 bits")
     return p

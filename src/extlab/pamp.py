@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from . import gf2
 from .bits import BitString, blocks, slice_bits
@@ -28,9 +28,9 @@ from .sext import ExtScheme, ext, poly_scheme
 @dataclass(frozen=True)
 class PampParams:
     nmx: NmExtParams
-    mac_bits: int          # s'; MAC works in GF(2^s')
-    msg_symbols: int       # ell; W is ell symbols of s' bits
     final: ExtScheme       # final key extraction from x, seeded by W
+    mac_bits: ClassVar[int] = 16      # s'; MAC works in GF(2^s')
+    msg_symbols: ClassVar[int] = 4    # ell; W is ell symbols of s' bits
 
     def __post_init__(self) -> None:
         if self.nmx.m < 2 * self.mac_bits:
@@ -55,11 +55,10 @@ class PampParams:
 def make_params(nmx_params: NmExtParams) -> PampParams:
     """A MAC over GF(2^16), W of four 16-bit symbols, and a 32-bit final
     key extracted by the poly family seeded by W."""
-    mac_bits, msg_symbols, key_len = 16, 4, 32
-    block = msg_symbols * mac_bits // 2    # W is two field elements
-    final = poly_scheme(nmx_params.n, key_len, block=block)
-    return PampParams(nmx=nmx_params, mac_bits=mac_bits,
-                      msg_symbols=msg_symbols, final=final)
+    # the final scheme's seed W is two field elements
+    block = PampParams.msg_symbols * PampParams.mac_bits // 2
+    final = poly_scheme(nmx_params.n, 32, block=block)
+    return PampParams(nmx=nmx_params, final=final)
 
 
 def mac_tag(key: BitString, msg: BitString, s: int) -> BitString:

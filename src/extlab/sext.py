@@ -43,6 +43,8 @@ class ExtScheme:
     family: str
     block: int
     claimed_k: int
+    # seed width: two field elements (poly), or m_out (affine) (derived)
+    d_seed: int = field(init=False, repr=False, compare=False)
     # ``ext`` runs the scheme on numpy lanes (``_affine_wide16``): the
     # wide-output affine path of block 16 (derived)
     on_lanes: bool = field(init=False, repr=False, compare=False)
@@ -62,13 +64,10 @@ class ExtScheme:
                              "min(m_out & -m_out, 16)")
         if not 0 <= self.claimed_k <= self.n_in:
             raise ValueError("claimed_k out of range")
+        object.__setattr__(self, "d_seed", 2 * self.block
+                           if self.family == "poly" else self.m_out)
         object.__setattr__(self, "on_lanes", self.family == "affine"
                            and self.block == 16 and self.m_out >= 128)
-
-    @property
-    def d_seed(self) -> int:
-        """Seed width: two field elements (poly), or m_out (affine)."""
-        return 2 * self.block if self.family == "poly" else self.m_out
 
     @property
     def claimed_eps(self) -> float:

@@ -45,31 +45,76 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_definitions(modules: dict[str, str], readers: list[str]
+def _module_of(name: str | None, modules: dict[str, str]) -> str | None:
+    """The defining module a dotted import path names: one of ``modules``,
+    ``"*"`` for the package (its re-exports), or None for anything else."""
+    last = (name or "").split(".")[-1]
+    return last if last in modules else "*" if last == "extlab" else None
+
+
+def unread_definitions(modules: dict[str, str], readers: dict[str, str]
                        ) -> list[str]:
     """Public top-level defs and classes of ``modules`` (name -> source)
-    that no reader source reads as a name or an attribute."""
+    that no reader (name -> source) reads.  A reader reads ``mod.f`` as
+    the bare name ``f`` inside ``mod`` itself, as a name ``f`` that it
+    imports from ``mod`` or from the package, or as the attribute ``f``
+    of a name it binds to ``mod`` or to the package by an import.  The
+    scan matches names, not bindings: a local that shadows such an
+    imported ``f`` or module name still counts as a read."""
     read = set()
-    for source in readers:
-        for n in ast.walk(ast.parse(source)):
+    for rname, source in readers.items():
+        tree = ast.parse(source)
+        names = {}   # local name -> (defining module, name there)
+        mods = {}    # local name -> module it binds
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom):
+                src = _module_of(n.module, modules)
+                for a in n.names:
+                    local = a.asname or a.name
+                    sub = _module_of(a.name, modules)
+                    if sub is not None and (n.module is None or src == "*"):
+                        mods[local] = sub
+                    elif src is not None:
+                        names[local] = (src, a.name)
+            elif isinstance(n, ast.Import):
+                for a in n.names:
+                    if _module_of(a.name, modules) is not None:
+                        local = a.asname or a.name.split(".")[0]
+                        mods[local] = _module_of(
+                            a.name if a.asname else local, modules)
+        for n in ast.walk(tree):
             if isinstance(n, ast.Name):
-                read.add(n.id)
+                read.add((rname, n.id))
+                if n.id in names:
+                    read.add(names[n.id])
             elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
+                base = n.value
+                key = (base.id if isinstance(base, ast.Name) else
+                       base.attr if isinstance(base, ast.Attribute) else None)
+                if isinstance(base, ast.Attribute):
+                    mod = _module_of(key, modules)
+                else:
+                    mod = mods.get(key)
+                if mod is not None:
+                    read.add((mod, n.attr))
     return [f"{mod}.{node.name}" for mod, source in modules.items()
             for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")
-            and node.name not in read]
+            and (mod, node.name) not in read and ("*", node.name) not in read]
 
 
 def test_scan_flags_an_unread_definition():
-    mod = "def used(): pass\ndef unused(): pass\nclass _Hidden: pass\n"
-    assert unread_definitions({"m": mod}, [mod, "m.used()\n"]) == \
+    mod = ("def used(): pass\ndef unused(): pass\ndef shadowed(): pass\n"
+           "def own(): pass\nclass _Hidden: pass\nown()\n")
+    reader = ("from extlab import m\nfrom extlab.m import shadowed as s\n"
+              "m.used()\ns = 1\nx.unused()\n")
+    assert unread_definitions({"m": mod}, {"m": mod, "r": reader}) == \
         ["m.unused"]
 
 
 def test_every_public_definition_has_a_reader():
     assert unread_definitions(
         {p.stem: p.read_text() for p in MODULES},
-        [p.read_text() for p in READERS]) == []
+        {p.stem if p in MODULES else f"{p.parent.name}/{p.stem}":
+         p.read_text() for p in READERS}) == []
