@@ -15,7 +15,7 @@ the widths of one merger level and of the chain it runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bits import BitString, slice_bits
 from .sext import ExtScheme, affine_scheme, ext
@@ -23,15 +23,13 @@ from .sext import ExtScheme, affine_scheme, ext
 
 @dataclass(frozen=True)
 class LevelPlan:
-    """Widths for one merger level, which runs one alternating chain."""
+    """Widths for one merger level and the chain each of its blocks runs."""
 
     ell: int       # fan-in at this level
     m_in: int      # row width entering the level
     w: int         # chain token width (the d1 of the construction)
     m_out: int     # merged row width leaving the level
     d_slice: int   # prefix of the seed source visible to this level
-    # every extraction of the level runs on numpy lanes (derived)
-    on_lanes: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.w < 1:
@@ -43,9 +41,6 @@ class LevelPlan:
         if self.m_out > self.w:
             # the final seed is a slice of an intermediate token
             raise ValueError("m_out exceeds chain width")
-        object.__setattr__(self, "on_lanes", all(
-            e.on_lanes for e in (self.scheme_seed_src(), self.scheme_row(),
-                                 self.scheme_final())))
 
     def scheme_seed_src(self) -> ExtScheme:
         return affine_scheme(self.d_slice, self.w)

@@ -284,7 +284,10 @@ def cmd_verify(args) -> int:
 def _load_adversary(path: str) -> pamp.Adversary:
     """The adversary of a JSON file ``{"name": ..., "round1": [mask],
     "round2": [w_mask, tag_mask]}``; masks are strings int(., 0) parses."""
-    spec = json.loads(Path(path).read_text())
+    try:
+        spec = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"adversary: not JSON: {e}") from None
     if not isinstance(spec, dict):
         raise ValueError("adversary: expected a JSON object")
     name = spec.get("name", "custom")
@@ -297,7 +300,11 @@ def _load_adversary(path: str) -> pamp.Adversary:
                 or not all(isinstance(m, str) for m in got)):
             raise ValueError(f"adversary: {key} must be a list of "
                              f"{count} mask string(s), got {got!r}")
-        masks[key] = [int(m, 0) for m in got]
+        try:
+            masks[key] = [int(m, 0) for m in got]
+        except ValueError:
+            raise ValueError(f"adversary: {key} masks must be integer "
+                             f"literals, got {got!r}") from None
     return pamp.table_adversary(name, masks["round1"], masks["round2"])
 
 

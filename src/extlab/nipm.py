@@ -2,9 +2,9 @@
 
 ``lt_nipm`` merges up to ell rows against t tampered row/seed pairs in
 one look-ahead chain.  ``recursive_nipm`` merges L rows with geometrically
-growing seed slices, running each level's chains in lockstep on plain
-ints (``recursive_nipm_val``); ``lt_nipm`` is the ``BitString`` reference
-that the lockstep levels are tested against.
+growing seed slices, running each level's chains one block at a time
+on plain ints (``recursive_nipm_val``); ``lt_nipm`` is the ``BitString``
+reference that the level body is tested against.
 
 Planners emit the nominal parameter schedule (output lengths and errors
 as stated for the abstract construction, with all logs ceiled) next to
@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .altx import LevelPlan, look_ahead
 from .bits import BitString, RowMatrix, slice_bits
-from .sext import affine_int, affine_lanes, avg_case_bound, fold
+from .sext import affine_int, avg_case_bound, fold
 
 DEFAULT_C = 4  # planner constant for the c * ell * log(m/eps) overhead
 
@@ -35,6 +35,9 @@ class ParamError(ValueError):
 
 
 def _clog2(x: float) -> int:
+    """ceil(log2 x), at least 1, of a ratio x over eps (inf: eps too small)."""
+    if x == math.inf:
+        raise ParamError("eps", "too small: a log term overflows")
     return max(1, math.ceil(math.log2(x)))
 
 
@@ -154,8 +157,8 @@ def lt_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
 
 def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
                    ) -> BitString:
-    """Merge an L-row matrix level by level; every level runs its blocks'
-    look-ahead chains in lockstep (``_lockstep_level``)."""
+    """Merge an L-row matrix level by level; every level runs one
+    look-ahead chain per block of rows (``_lockstep_level``)."""
     return BitString(*recursive_nipm_val([r.val for r in mat.rows], mat.m,
                                          y.val, y.n, params))
 
@@ -178,47 +181,25 @@ def recursive_nipm_val(rows: Sequence[int], m: int, y: int, y_n: int,
     return m, rows[0]
 
 
-def _scalar_lanes(lanes: Sequence[tuple[int, int, int]]) -> list[int]:
-    return [affine_int(m, z, s) for m, z, s in lanes]
-
-
 def _lockstep_level(rows: Sequence[int], w_src: int, lp: LevelPlan
                     ) -> list[int]:
-    """One level's look-ahead chains over lp.m_in-bit rows, keyed by the
-    lp.d_slice-bit seed slice w_src, one chain per block of lp.ell rows,
-    run side by side: each chain step is one step kernel call with a
-    lane (m, z, s) per running block, ``affine_lanes`` (numpy) if
-    lp.on_lanes else ``affine_int`` per lane.  Same outputs as lt_nipm
-    block by block; a leftover one-row block is carried through, trimmed
-    to m_out."""
-    step = affine_lanes if lp.on_lanes else _scalar_lanes
+    """One level over lp.m_in-bit rows, keyed by the lp.d_slice-bit seed
+    slice w_src: one look-ahead chain per block of lp.ell rows, run on
+    ints with ``affine_int``.  Same outputs as lt_nipm block by block; a
+    leftover one-row block is carried through, trimmed to m_out."""
     w, m_in, m_out = lp.w, lp.m_in, lp.m_out
     z_src = fold(w_src, lp.d_slice, 2 * w)
-    out: list = []
-    live = []  # [chain index, next row, last row, token] per running chain
-    for i, lo in enumerate(range(0, len(rows), lp.ell)):
-        hi = min(lo + lp.ell, len(rows)) - 1
-        if hi == lo:
-            out.append(rows[lo] >> (m_in - m_out))
-        else:
-            out.append(None)
-            live.append([i, lo + 1, hi, rows[lo] >> (m_in - w)])
-    while live:
-        r = step([(w, z_src, c[3]) for c in live])
-        lanes = []
-        for c, ri in zip(live, r):
-            # S_{j+1} from row j, or the final extraction from the last row
-            m = m_out if c[1] == c[2] else w
-            lanes.append((m, fold(rows[c[1]], m_in, 2 * m), ri >> (w - m)))
-        running = []
-        for c, v in zip(live, step(lanes)):
-            if c[1] == c[2]:
-                out[c[0]] = v
-            else:
-                c[1] += 1
-                c[3] = v
-                running.append(c)
-        live = running
+    out = []
+    for lo in range(0, len(rows), lp.ell):
+        block = rows[lo:lo + lp.ell]
+        if len(block) == 1:
+            out.append(block[0] >> (m_in - m_out))
+            continue
+        s = block[0] >> (m_in - w)
+        for row in block[1:-1]:
+            s = affine_int(w, fold(row, m_in, 2 * w), affine_int(w, z_src, s))
+        r = affine_int(w, z_src, s) >> (w - m_out)
+        out.append(affine_int(m_out, fold(block[-1], m_in, 2 * m_out), r))
     return out
 
 

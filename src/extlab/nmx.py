@@ -26,7 +26,8 @@ from .bits import BitString
 from .cbreak import AdvGenParams, FlipFlopParams, adv_gen_val, \
     flip_flop_vals, plan_adv_gen
 from .ipm import IpmParams, merge_rows_val
-from .nipm import LevelPlan, NipmParams, ParamError, hand_plan, plan_nipm
+from .nipm import LevelPlan, NipmParams, ParamError, _clog2, hand_plan, \
+    plan_nipm
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
 C_ADV = 2           # advice length multiplier
@@ -91,14 +92,14 @@ def _nominal_plan(n: int, k: int, d: int, eps: float,
         raise ParamError("rescale", rescale)
     if eps1 <= 0:
         raise ParamError("eps", f"rescaled error of eps={eps} is not > 0")
-    L_nom = C_ADV * max(1, math.ceil(math.log2(n / eps1)))
+    log_n = _clog2(n / eps1)
+    L_nom = C_ADV * log_n
     ell_nom = 1 << math.ceil(math.sqrt(math.log2(max(L_nom, 2))))
     r_nom = math.ceil(math.log(L_nom) / math.log(ell_nom))
-    log_n = max(1, math.ceil(math.log2(n / eps1)))
     d1_nom = (C_ADV + C_ADV + 1) * log_n
-    d_z_nom = C_RESCALE * max(1, math.ceil(math.log2(max(d, 2) / eps1)))
+    d_z_nom = C_RESCALE * _clog2(max(d, 2) / eps1)
     mprime_nom = max(1, (9 * k) // 10)
-    m_v_nom = C_RESCALE * max(1, math.ceil(math.log2(mprime_nom / eps1)))
+    m_v_nom = C_RESCALE * _clog2(mprime_nom / eps1)
     eps_out = C_RESCALE * eps1 * log_n
     return NominalPlan(eps1=eps1, L=L_nom, ell=ell_nom, r=r_nom,
                        d1=d1_nom, d_z=d_z_nom, m_v=m_v_nom,

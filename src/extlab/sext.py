@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from . import gf2
 from .bits import BitString, int_blocks
@@ -45,9 +44,6 @@ class ExtScheme:
     claimed_k: int
     # seed width: two field elements (poly), or m_out (affine) (derived)
     d_seed: int = field(init=False, repr=False, compare=False)
-    # ``ext`` runs the scheme on numpy lanes (``_affine_wide16``): the
-    # wide-output affine path of block 16 (derived)
-    on_lanes: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -66,8 +62,6 @@ class ExtScheme:
             raise ValueError("claimed_k out of range")
         object.__setattr__(self, "d_seed", 2 * self.block
                            if self.family == "poly" else self.m_out)
-        object.__setattr__(self, "on_lanes", self.family == "affine"
-                           and self.block == 16 and self.m_out >= 128)
 
     @property
     def claimed_eps(self) -> float:
@@ -109,10 +103,7 @@ def ext_val(scheme: ExtScheme, x: int, s: int) -> int:
         b = scheme.block
         acc = gf2.poly_eval(int_blocks(x, scheme.n_in, b), s >> b, b)
         return gf2.mul(acc, s & ((1 << b) - 1), b) >> (b - m)
-    z = fold(x, scheme.n_in, 2 * m)
-    if scheme.on_lanes:
-        return _affine_wide16(z >> m, s, m) ^ (z & ((1 << m) - 1))
-    return affine_int(m, z, s)
+    return affine_int(m, fold(x, scheme.n_in, 2 * m), s)
 
 
 def fold(x: int, n: int, width: int) -> int:
@@ -135,7 +126,8 @@ def affine_int(m: int, z: int, s: int) -> int:
     v are z's halves and b is ``affine_scheme``'s block.  Up to 8 bits
     the products are one lookup in ``_product_table(m)``; wider outputs
     look each block up in the block's own table, or, at block 16, in the
-    log/exp tables."""
+    log/exp tables, which numpy (``_affine_wide16``) reads for all blocks
+    at once from 512 bits on, where one array call beats the loop."""
     u, v = z >> m, z & ((1 << m) - 1)
     if m <= 8:
         return _product_table(m)[(u << m) | s] ^ v
@@ -147,9 +139,13 @@ def affine_int(m: int, z: int, s: int) -> int:
         for sh in range(m - b, -1, -b):
             out = (out << b) | table[(((u >> sh) & mask) << b)
                                      | ((s >> sh) & mask)]
+    elif m >= 512:
+        return _affine_wide16(u, s, m) ^ v
     else:
-        for sh in range(m - b, -1, -b):
-            out = (out << b) | gf2.mul((u >> sh) & mask, (s >> sh) & mask, b)
+        log, exp = gf2._tables(16)
+        for sh in range(m - 16, -1, -16):
+            a, c = (u >> sh) & mask, (s >> sh) & mask
+            out = (out << 16) | (exp[log[a] + log[c]] if a and c else 0)
     return out ^ v
 
 
@@ -187,27 +183,10 @@ def _product_table(m: int) -> bytes:
     return b"".join(rows)
 
 
-def affine_lanes(lanes: Sequence[tuple[int, int, int]]) -> list[int]:
-    """Several block-16 affine extractions in one ``_affine_wide16`` call.
-    Lane (m, z, s) holds the source folded to 2m bits and the m-bit seed;
-    its output is ``affine_int(m, z, s)``, u*s + v blockwise."""
-    u = s = v = total = 0
-    for m, z, seed in lanes:
-        u = (u << m) | (z >> m)
-        v = (v << m) | (z & ((1 << m) - 1))
-        s = (s << m) | seed
-        total += m
-    out = _affine_wide16(u, s, total) ^ v
-    res = []
-    for m, _, _ in reversed(lanes):
-        res.append(out & ((1 << m) - 1))
-        out >>= m
-    return res[::-1]
-
-
 def _affine_wide16(u: int, s: int, m: int) -> int:
-    """Blockwise GF(2^16) products of u and s via table lookups on numpy
-    lanes; the wide-output fast path of the affine family."""
+    """Blockwise GF(2^16) products of the m-bit ints u and s via table
+    lookups on numpy arrays; the wide-output fast path of the affine
+    family."""
     import numpy as np
 
     log, exp = gf2.np_tables(16)

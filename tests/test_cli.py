@@ -102,8 +102,10 @@ def test_zero_trials_is_a_usage_error(cmd, capsys):
     '{"round1": [1], "round2": ["0x2", "0x0"]}',
     '{"name": null, "round1": ["0x1"], "round2": ["0x2", "0x0"]}',
     '{"name": 7, "round1": ["0x1"], "round2": ["0x2", "0x0"]}',
+    '{"round1": ["zz"], "round2": ["0x2", "0x0"]}',
+    '{round1: ["0x1"]}',
 ], ids=["round1_empty", "round2_one_mask", "mask_not_a_string",
-        "name_null", "name_not_a_string"])
+        "name_null", "name_not_a_string", "mask_not_a_number", "not_json"])
 def test_bad_adversary_json_is_a_usage_error(spec, tmp_path, capsys):
     path = tmp_path / "adv.json"
     path.write_text(spec)
@@ -138,11 +140,13 @@ ONE_ROW = ["params", "plan-nipm", "--L", "1", "--m", "64", "--d", "64",
     (PLAN_NMEXT + ["--n", "1024", "--eps", "1"], "--eps"),
     (PLAN_NMEXT + ["--n", "1024", "--eps", "nan"], "--eps"),
     (PLAN_NMEXT + ["--n", "1024", "--eps", "5e-324"], "eps"),
+    (PLAN_NIPM + ["--eps", "1e-306"], "eps"),
     (PLAN_NMEXT + ["--n", "0", "--eps", "0.01"], "--n"),
     (["params", "plan-nmext", "--n", "1024", "--k", "2000", "--d", "512",
       "--m", "32", "--eps", "0.01"], "k"),
     (PLAN_NMEXT + ["--n", "1024", "--eps", "0.01", "--m", "0"], "--m"),
     (["nmext", "eval", "--eps", "0"], "--eps"),
+    (["nmext", "eval", "--eps", "1e-310"], "eps"),
     (["nmext", "eval", "--k", "-1"], "--k"),
     (["nmext", "eval", "--x-hex", "zz"], "x-hex"),
     (["nmext", "eval", "--x-hex", "1" + "0" * 256], "x-hex"),
@@ -154,8 +158,9 @@ ONE_ROW = ["params", "plan-nipm", "--L", "1", "--m", "64", "--d", "64",
     (["multisource", "run", "--r", "-1"], "--r"),
 ], ids=["nipm_eps_0", "nipm_eps_neg", "nipm_t_0", "nipm_ell_0",
         "nipm_ell_neg", "nipm_ell_1", "nmext_eps_0",
-        "nmext_eps_1", "nmext_eps_nan", "nmext_eps_underflow", "nmext_n_0",
-        "nmext_k_above_n", "nmext_m_0", "eval_eps_0", "eval_k_neg",
+        "nmext_eps_1", "nmext_eps_nan", "nmext_eps_underflow",
+        "nipm_eps_overflow", "nmext_n_0", "nmext_k_above_n", "nmext_m_0",
+        "eval_eps_0", "eval_eps_overflow", "eval_k_neg",
         "eval_x_not_hex", "eval_x_too_wide", "eval_y_negative",
         "eval_y_too_wide", "eval_x_empty", "eval_y_empty",
         "ms_bad_neg", "ms_r_neg"])

@@ -144,9 +144,9 @@ def _per_block(rows, y, lv):
             for b in (rows[i:i + lv.ell] for i in range(0, len(rows), lv.ell))]
 
 
-# levels that run the scalar kernel: micro nm_ext (blocks 2 and 1), the
-# multi-source merger (w = 4 and 2) and desk levels 1-2 (block 16, below
-# 128 bits); crit 3's single level is added per L, with ell = L
+# narrow levels: micro nm_ext (blocks 2 and 1), the multi-source merger
+# (w = 4 and 2) and desk levels 1-2 (block 16, below 128 bits); crit 3's
+# single level is added per L, with ell = L
 NARROW = (nmx.micro_params().nipm.levels
           + msrc.default_params(11).ipm.nipm.levels
           + nmx.desk_params().nipm.levels[1:])
@@ -157,13 +157,11 @@ NARROW = (nmx.micro_params().nipm.levels
     ["distinct", "equal", "two"]), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=12, deadline=None)
 def test_lockstep_level_matches_lt_nipm_per_block(L, t, kind, seed):
-    # every level runs its blocks in lockstep: a wide first level (w =
-    # m_out = 128, block 16) on numpy lanes, the narrow levels lane by
-    # lane; L mod ell covers full, ragged and carried-through blocks
+    # every level runs one chain per block: a wide first level (w =
+    # m_out = 128, block 16) and the narrow levels; L mod ell covers
+    # full, ragged and carried-through blocks
     p = plan_nipm(L, t, 256, 512, 1e-4, ell=4)
     crit3 = LevelPlan(ell=L, m_in=6, w=2, m_out=2, d_slice=6)
-    assert p.levels[0].on_lanes
-    assert not any(lv.on_lanes for lv in NARROW + (crit3,))
     rng = random.Random(seed)
     y = BitString(512, rng.getrandbits(512))
     for lv in (p.levels[0], crit3) + NARROW:
