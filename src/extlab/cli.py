@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cbreak, msrc, nipm, nmx, pamp, prob, sext, verify
-from .bits import BitString
+from .bits import MAX_LEN, BitString
 from .nipm import ParamError
 
 OK, FAIL, USAGE = 0, 1, 2
@@ -392,6 +392,17 @@ def positive_int(text: str) -> int:
     return n
 
 
+def size(text: str) -> int:
+    """A width in bits, or a count of rows, tampers or merger fan-in: a
+    positive int at most ``bits.MAX_LEN`` (2^24), so every planner gets
+    values its float arithmetic can hold."""
+    n = positive_int(text)
+    if n > MAX_LEN:
+        raise argparse.ArgumentTypeError(
+            f"must be at most 2^24 = {MAX_LEN}, got {n}")
+    return n
+
+
 def seed64(text: str) -> int:
     """A seed in 0..2^64 - 1, recorded as given and used unmasked."""
     n = int(text)
@@ -429,30 +440,30 @@ def build_parser() -> argparse.ArgumentParser:
     params = sub.add_parser("params").add_subparsers(dest="sub",
                                                      required=True)
     pn = params.add_parser("plan-nipm", parents=[common])
-    pn.add_argument("--L", type=positive_int, required=True)
-    pn.add_argument("--t", type=positive_int, default=1)
-    pn.add_argument("--m", type=positive_int, required=True)
-    pn.add_argument("--d", type=positive_int, required=True)
+    pn.add_argument("--L", type=size, required=True)
+    pn.add_argument("--t", type=size, default=1)
+    pn.add_argument("--m", type=size, required=True)
+    pn.add_argument("--d", type=size, required=True)
     pn.add_argument("--eps", type=error_rate, required=True)
-    pn.add_argument("--ell", type=positive_int, default=None)
+    pn.add_argument("--ell", type=size, default=None)
     pn.set_defaults(fn=cmd_plan_nipm)
     pe = params.add_parser("plan-nmext", parents=[common])
-    pe.add_argument("--n", type=positive_int, required=True)
-    pe.add_argument("--k", type=positive_int, required=True)
-    pe.add_argument("--d", type=positive_int, required=True)
-    pe.add_argument("--m", type=positive_int, required=True)
+    pe.add_argument("--n", type=size, required=True)
+    pe.add_argument("--k", type=size, required=True)
+    pe.add_argument("--d", type=size, required=True)
+    pe.add_argument("--m", type=size, required=True)
     pe.add_argument("--eps", type=error_rate, required=True)
-    pe.add_argument("--t", type=positive_int, default=1)
+    pe.add_argument("--t", type=size, default=1)
     pe.add_argument("--rescale", default="linear",
                     choices=["linear", "log"])
     pe.set_defaults(fn=cmd_plan_nmext)
 
     ne = sub.add_parser("nmext").add_subparsers(dest="sub", required=True)
     ev = ne.add_parser("eval", parents=[common])
-    ev.add_argument("--n", type=positive_int, default=1024)
-    ev.add_argument("--k", type=positive_int, default=768)
-    ev.add_argument("--d", type=positive_int, default=512)
-    ev.add_argument("--m", type=positive_int, default=32)
+    ev.add_argument("--n", type=size, default=1024)
+    ev.add_argument("--k", type=size, default=768)
+    ev.add_argument("--d", type=size, default=512)
+    ev.add_argument("--m", type=size, default=32)
     ev.add_argument("--eps", type=error_rate, default=2 ** -8)
     ev.add_argument("--x-hex")
     ev.add_argument("--y-hex")

@@ -155,24 +155,35 @@ def pow_(a: int, e: int, b_bits: int) -> int:
 
 @lru_cache(maxsize=None)
 def np_tables(b_bits: int):
-    """(log, exp) as numpy arrays; exp is doubled so log[a] + log[b]
-    indexes it directly.  log[0] is a dummy, callers must mask zeros."""
+    """Zero-sentinel (log, exp) tables as numpy arrays, for b_bits <= 16:
+    ``exp[log[a] + log[c]] == a * c`` for every a and c, zero included,
+    so array callers need no masks.  log[0] is the sentinel 2 * order
+    (order = 2^b_bits - 1); exp is uint16, the exp table doubled and
+    then zero-padded to 4 * order + 1 entries, so any sum with a
+    sentinel lands in the zeros.  log is intp, the index type, so a sum
+    of logs indexes exp without a cast."""
     import numpy as np
 
+    order = (1 << b_bits) - 1
     log, exp = _tables(b_bits)
-    return (np.asarray(log, dtype=np.int64),
-            np.asarray(exp, dtype=np.int64))
+    log_np = np.asarray(log, dtype=np.intp)
+    log_np[0] = 2 * order
+    exp_np = np.zeros(4 * order + 1, dtype=np.uint16)
+    exp_np[:2 * order] = exp
+    for table in (log_np, exp_np):
+        table.setflags(write=False)  # cached and shared by every call
+    return log_np, exp_np
 
 
 @lru_cache(maxsize=None)
 def np_mul_table(b_bits: int):
-    """The full (2^b_bits, 2^b_bits) product table as a numpy array, for
-    the small fields whose every product is looked up at once."""
+    """The full (2^b_bits, 2^b_bits) product table as an int64 numpy
+    array, for the small fields whose every product is looked up at
+    once."""
     import numpy as np
 
     log, exp = np_tables(b_bits)
-    table = exp[log[:, None] + log[None, :]]
-    table[0, :] = table[:, 0] = 0
+    table = exp[log[:, None] + log[None, :]].astype(np.int64)
     table.setflags(write=False)  # cached and shared by every call
     return table
 

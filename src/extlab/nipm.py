@@ -2,9 +2,10 @@
 
 ``lt_nipm`` merges up to ell rows against t tampered row/seed pairs in
 one look-ahead chain.  ``recursive_nipm`` merges L rows with geometrically
-growing seed slices, running each level's chains one block at a time
-on plain ints (``recursive_nipm_val``); ``lt_nipm`` is the ``BitString``
-reference that the level body is tested against.
+growing seed slices, running each level's chains on plain ints
+(``recursive_nipm_val``), one block at a time or, on wide block-16
+levels, all full blocks in lockstep on numpy arrays; ``lt_nipm`` is the
+``BitString`` reference that the level body is tested against.
 
 Planners emit the nominal parameter schedule (output lengths and errors
 as stated for the abstract construction, with all logs ceiled) next to
@@ -19,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import gf2
 from .altx import LevelPlan, look_ahead
 from .bits import BitString, RowMatrix, slice_bits
-from .sext import affine_int, avg_case_bound, fold
+from .sext import affine16, affine_int, avg_case_bound, fold
 
 DEFAULT_C = 4  # planner constant for the c * ell * log(m/eps) overhead
 
@@ -184,13 +186,20 @@ def recursive_nipm_val(rows: Sequence[int], m: int, y: int, y_n: int,
 def _lockstep_level(rows: Sequence[int], w_src: int, lp: LevelPlan
                     ) -> list[int]:
     """One level over lp.m_in-bit rows, keyed by the lp.d_slice-bit seed
-    slice w_src: one look-ahead chain per block of lp.ell rows, run on
-    ints with ``affine_int``.  Same outputs as lt_nipm block by block; a
-    leftover one-row block is carried through, trimmed to m_out."""
+    slice w_src: one look-ahead chain per block of lp.ell rows.  Same
+    outputs as lt_nipm block by block; a leftover one-row block is
+    carried through, trimmed to m_out.
+
+    The kernel is chosen once, from the level's shape: a block-16 level
+    (w and m_out divisible by 16) hands its full blocks to ``_chains16``,
+    which runs them in lockstep if they are wide enough; every other
+    block runs as an int chain of ``affine_int`` calls."""
     w, m_in, m_out = lp.w, lp.m_in, lp.m_out
     z_src = fold(w_src, lp.d_slice, 2 * w)
-    out = []
-    for lo in range(0, len(rows), lp.ell):
+    out, start = [], 0
+    if not w % 16 and not m_out % 16:
+        out, start = _chains16(rows, z_src, lp)
+    for lo in range(start, len(rows), lp.ell):
         block = rows[lo:lo + lp.ell]
         if len(block) == 1:
             out.append(block[0] >> (m_in - m_out))
@@ -201,6 +210,61 @@ def _lockstep_level(rows: Sequence[int], w_src: int, lp: LevelPlan
         r = affine_int(w, z_src, s) >> (w - m_out)
         out.append(affine_int(m_out, fold(block[-1], m_in, 2 * m_out), r))
     return out
+
+
+# Lockstep pays numpy's per-call cost once per step for all chains, plus
+# a set-up cost per level: it wins once a step spans this many token bits
+# over all chains, and the level's steps this many (measured per level
+# call at 16 to 512 bits: see CHANGES.md)
+_STEP_BITS, _LEVEL_BITS = 256, 768
+
+
+def _chains16(rows: Sequence[int], z_src: int, lp: LevelPlan
+              ) -> tuple[list[int], int]:
+    """The int chains of ``_lockstep_level`` for the full blocks of lp.ell
+    rows of a level whose w and m_out are divisible by 16, all at once
+    on (chains, symbols) arrays of GF(2^16) symbols through
+    ``affine16``.  Returns their outputs and the number of rows they
+    used, or ([], 0) when the blocks make fewer than two chains, or fewer
+    than ``_STEP_BITS`` token bits per step or ``_LEVEL_BITS`` over all
+    steps between them.
+
+    Every row becomes one 2w-bit word, u (high) and v (low) halves: the
+    first row of a block holds its w-bit prefix as u, a middle row its
+    fold to 2w bits, and the last row its fold to 2 * m_out bits with
+    each half left-aligned in its w-bit half; z_src's word comes first.
+    One gather takes the logs of every u at once."""
+    w, m_in, m_out, ell = lp.w, lp.m_in, lp.m_out, lp.ell
+    chains = len(rows) // ell
+    if (chains < 2 or chains * w < _STEP_BITS
+            or chains * w * (ell - 1) < _LEVEL_BITS):
+        return [], 0
+    import numpy as np
+
+    rows = rows[:chains * ell]
+    nw, nm = w // 16, m_out // 16
+    mask = (1 << m_out) - 1
+    words = [z_src]
+    for lo in range(0, len(rows), ell):
+        words.append((rows[lo] >> (m_in - w)) << w)
+        words += [fold(r, m_in, 2 * w) for r in rows[lo + 1:lo + ell - 1]]
+        f = fold(rows[lo + ell - 1], m_in, 2 * m_out)
+        words.append(((f >> m_out) << (2 * w - m_out))
+                     | ((f & mask) << (w - m_out)))
+    a = np.frombuffer(b"".join(x.to_bytes(w // 4, "big") for x in words),
+                      dtype=">u2").astype(np.uint16).reshape(-1, 2 * nw)
+    log_u = gf2.np_tables(16)[0].take(a[:, :nw])
+    log_z, v_z = log_u[0], a[0, nw:]
+    a = a[1:].reshape(-1, ell, 2 * nw)
+    log_u = log_u[1:].reshape(-1, ell, nw)
+    s = a[:, 0, :nw]
+    for j in range(1, ell - 1):
+        s = affine16(log_u[:, j], affine16(log_z, s, v_z), a[:, j, nw:])
+    r = affine16(log_z, s, v_z)[:, :nm]
+    out = affine16(log_u[:, -1, :nm], r, a[:, -1, nw:nw + nm])
+    out = out.astype(">u2").tobytes()
+    return [int.from_bytes(out[i:i + 2 * nm], "big")
+            for i in range(0, len(out), 2 * nm)], len(rows)
 
 
 def assembled_bound(params: NipmParams, k_row: float, k_seed: float,

@@ -126,8 +126,9 @@ def affine_int(m: int, z: int, s: int) -> int:
     v are z's halves and b is ``affine_scheme``'s block.  Up to 8 bits
     the products are one lookup in ``_product_table(m)``; wider outputs
     look each block up in the block's own table, or, at block 16, in the
-    log/exp tables, which numpy (``_affine_wide16``) reads for all blocks
-    at once from 512 bits on, where one array call beats the loop."""
+    log/exp tables: a loop below 256 bits (the scalar reference), and
+    from 256 bits on ``affine16`` on a batch of one, where one array
+    call beats the loop."""
     u, v = z >> m, z & ((1 << m) - 1)
     if m <= 8:
         return _product_table(m)[(u << m) | s] ^ v
@@ -139,8 +140,8 @@ def affine_int(m: int, z: int, s: int) -> int:
         for sh in range(m - b, -1, -b):
             out = (out << b) | table[(((u >> sh) & mask) << b)
                                      | ((s >> sh) & mask)]
-    elif m >= 512:
-        return _affine_wide16(u, s, m) ^ v
+    elif m >= 256:
+        return _affine_wide16(m, z, s)
     else:
         log, exp = gf2._tables(16)
         for sh in range(m - 16, -1, -16):
@@ -183,19 +184,29 @@ def _product_table(m: int) -> bytes:
     return b"".join(rows)
 
 
-def _affine_wide16(u: int, s: int, m: int) -> int:
-    """Blockwise GF(2^16) products of the m-bit ints u and s via table
-    lookups on numpy arrays; the wide-output fast path of the affine
-    family."""
+def _affine_wide16(m: int, z: int, s: int) -> int:
+    """``affine_int`` at block 16 through ``affine16``, as a batch of one:
+    z (halves u and v) and s read as one big-endian uint16 array."""
     import numpy as np
 
-    log, exp = gf2.np_tables(16)
     nb = m // 16
-    ub = np.frombuffer(u.to_bytes(2 * nb, "big"), dtype=">u2").astype(np.int64)
-    sb = np.frombuffer(s.to_bytes(2 * nb, "big"), dtype=">u2").astype(np.int64)
-    prod = exp[log[ub] + log[sb]]
-    prod[(ub == 0) | (sb == 0)] = 0
-    return int.from_bytes(prod.astype(">u2").tobytes(), "big")
+    a = np.frombuffer(z.to_bytes(4 * nb, "big") + s.to_bytes(2 * nb, "big"),
+                      dtype=">u2")
+    out = affine16(gf2.np_tables(16)[0].take(a[:nb]), a[2 * nb:],
+                   a[nb:2 * nb])
+    return int.from_bytes(out.astype(">u2").tobytes(), "big")
+
+
+def affine16(log_u, s, v):
+    """The block-16 affine law u * s + v on numpy arrays of GF(2^16)
+    symbols, one gather, add, gather and XOR: log_u holds the
+    ``gf2.np_tables(16)`` logs of u, and s and v hold symbols; the three
+    broadcast, e.g. over (chains, symbols).  The zero-sentinel tables
+    make the law hold at zero symbols with no mask.  The result is
+    native-order uint16, so take ``astype(">u2")`` before
+    ``tobytes()``."""
+    log, exp = gf2.np_tables(16)
+    return exp.take(log_u + log.take(s)) ^ v
 
 
 def lhl_bound(scheme: ExtScheme, k: int) -> Fraction:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from extlab.bits import MAX_LEN
 from extlab.cli import _bar_value, main
 
 RUN = [sys.executable, "-m", "extlab.cli"]
@@ -156,6 +157,16 @@ ONE_ROW = ["params", "plan-nipm", "--L", "1", "--m", "64", "--d", "64",
     (["nmext", "eval", "--y-hex", ""], "y-hex: not a hex number: "),
     (["multisource", "run", "--bad", "-1"], "--bad"),
     (["multisource", "run", "--r", "-1"], "--r"),
+    (["params", "plan-nipm", "--L", "20", "--m", "1" + "0" * 320, "--d",
+      "512", "--eps", "0.01"], "--m"),
+    (["params", "plan-nmext", "--n", "1" + "0" * 320, "--k", "768", "--d",
+      "512", "--m", "32", "--eps", "0.01"], "--n"),
+    (PLAN_NIPM + ["--eps", "0.01", "--L", str(MAX_LEN + 1)], "--L"),
+    (PLAN_NIPM + ["--eps", "0.01", "--t", str(MAX_LEN + 1)], "--t"),
+    (ONE_ROW + ["--ell", "1" + "0" * 320], "--ell"),
+    (PLAN_NMEXT + ["--n", "1024", "--eps", "0.01", "--d",
+                   str(MAX_LEN + 1)], "--d"),
+    (["nmext", "eval", "--k", "1" + "0" * 320], "--k"),
 ], ids=["nipm_eps_0", "nipm_eps_neg", "nipm_t_0", "nipm_ell_0",
         "nipm_ell_neg", "nipm_ell_1", "nmext_eps_0",
         "nmext_eps_1", "nmext_eps_nan", "nmext_eps_underflow",
@@ -163,10 +174,21 @@ ONE_ROW = ["params", "plan-nipm", "--L", "1", "--m", "64", "--d", "64",
         "eval_eps_0", "eval_eps_overflow", "eval_k_neg",
         "eval_x_not_hex", "eval_x_too_wide", "eval_y_negative",
         "eval_y_too_wide", "eval_x_empty", "eval_y_empty",
-        "ms_bad_neg", "ms_r_neg"])
+        "ms_bad_neg", "ms_r_neg", "nipm_m_huge", "nmext_n_huge",
+        "nipm_L_above_max", "nipm_t_above_max", "nipm_ell_huge",
+        "nmext_d_above_max", "eval_k_huge"])
 def test_bad_number_is_a_usage_error(argv, name, capsys):
     err = _assert_usage_error(main(argv), capsys)
     assert f"error: {name}" in err or f"error: argument {name}:" in err
+
+
+def test_planners_run_at_the_size_cap(capsys):
+    top = str(MAX_LEN)
+    assert main(["params", "plan-nipm", "--L", top, "--t", top, "--m", top,
+                 "--d", top, "--ell", top, "--eps", "0.01"]) == 0
+    assert main(["params", "plan-nmext", "--n", top, "--k", top, "--d", top,
+                 "--m", "32", "--eps", "0.01"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_multisource_run_in_process(tmp_path):

@@ -76,14 +76,19 @@ def test_rs_distance_on_small_code():
 
 
 def test_np_tables_match_mul():
+    # the zero-sentinel law exp[log[a] + log[c]] == a * c, for a = 0, 1
+    # and a random element against every c, zero included
+    import random
+
     import numpy as np
 
-    log, exp = gf2.np_tables(8)
-    a = np.arange(1, 256)
-    b = np.full_like(a, 0x37)
-    prod = exp[log[a] + log[b]]
-    for ai, pi in zip(a, prod):
-        assert gf2.mul(int(ai), 0x37, 8) == int(pi)
+    rng = random.Random(16)
+    for b in (1, 2, 8, 16):
+        log, exp = gf2.np_tables(b)
+        c = np.arange(1 << b)
+        for a in (0, 1, rng.randrange(2, 1 << b) if b > 1 else 1):
+            prod = exp[log[a] + log[c]].tolist()
+            assert prod == [gf2.mul(a, x, b) for x in range(1 << b)], (b, a)
 
 
 def _horner_slow(coeffs, x, b):

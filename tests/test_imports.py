@@ -1,12 +1,15 @@
 """No module in ``src/extlab/`` or ``tests/`` imports a name it never reads,
-and every public top-level function or class of ``src/extlab/`` has a
-reader.
+every public top-level function or class of ``src/extlab/`` has a
+reader, and ``import extlab`` loads no numpy.
 
 No linter ships with the declared dependencies, so these are small AST
 scans.  Every import in an ``__init__.py`` is a re-export and counts as
 used; a re-export does not count as a reader."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,16 @@ def test_every_public_definition_has_a_reader():
         {p.stem: p.read_text() for p in MODULES},
         {p.stem if p in MODULES else f"{p.parent.name}/{p.stem}":
          p.read_text() for p in READERS}) == []
+
+
+def test_import_extlab_leaves_numpy_unloaded():
+    # numpy and its GF(2^16) tables load on first use, so a command that
+    # never needs them does not pay for them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", "import sys, extlab; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'numpy'))"],
+                       env=env, capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab import msrc, nmx
+from extlab import msrc, nipm, nmx
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.nipm import (LevelPlan, NipmParams, ParamError, _lockstep_level,
                          assembled_bound, hand_plan, lt_nipm, nominal_m1,
@@ -129,6 +129,12 @@ def test_assembled_bound_monotone_and_capped():
 
 
 def _rows(kind, L, m, rng):
+    if kind == "sparse":
+        # rows whose 16-bit symbols are zero half the time
+        return [BitString(m, sum(rng.getrandbits(16) << sh
+                                 for sh in range(0, m, 16)
+                                 if rng.getrandbits(1)) % (1 << m))
+                for _ in range(L)]
     if kind == "equal":
         return [BitString(m, rng.getrandbits(m))] * L
     if kind == "two":
@@ -145,26 +151,32 @@ def _per_block(rows, y, lv):
 
 
 # narrow levels: micro nm_ext (blocks 2 and 1), the multi-source merger
-# (w = 4 and 2) and desk levels 1-2 (block 16, below 128 bits); crit 3's
+# (w = 4 and 2) and desk levels 1-2 (block 16, one chain each); crit 3's
 # single level is added per L, with ell = L
 NARROW = (nmx.micro_params().nipm.levels
           + msrc.default_params(11).ipm.nipm.levels
           + nmx.desk_params().nipm.levels[1:])
+# block-16 levels that run their full blocks in lockstep from L = 8 (ell
+# 4) and L = 9 (ell 3) on: m_out < w, and m_in > 2w with an m_in that is
+# no multiple of 16
+WIDE = (LevelPlan(ell=4, m_in=256, w=128, m_out=48, d_slice=200),
+        LevelPlan(ell=3, m_in=600, w=128, m_out=128, d_slice=512))
 
 
 @pytest.mark.parametrize("L", range(2, 22))
 @given(t=st.sampled_from([1, 2]), kind=st.sampled_from(
-    ["distinct", "equal", "two"]), seed=st.integers(0, 2 ** 32 - 1))
+    ["distinct", "equal", "two", "sparse"]), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=12, deadline=None)
 def test_lockstep_level_matches_lt_nipm_per_block(L, t, kind, seed):
-    # every level runs one chain per block: a wide first level (w =
-    # m_out = 128, block 16) and the narrow levels; L mod ell covers
-    # full, ragged and carried-through blocks
+    # every level against lt_nipm block by block: the planned first level
+    # (w = m_out = 128, block 16) and the WIDE levels, which run their
+    # full blocks in lockstep once L is large enough, and the narrow
+    # levels; L mod ell covers full, ragged and carried-through blocks
     p = plan_nipm(L, t, 256, 512, 1e-4, ell=4)
     crit3 = LevelPlan(ell=L, m_in=6, w=2, m_out=2, d_slice=6)
     rng = random.Random(seed)
     y = BitString(512, rng.getrandbits(512))
-    for lv in (p.levels[0], crit3) + NARROW:
+    for lv in (p.levels[0], crit3) + WIDE + NARROW:
         rows = _rows(kind, L, lv.m_in, rng)
         got = _lockstep_level([r.val for r in rows],
                               y.val >> (y.n - lv.d_slice), lv)
@@ -174,3 +186,55 @@ def test_lockstep_level_matches_lt_nipm_per_block(L, t, kind, seed):
     for lv in p.levels:
         want = _per_block(want, y, lv)
     assert [recursive_nipm(matrix(rows), y, p)] == want
+
+
+def _lockstep_rows(monkeypatch):
+    """Patch nipm._chains16 to record how many rows each call runs in
+    lockstep, leaving out the calls that run none."""
+    calls, real = [], nipm._chains16
+
+    def spy(rows, z_src, lp):
+        out, used = real(rows, z_src, lp)
+        if used:
+            calls.append(used)
+        return out, used
+    monkeypatch.setattr(nipm, "_chains16", spy)
+    return calls
+
+
+def test_lockstep_path_is_chosen_by_level_shape(monkeypatch):
+    calls = _lockstep_rows(monkeypatch)
+    rng = random.Random(7)
+
+    def run(lv, L):
+        calls.clear()
+        _lockstep_level([rng.getrandbits(lv.m_in) for _ in range(L)],
+                        rng.getrandbits(lv.d_slice), lv)
+        return list(calls)
+    planned = plan_nipm(8, 1, 256, 512, 1e-4, ell=4).levels[0]
+    # the full blocks go in lockstep, the ragged tail runs as an int chain
+    for L in (8, 9, 10, 11, 21):
+        assert run(planned, L) == [L - L % 4]
+        assert run(WIDE[0], L) == [L - L % 4]
+    for L in (9, 10, 11, 20):
+        assert run(WIDE[1], L) == [L - L % 3]
+    # one chain, too few token bits per step or per level, or no block 16
+    assert run(planned, 7) == []
+    assert run(LevelPlan(4, 128, 64, 64, 128), 12) == []    # 192 per step
+    assert run(LevelPlan(2, 256, 128, 128, 256), 8) == []   # 512 per level
+    assert run(LevelPlan(4, 256, 120, 120, 256), 20) == []  # block 8
+    for lv in (nmx.micro_params().nipm.levels
+               + msrc.default_params(11).ipm.nipm.levels):
+        assert run(lv, 20) == []
+
+
+def test_desk_level_0_runs_in_lockstep(monkeypatch):
+    # desk nm_ext merges 20 rows: level 0 (five chains of 128 bits) in
+    # lockstep, the single chains of levels 1 and 2 as int chains
+    calls = _lockstep_rows(monkeypatch)
+    p = nmx.desk_params()
+    rng = random.Random(8)
+    nmx.nm_ext(BitString(p.n, rng.getrandbits(p.n)),
+               BitString(p.d, rng.getrandbits(p.d)), p)
+    assert [lv.ell for lv in p.nipm.levels] == [4, 4, 4]
+    assert p.nipm.L == 20 and calls == [20]

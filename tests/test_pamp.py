@@ -16,6 +16,25 @@ from extlab.sext import ext
 DESK = make_params(desk_params())
 
 
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox,
+                                    np.random.MT19937])
+def test_rand_bits_keeps_the_integers_stream(bitgen):
+    # the formula _rand_bits replaced: one rng.integers word per 64 bits,
+    # joined high word first; the generators must end in the same state
+    def by_integers(rng, n):
+        words = (n + 63) // 64
+        v = 0
+        for w in rng.integers(0, 1 << 64, size=words, dtype="uint64"):
+            v = (v << 64) | int(w)
+        return v >> (words * 64 - n)
+
+    old, new = np.random.Generator(bitgen(9)), np.random.Generator(bitgen(9))
+    for n in (1, 63, 64, 65, 512, 768):
+        assert _rand_bits(new, n) == by_integers(old, n), n
+        assert new.integers(1 << 20) == old.integers(1 << 20)
+    assert str(new.bit_generator.state) == str(old.bit_generator.state)
+
+
 def test_make_params_shape():
     p = DESK
     assert p.mac_bits == 16 and p.msg_symbols == 4

@@ -85,11 +85,36 @@ def test_affine_int_table_matches_reference_exhaustively(m):
 @pytest.mark.parametrize("m", [12, 24, 64, 128, 256, 512])
 def test_affine_int_wide_matches_reference(m):
     # block 4 and 8 look their blocks up in the block's table, block 16
-    # multiplies by log/exp in a loop below 512 bits and on numpy from 512
+    # multiplies by log/exp in a loop below 256 bits and on numpy from 256
     rng = random.Random(m)
     for _ in range(500):
         z, s = rng.getrandbits(2 * m), rng.getrandbits(m)
         assert affine_int(m, z, s) == _affine_ref(m, z, s)
+
+
+def _symbols(n):
+    """n 16-bit symbols as one int, each zero about half the time."""
+    sym = st.one_of(st.just(0), st.integers(0, 0xFFFF))
+    return st.lists(sym, min_size=n, max_size=n).map(
+        lambda xs: int.from_bytes(b"".join(x.to_bytes(2, "big")
+                                           for x in xs), "big"))
+
+
+@pytest.mark.parametrize("m", [256, 512])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_wide_affine_int_matches_the_log_exp_loop(m, data):
+    # from 256 bits affine_int runs affine16 on a batch of one; the law
+    # is blockwise, so 128-bit pieces through the log/exp loop give the
+    # reference.  Zero symbols in u and s meet the tables' sentinel.
+    u, v, s = (data.draw(_symbols(m // 16)) for _ in range(3))
+    mask = (1 << 128) - 1
+    want = 0
+    for sh in range(m - 128, -1, -128):
+        piece = affine_int(128, (((u >> sh) & mask) << 128)
+                           | ((v >> sh) & mask), (s >> sh) & mask)
+        want = (want << 128) | piece
+    assert affine_int(m, (u << m) | v, s) == want
 
 
 def test_narrow_affine_int_does_not_call_mul(monkeypatch):
