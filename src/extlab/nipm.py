@@ -212,11 +212,11 @@ def _lockstep_level(rows: Sequence[int], w_src: int, lp: LevelPlan
     return out
 
 
-# Lockstep pays numpy's per-call cost once per step for all chains, plus
-# a set-up cost per level: it wins once a step spans this many token bits
-# over all chains, and the level's steps this many (measured per level
-# call at 16 to 512 bits: see CHANGES.md)
-_STEP_BITS, _LEVEL_BITS = 256, 768
+# Lockstep pays numpy's per-call cost once per step for all chains: it
+# wins once a step spans this many token bits over all chains (nm_ext at
+# m = 32 and m = 8, whose level 0 is 5 x 128 and 5 x 32 bits, and at
+# n = 4096 and m = 128, whose level 1 is one 256-bit chain: see CHANGES.md)
+_STEP_BITS = 256
 
 
 def _chains16(rows: Sequence[int], z_src: int, lp: LevelPlan
@@ -225,9 +225,8 @@ def _chains16(rows: Sequence[int], z_src: int, lp: LevelPlan
     rows of a level whose w and m_out are divisible by 16, all at once
     on (chains, symbols) arrays of GF(2^16) symbols through
     ``affine16``.  Returns their outputs and the number of rows they
-    used, or ([], 0) when the blocks make fewer than two chains, or fewer
-    than ``_STEP_BITS`` token bits per step or ``_LEVEL_BITS`` over all
-    steps between them.
+    used, or ([], 0) when the blocks make fewer than ``_STEP_BITS`` token
+    bits per step between them.
 
     Every row becomes one 2w-bit word, u (high) and v (low) halves: the
     first row of a block holds its w-bit prefix as u, a middle row its
@@ -236,8 +235,7 @@ def _chains16(rows: Sequence[int], z_src: int, lp: LevelPlan
     One gather takes the logs of every u at once."""
     w, m_in, m_out, ell = lp.w, lp.m_in, lp.m_out, lp.ell
     chains = len(rows) // ell
-    if (chains < 2 or chains * w < _STEP_BITS
-            or chains * w * (ell - 1) < _LEVEL_BITS):
+    if chains * w < _STEP_BITS:
         return [], 0
     import numpy as np
 

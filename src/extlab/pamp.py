@@ -176,18 +176,12 @@ def run_protocol(x: BitString, rng, p: PampParams, adv: Adversary
 
 
 def _rand_bits(rng, n: int) -> int:
-    """n random bits from the numpy Generator rng: ceil(n / 64) 64-bit
+    """n random bits from the numpy Generator rng: ceil(n / 64) raw 64-bit
     words read as one big-endian int, keeping its top n bits.  The words
     are the stream of ``rng.integers(0, 2**64, words, dtype="uint64")``,
-    whose full-range path takes one raw draw per word; that call itself
-    is only needed for MT19937, whose raw draws are 32 bits."""
-    import numpy as np
-
+    whose full-range path takes one raw draw per word."""
     words = (n + 63) // 64
-    if isinstance(rng.bit_generator, np.random.MT19937):
-        raw = rng.integers(0, 1 << 64, size=words, dtype=np.uint64)
-    else:
-        raw = rng.bit_generator.random_raw(words)
+    raw = rng.bit_generator.random_raw(words)
     return int.from_bytes(raw.astype(">u8").tobytes(), "big") >> (
         words * 64 - n)
 

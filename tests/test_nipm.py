@@ -157,10 +157,11 @@ NARROW = (nmx.micro_params().nipm.levels
           + msrc.default_params(11).ipm.nipm.levels
           + nmx.desk_params().nipm.levels[1:])
 # block-16 levels that run their full blocks in lockstep from L = 8 (ell
-# 4) and L = 9 (ell 3) on: m_out < w, and m_in > 2w with an m_in that is
-# no multiple of 16
+# 4), L = 9 (ell 3) and L = 4 (ell 4, one chain of 256 bits) on: m_out <
+# w, m_in > 2w with an m_in that is no multiple of 16, and one chain
 WIDE = (LevelPlan(ell=4, m_in=256, w=128, m_out=48, d_slice=200),
-        LevelPlan(ell=3, m_in=600, w=128, m_out=128, d_slice=512))
+        LevelPlan(ell=3, m_in=600, w=128, m_out=128, d_slice=512),
+        LevelPlan(ell=4, m_in=512, w=256, m_out=256, d_slice=512))
 
 
 @pytest.mark.parametrize("L", range(2, 22))
@@ -218,10 +219,17 @@ def test_lockstep_path_is_chosen_by_level_shape(monkeypatch):
         assert run(WIDE[0], L) == [L - L % 4]
     for L in (9, 10, 11, 20):
         assert run(WIDE[1], L) == [L - L % 3]
-    # one chain, too few token bits per step or per level, or no block 16
-    assert run(planned, 7) == []
+    # a step of 256 token bits or more goes in lockstep, one chain
+    # included: at n = 4096 and m = 128, nm_ext's level 1 is one chain of
+    # 256 bits and a two-row tail
+    assert run(nmx.plan_params(4096, 3072, 2048, 128, 2 ** -8).nipm.levels[1],
+               6) == [4]
+    # too few token bits per step, or no block 16; nm_ext at m = 8 merges
+    # 20 rows at w = 32, so 160 bits per step
+    assert run(planned, 7) == []                            # 128 per step
     assert run(LevelPlan(4, 128, 64, 64, 128), 12) == []    # 192 per step
-    assert run(LevelPlan(2, 256, 128, 128, 256), 8) == []   # 512 per level
+    assert run(nmx.plan_params(1024, 768, 512, 8, 2 ** -8).nipm.levels[0],
+               20) == []
     assert run(LevelPlan(4, 256, 120, 120, 256), 20) == []  # block 8
     for lv in (nmx.micro_params().nipm.levels
                + msrc.default_params(11).ipm.nipm.levels):

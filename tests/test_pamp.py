@@ -16,8 +16,7 @@ from extlab.sext import ext
 DESK = make_params(desk_params())
 
 
-@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox,
-                                    np.random.MT19937])
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox])
 def test_rand_bits_keeps_the_integers_stream(bitgen):
     # the formula _rand_bits replaced: one rng.integers word per 64 bits,
     # joined high word first; the generators must end in the same state
