@@ -281,9 +281,11 @@ def cmd_verify(args) -> int:
     return OK if all(r.get("pass", True) for r in rows) else FAIL
 
 
-def _load_adversary(path: str) -> pamp.Adversary:
+def _load_adversary(path: str, p: pamp.PampParams) -> pamp.Adversary:
     """The adversary of a JSON file ``{"name": ..., "round1": [mask],
-    "round2": [w_mask, tag_mask]}``; masks are strings int(., 0) parses."""
+    "round2": [w_mask, tag_mask]}``; masks are strings int(., 0) parses,
+    each in 0 .. 2^width - 1 for the width it is XORed onto: the seed
+    Y, W and the tag."""
     try:
         spec = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
@@ -294,17 +296,22 @@ def _load_adversary(path: str) -> pamp.Adversary:
     if not isinstance(name, str):
         raise ValueError(f"adversary: name must be a string, got {name!r}")
     masks = {}
-    for key, count in (("round1", 1), ("round2", 2)):
+    for key, fields in (("round1", [("Y", p.nmx.d)]),
+                        ("round2", [("W", p.w_len), ("tag", p.mac_bits)])):
         got = spec.get(key)
-        if (not isinstance(got, list) or len(got) != count
+        if (not isinstance(got, list) or len(got) != len(fields)
                 or not all(isinstance(m, str) for m in got)):
             raise ValueError(f"adversary: {key} must be a list of "
-                             f"{count} mask string(s), got {got!r}")
+                             f"{len(fields)} mask string(s), got {got!r}")
         try:
             masks[key] = [int(m, 0) for m in got]
         except ValueError:
             raise ValueError(f"adversary: {key} masks must be integer "
                              f"literals, got {got!r}") from None
+        for text, mask, (what, width) in zip(got, masks[key], fields):
+            if mask < 0 or mask >> width:
+                raise ValueError(f"adversary: {key} mask for {what} must be "
+                                 f"in 0 .. 2^{width} - 1, got {text}")
     return pamp.table_adversary(name, masks["round1"], masks["round2"])
 
 
@@ -319,7 +326,7 @@ def cmd_pa(args) -> int:
         "random": lambda: pamp.random_adversary(rng),
     }
     if args.adversary.endswith(".json"):
-        adv = _load_adversary(args.adversary)
+        adv = _load_adversary(args.adversary, p)
     elif args.adversary in builtin:
         adv = builtin[args.adversary]()
     else:

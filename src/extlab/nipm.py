@@ -4,7 +4,8 @@
 one look-ahead chain.  ``recursive_nipm`` merges L rows with geometrically
 growing seed slices, running each level's chains on plain ints
 (``recursive_nipm_val``), one block at a time or, on wide block-16
-levels, all full blocks in lockstep on numpy arrays; ``lt_nipm`` is the
+levels, all full blocks in lockstep on numpy arrays (``chain16``, which
+``nmx.nm_ext`` also runs on its level-0 symbols); ``lt_nipm`` is the
 ``BitString`` reference that the level body is tested against.
 
 Planners emit the nominal parameter schedule (output lengths and errors
@@ -166,10 +167,13 @@ def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
 
 
 def recursive_nipm_val(rows: Sequence[int], m: int, y: int, y_n: int,
-                       params: NipmParams) -> tuple[int, int]:
+                       params: NipmParams, start: int = 0
+                       ) -> tuple[int, int]:
     """``recursive_nipm`` on ints: rows of m bits and a y_n-bit seed y.
-    Returns the merged row as (width, value)."""
-    for lv in params.levels:
+    Returns the merged row as (width, value).  ``start`` levels have
+    already run on the rows (``nmx.nm_ext`` runs level 0 itself on
+    GF(2^16) symbols); the rows must then be more than one."""
+    for lv in params.levels[start:]:
         if m != lv.m_in:
             raise ValueError("row width mismatch")
         if lv.d_slice > y_n:
@@ -224,7 +228,7 @@ def _chains16(rows: Sequence[int], z_src: int, lp: LevelPlan
     """The int chains of ``_lockstep_level`` for the full blocks of lp.ell
     rows of a level whose w and m_out are divisible by 16, all at once
     on (chains, symbols) arrays of GF(2^16) symbols through
-    ``affine16``.  Returns their outputs and the number of rows they
+    ``chain16``.  Returns their outputs and the number of rows they
     used, or ([], 0) when the blocks make fewer than ``_STEP_BITS`` token
     bits per step between them.
 
@@ -255,14 +259,25 @@ def _chains16(rows: Sequence[int], z_src: int, lp: LevelPlan
     log_z, v_z = log_u[0], a[0, nw:]
     a = a[1:].reshape(-1, ell, 2 * nw)
     log_u = log_u[1:].reshape(-1, ell, nw)
-    s = a[:, 0, :nw]
-    for j in range(1, ell - 1):
-        s = affine16(log_u[:, j], affine16(log_z, s, v_z), a[:, j, nw:])
-    r = affine16(log_z, s, v_z)[:, :nm]
-    out = affine16(log_u[:, -1, :nm], r, a[:, -1, nw:nw + nm])
+    out = chain16(log_z, v_z, a[:, 0, :nw], log_u[:, 1:-1],
+                  a[:, 1:-1, nw:], log_u[:, -1, :nm], a[:, -1, nw:nw + nm])
     out = out.astype(">u2").tobytes()
     return [int.from_bytes(out[i:i + 2 * nm], "big")
             for i in range(0, len(out), 2 * nm)], len(rows)
+
+
+def chain16(log_z, v_z, s, log_mid, v_mid, log_last, v_last):
+    """The look-ahead chains of one block-16 level, all at once on
+    (chains, ...) arrays of GF(2^16) symbols through ``affine16``: z_src
+    folded to 2w bits (the logs of its u half, and its v half), each
+    chain's w-bit start token s, the logs and v halves of its middle
+    rows folded to 2w bits, shape (chains, ell - 2, w/16), and of its
+    last row folded to 2 * m_out bits.  Returns the (chains, m_out/16)
+    outputs."""
+    for j in range(log_mid.shape[1]):
+        s = affine16(log_mid[:, j], affine16(log_z, s, v_z), v_mid[:, j])
+    r = affine16(log_z, s, v_z)[:, :log_last.shape[-1]]
+    return affine16(log_last, r, v_last)
 
 
 def assembled_bound(params: NipmParams, k_row: float, k_seed: float,

@@ -10,6 +10,11 @@ merger seeded by z merges them.  Row i depends on i only through its
 advice bit, so rows with equal advice bits are equal: each distinct row
 (at most two) is built and refreshed once and shared by its rows.  The
 stages pass plain ints; ``nm_ext`` builds one ``BitString``, its result.
+When every width from the flip-flop through merger level 0 is a multiple
+of 16 (``NmExtParams.symbols16``, desk among them), those stages run on
+GF(2^16) symbol arrays instead, both rows at once (``_nm_ext16``); the
+int stages stay the path of every other plan and the reference the
+symbol path is tested against.
 
 ``plan_params`` emits the nominal schedule (rescaled error, advice
 length, fan-in and recursion depth as stated for the abstract
@@ -22,12 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import gf2
 from .bits import BitString
 from .cbreak import AdvGenParams, FlipFlopParams, adv_gen_val, \
     flip_flop_vals, plan_adv_gen
 from .ipm import IpmParams, merge_rows_val
-from .nipm import LevelPlan, NipmParams, ParamError, _clog2, hand_plan, \
-    plan_nipm
+from .nipm import LevelPlan, NipmParams, ParamError, _clog2, \
+    _lockstep_level, chain16, hand_plan, plan_nipm, recursive_nipm_val
+from .sext import affine16, fold16
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
 C_ADV = 2           # advice length multiplier
@@ -54,6 +61,9 @@ class NmExtParams:
     nominal: NominalPlan
     # weak-seed merger of the flip-flop rows, seeded by y (derived)
     ipm: IpmParams = field(init=False, repr=False, compare=False)
+    # nm_ext runs the flip-flop through merger level 0 on GF(2^16)
+    # symbols: every width they touch is a multiple of 16 (derived)
+    symbols16: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ff.n != self.adv.n:
@@ -63,6 +73,12 @@ class NmExtParams:
         object.__setattr__(self, "ipm", IpmParams(
             n_y=self.d, k_y=self.d, m=self.ff.m_out, d_z=self.d_z,
             nipm=self.nipm))
+        lv = self.nipm.levels[0]
+        widths = (self.n, self.d, self.d1, self.ff.w, self.ff.m_out,
+                  self.d_z, lv.m_in, lv.w, lv.m_out, lv.d_slice)
+        object.__setattr__(self, "symbols16", lv.ell > 1
+                           and lv.d_slice <= self.d_z
+                           and not any(v % 16 for v in widths))
 
     @property
     def n(self) -> int:
@@ -169,8 +185,73 @@ def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
         raise ValueError("input width mismatch")
     advice = adv_gen_val(x.val, y.val, p.adv)
     bits = [(advice >> i) & 1 for i in range(p.adv.advice_len - 1, -1, -1)]
+    if p.symbols16:
+        return BitString(*_nm_ext16(x.val, y.val, bits, p))
     y1 = y.val >> (p.d - p.d1)
     # row i depends on i only through the advice bit alpha_i, so each
     # distinct bit's row is built once (and refreshed once by the merger)
     row = flip_flop_vals(x.val, y1, dict.fromkeys(bits), p.ff)
     return BitString(*merge_rows_val([row[b] for b in bits], y.val, p.ipm))
+
+
+def _nm_ext16(x: int, y: int, bits: list[int], p: NmExtParams
+              ) -> tuple[int, int]:
+    """``nm_ext`` after the advice, for params with ``symbols16`` set:
+    x and y become GF(2^16) symbols once, and the flip-flop, the
+    bootstrap, the refresh and merger level 0 run as ``affine16`` laws
+    on symbol arrays, both advice bits' rows at once in (2, symbols)
+    arrays whatever the advice.  Level 0 gathers its rows by advice bit
+    and runs ``nipm.chain16`` on its full blocks; a ragged last block
+    and the later levels run on ints.  Returns (width, value)."""
+    import numpy as np
+
+    ff, ipm, lv = p.ff, p.ipm, p.nipm.levels[0]
+    log = gf2.np_tables(16)[0]
+
+    def law(z, s):
+        # the affine law of the source z folded to 2m bits, seed s
+        k = z.shape[-1] // 2
+        return affine16(log.take(z[..., :k]), s, z[..., k:])
+
+    sym = np.frombuffer(x.to_bytes(p.n // 8, "big")
+                        + y.to_bytes(p.d // 8, "big"), dtype=">u2")
+    sym = sym.astype(np.uint16)
+    xs, ys = sym[:p.n // 16], sym[p.n // 16:]
+    # flip-flop: key 0 is Ext_tok(s1, r1) and key 1 is Ext_y(y1, r1)
+    s1 = ys[:ff.w // 16]
+    r1 = law(fold16(xs, 2 * ff.w), s1)
+    keys = law(np.concatenate((fold16(s1, 2 * ff.w),
+                               fold16(ys[:p.d1 // 16], 2 * ff.w))
+                              ).reshape(2, -1), r1)
+    rows = law(fold16(xs, 2 * ff.m_out), keys[:, :ff.m_out // 16])
+    # bootstrap z keyed by row 0, then refresh both rows keyed by z
+    z = law(fold16(ys, 2 * ipm.d_z), rows[bits[0], :ipm.d_z // 16])
+    fresh = law(fold16(rows, 2 * ipm.m_v), z[:ipm.m_v // 16])
+    z_int = _sym_int(z)
+    nw, nm, ell = lv.w // 16, lv.m_out // 16, lv.ell
+    chains = len(bits) // ell
+    out = []
+    if chains:
+        z_src = fold16(z[:lv.d_slice // 16], 2 * lv.w)
+        blocks = fresh[np.array(bits[:chains * ell]).reshape(chains, ell)]
+        mid = fold16(blocks[:, 1:-1], 2 * lv.w)
+        last = fold16(blocks[:, -1], 2 * lv.m_out)
+        merged = chain16(log.take(z_src[:nw]), z_src[nw:],
+                         blocks[:, 0, :nw], log.take(mid[..., :nw]),
+                         mid[..., nw:], log.take(last[:, :nm]), last[:, nm:])
+        data, step = merged.astype(">u2").tobytes(), 2 * nm
+        out = [int.from_bytes(data[i:i + step], "big")
+               for i in range(0, len(data), step)]
+    rest = bits[chains * ell:]
+    if rest:
+        fresh_int = [_sym_int(row) for row in fresh]
+        out += _lockstep_level([fresh_int[b] for b in rest],
+                               z_int >> (ipm.d_z - lv.d_slice), lv)
+    if len(out) == 1:
+        return lv.m_out, out[0]
+    return recursive_nipm_val(out, lv.m_out, z_int, ipm.d_z, p.nipm, start=1)
+
+
+def _sym_int(a) -> int:
+    """The int whose big-endian 16-bit symbols are the array a."""
+    return int.from_bytes(a.astype(">u2").tobytes(), "big")

@@ -120,6 +120,22 @@ def fold(x: int, n: int, width: int) -> int:
     return acc
 
 
+def fold16(a, width: int):
+    """``fold`` on numpy arrays of GF(2^16) symbols: the XOR of
+    consecutive ``width``-bit segments along a's last axis (the last
+    padded right), for width a multiple of 16, over any leading axes."""
+    import numpy as np
+
+    k = width // 16
+    pad = -a.shape[-1] % k
+    if pad:
+        a = np.concatenate((a, np.zeros(a.shape[:-1] + (pad,), a.dtype)), -1)
+    if a.shape[-1] == k:
+        return a
+    return np.bitwise_xor.reduce(
+        a.reshape(a.shape[:-1] + (a.shape[-1] // k, k)), axis=-2)
+
+
 def affine_int(m: int, z: int, s: int) -> int:
     """The affine law on ints: z is the source folded to 2m bits and s the
     m-bit seed; the output is u*s + v blockwise over GF(2^b), where u and

@@ -1,3 +1,4 @@
+import json
 import struct
 import subprocess
 import sys
@@ -113,6 +114,34 @@ def test_bad_adversary_json_is_a_usage_error(spec, tmp_path, capsys):
     err = _assert_usage_error(main(["pa", "simulate", "--adversary",
                                     str(path), "--trials", "2"]), capsys)
     assert "error: adversary:" in err
+
+
+@pytest.mark.parametrize("round1, round2", [
+    (hex(1 << 512), ["0x0", "0x0"]),
+    ("-1", ["0x0", "0x0"]),
+    ("0x1", [hex(1 << 64), "0x0"]),
+    ("0x1", ["-0x2", "0x0"]),
+    ("0x1", ["0x0", hex(1 << 16)]),
+    ("0x1", ["0x0", "-1"]),
+], ids=["y_too_wide", "y_negative", "w_too_wide", "w_negative",
+        "tag_too_wide", "tag_negative"])
+def test_adversary_mask_outside_its_field_is_a_usage_error(
+        round1, round2, tmp_path, capsys):
+    # masks are XORed onto the 512-bit Y, the 64-bit W and the 16-bit
+    # tag; a wider or negative mask would be cut down to that width
+    path = tmp_path / "adv.json"
+    path.write_text(json.dumps({"round1": [round1], "round2": round2}))
+    err = _assert_usage_error(main(["pa", "simulate", "--adversary",
+                                    str(path), "--trials", "2"]), capsys)
+    assert "error: adversary:" in err and "mask" in err
+
+
+def test_adversary_masks_of_full_width_run(tmp_path):
+    path = tmp_path / "adv.json"
+    path.write_text(json.dumps({"round1": [hex((1 << 512) - 1)],
+                                "round2": [hex((1 << 64) - 1), "0xffff"]}))
+    assert main(["pa", "simulate", "--adversary", str(path), "--trials",
+                 "2", "--seed", "3"]) in (0, 1)
 
 
 def test_unknown_adversary_is_a_named_usage_error(capsys):

@@ -238,8 +238,15 @@ def test_lockstep_path_is_chosen_by_level_shape(monkeypatch):
 
 def test_desk_level_0_runs_in_lockstep(monkeypatch):
     # desk nm_ext merges 20 rows: level 0 (five chains of 128 bits) in
-    # lockstep, the single chains of levels 1 and 2 as int chains
-    calls = _lockstep_rows(monkeypatch)
+    # lockstep on its GF(2^16) symbols, one chain16 call for all 20 rows;
+    # the single chains of levels 1 and 2 as int chains
+    calls, real = [], nipm.chain16
+
+    def spy(log_z, v_z, s, log_mid, *rest):
+        calls.append(len(s) * (log_mid.shape[1] + 2))
+        return real(log_z, v_z, s, log_mid, *rest)
+    monkeypatch.setattr(nipm, "chain16", spy)
+    monkeypatch.setattr(nmx, "chain16", spy)
     p = nmx.desk_params()
     rng = random.Random(8)
     nmx.nm_ext(BitString(p.n, rng.getrandbits(p.n)),

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from extlab import cbreak, nmx
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.cbreak import adv_gen, flip_flop, flip_flop_vals
-from extlab.ipm import ipm_weak
+from extlab.ipm import ipm_weak, merge_rows_val
 from extlab.nipm import ParamError, recursive_nipm
 from extlab.nmx import desk_params, micro_params, nm_ext, plan_params
 from extlab.pamp import _rand_bits
@@ -111,11 +112,11 @@ def test_nm_ext_is_the_weak_seed_merger_of_its_flip_flop_rows(params,
         assert nm_ext(x, y, p) == ipm_weak(matrix(rows), y, p.ipm)
 
 
-@pytest.mark.parametrize("params", [micro_params, desk_params],
-                         ids=["micro", "desk"])
+@pytest.mark.parametrize("params", [micro_params], ids=["micro"])
 def test_nm_ext_runs_one_flip_flop_per_advice_value(params, monkeypatch):
-    # one call builds every distinct bit's row: one shared r1, then a key
-    # and an output extraction per bit
+    # on the int path one call builds every distinct bit's row: one
+    # shared r1, then a key and an output extraction per bit (desk takes
+    # the symbol path, checked below)
     p = params()
     calls, exts = [], []
 
@@ -136,6 +137,87 @@ def test_nm_ext_runs_one_flip_flop_per_advice_value(params, monkeypatch):
         advice = adv_gen(x, y, p.adv)
         distinct = sorted({advice.bit(i) for i in range(advice.n)})
         assert calls == [(distinct, 1 + 2 * len(distinct))]
+
+
+# plans whose every flip-flop, bootstrap, refresh and level-0 width is a
+# multiple of 16, so nm_ext runs those stages on GF(2^16) symbols: desk;
+# m = 8 and m = 20, where the flip-flop token is shorter than y1 and the
+# two rows differ (m = 20: five-symbol level-0 tokens); and level 0 with
+# a ragged last block of two rows, at L = 18 and at L = 22 (rows differ)
+SYMBOL_PLANS = {
+    "desk": desk_params,
+    "m8": lambda: plan_params(1024, 768, 512, 8, 2 ** -8),
+    "m20": lambda: plan_params(1024, 768, 512, 20, 2 ** -8),
+    "L18": lambda: plan_params(1024, 768, 256, 16, 2 ** -8),
+    "L22": lambda: plan_params(2048, 1536, 1024, 32, 2 ** -8),
+}
+
+
+def _forced_advice(kind, L, rng):
+    if kind == "zeros":
+        return 0
+    if kind == "ones":
+        return (1 << L) - 1
+    v = rng.getrandbits(L)
+    return v ^ 1 if v in (0, (1 << L) - 1) else v
+
+
+@pytest.mark.parametrize("advice", ["zeros", "ones", "mixed"])
+@pytest.mark.parametrize("plan", list(SYMBOL_PLANS))
+def test_symbol_path_matches_the_int_path(plan, advice, monkeypatch):
+    # the advice is forced, so every row pattern is reached whatever the
+    # draws; the int path is flip_flop_vals and merge_rows_val
+    p = SYMBOL_PLANS[plan]()
+    assert p.symbols16
+    L, rng, forced = p.adv.advice_len, random.Random(plan + advice), []
+    if plan.startswith("L"):
+        assert L % p.nipm.levels[0].ell == 2 and L == int(plan[1:])
+    monkeypatch.setattr(nmx, "adv_gen_val", lambda x, y, adv: forced[-1])
+    draws, differ = _draws(p, 57, 4), 0
+    for x, y in draws:
+        forced.append(_forced_advice(advice, L, rng))
+        bits = [(forced[-1] >> i) & 1 for i in range(L - 1, -1, -1)]
+        rows = flip_flop_vals(x.val, y.val >> (p.d - p.d1), (0, 1), p.ff)
+        want = merge_rows_val([rows[b] for b in bits], y.val, p.ipm)
+        assert nm_ext(x, y, p) == BitString(*want)
+        differ += rows[0] != rows[1]
+    if p.ff.w < p.d1:
+        assert differ == len(draws)
+
+
+def test_desk_nm_ext_takes_the_symbol_path(monkeypatch):
+    # desk never calls the int flip-flop or merger: one symbol-path call
+    # per extraction, with the outputs of the per-row reference
+    p = desk_params()
+    calls, real = [], nmx._nm_ext16
+
+    def int_path(*args):
+        raise AssertionError("desk nm_ext took the int path")
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(nmx, "flip_flop_vals", int_path)
+    monkeypatch.setattr(nmx, "merge_rows_val", int_path)
+    monkeypatch.setattr(nmx, "_nm_ext16", spy)
+    for x, y in _draws(p, 54, 6):
+        calls.clear()
+        assert nm_ext(x, y, p) == _nm_ext_per_row(x, y, p)
+        advice = adv_gen(x, y, p.adv)
+        assert calls == [[advice.bit(i) for i in range(advice.n)]]
+
+
+def test_symbol_path_is_chosen_by_width(monkeypatch):
+    # micro widths (8-bit tokens) and a source or seed width that is no
+    # multiple of 16 keep the int path
+    def symbol_path(*args):
+        raise AssertionError("took the symbol path")
+    monkeypatch.setattr(nmx, "_nm_ext16", symbol_path)
+    for p in (micro_params(), plan_params(1000, 768, 512, 32, 2 ** -8),
+              plan_params(1024, 768, 520, 32, 2 ** -8)):
+        assert not p.symbols16
+        for x, y in _draws(p, 58, 3):
+            nm_ext(x, y, p)
 
 
 @pytest.mark.parametrize("params", [micro_params, desk_params],

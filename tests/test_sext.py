@@ -11,7 +11,8 @@ from extlab.bits import BitString, blocks, pad_to
 from extlab.prob import sample_flat_source
 from extlab.sext import (ExtScheme, affine_int, affine_scheme,
                          avg_case_bound, ext, ext_all_seeds_poly, ext_val,
-                         fold, lhl_bound, poly_scheme, sample_positions)
+                         fold, fold16, lhl_bound, poly_scheme,
+                         sample_positions)
 from extlab.verify import strong_distance, strong_distance_poly_fast, \
     ext_fn_of
 
@@ -61,6 +62,25 @@ def test_fold_xors_segments():
 def test_short_fold_is_right_padding(wx):
     w, x = wx
     assert fold(x.val, x.n, w) == pad_to(x, w).val
+
+
+def _to_symbols(x, n):
+    return np.frombuffer(x.to_bytes(n // 8, "big"), ">u2").astype(np.uint16)
+
+
+@pytest.mark.parametrize("shape", ["below", "equal", "above"])
+@given(k=st.integers(2, 24), extra=st.integers(1, 60), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fold16_matches_fold(shape, k, extra, data):
+    # n and width in whole symbols: width = 16k, n below, equal to or
+    # above it (dividing or not); a row of three sources folds row-wise
+    n = 16 * {"below": 1 + extra % (k - 1), "equal": k,
+              "above": k + extra}[shape]
+    xs = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(3)]
+    got = fold16(np.stack([_to_symbols(x, n) for x in xs]), 16 * k)
+    assert got.shape == (3, k) and got.dtype == np.uint16
+    assert [int.from_bytes(row.astype(">u2").tobytes(), "big")
+            for row in got] == [fold(x, n, 16 * k) for x in xs]
 
 
 def _affine_ref(m, z, s):
