@@ -32,6 +32,8 @@ class LevelPlan:
     d_slice: int   # prefix of the seed source visible to this level
 
     def __post_init__(self) -> None:
+        if self.ell < 2:
+            raise ValueError("fan-in must be at least 2")
         if self.w < 1:
             raise ValueError("chain width must be positive")
         if self.w > self.m_in:

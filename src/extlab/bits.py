@@ -7,9 +7,12 @@ prefix, matching the convention that Slice(y, w) reads the first w bits.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 MAX_LEN = 1 << 24  # sanity guard; real instances stay far below this
+# struct format codes of the byte-aligned block widths
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,10 @@ def int_blocks(val: int, n: int, b: int) -> list[int]:
         raise ValueError("block size must be positive")
     k = -(-n // b)
     v = val << (k * b - n)
+    if b in _STRUCT_CODES:
+        # byte-aligned blocks: one unpack of the padded int's bytes
+        return list(struct.unpack(f">{k}{_STRUCT_CODES[b]}",
+                                  v.to_bytes(k * b // 8, "big")))
     mask = (1 << b) - 1
     out = [0] * k
     # peel blocks off the low end, so each shift works on a shorter int

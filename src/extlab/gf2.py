@@ -4,13 +4,17 @@ Reed-Solomon advice code and the polynomial MAC.
 Elements are plain Python ints holding the coefficient vector of a
 polynomial over GF(2), reduced modulo the lexicographically least
 irreducible polynomial of the requested degree.  Degrees up to 16 get
-log/antilog tables on first use (the hot path); ``mul`` falls back to
-shift-and-add multiplication for larger degrees, while ``poly_eval``
-builds 4-bit window tables of its fixed multiplier once per call.
+zero-sentinel log/antilog tables on first use (the hot path), for which
+``exp[log[a] + log[c]]`` is a * c at zero too: lists up to degree 8,
+contiguous ``array`` buffers above it, which ``np_tables`` wraps for the
+array kernels without a copy.  Above degree 16, ``poly_eval`` reads
+4-bit window tables of its fixed multiplier, built once per call, and
+``mul`` the first of them; ``mul_slow`` is the shift-and-add reference.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 # Lexicographically least irreducible polynomial of each degree over GF(2),
@@ -101,31 +105,36 @@ def mul_slow(a: int, b: int, b_bits: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _tables(b_bits: int) -> tuple[list[int], list[int]]:
-    """(log, exp) tables over a generator of GF(2^b_bits)^*."""
+def _tables(b_bits: int) -> tuple[list[int] | array, list[int] | array]:
+    """Zero-sentinel (log, exp) tables over a generator of GF(2^b_bits)^*:
+    ``exp[log[a] + log[c]] == a * c`` for every a and c, zero included.
+    log[0] is the sentinel 2 * order (order = 2^b_bits - 1); exp is the
+    exp table doubled, then zero-padded to 4 * order + 1 entries, so any
+    sum with a sentinel lands in the zeros.  Up to b_bits = 8 the tables
+    are lists (their entries are cached small ints); above it they are
+    contiguous ``array`` buffers, log of 'q' and exp of 'H', filled in
+    place, so GF(2^16) takes 1 MB."""
     order = (1 << b_bits) - 1
-    # Find a generator: try small elements; the group is cyclic of order 2^b-1.
-    for g in range(2, 1 << b_bits):
-        ok = True
-        # quick check: g generates iff g^(order/p) != 1 for prime p | order
-        for p in _prime_factors(order):
-            if pow_(g, order // p, b_bits) == 1:
-                ok = False
-                break
-        if ok:
-            gen = g
-            break
-    else:  # pragma: no cover - b_bits=1 handled by caller
-        gen = 1
-    exp = [1] * (2 * order)
-    log = [0] * (1 << b_bits)
+    # the group is cyclic of order 2^b - 1: g generates it iff g^(order/p)
+    # != 1 for every prime p | order (b_bits = 1: the group is {1})
+    gen = next((g for g in range(2, 1 << b_bits) if all(
+        pow_(g, order // p, b_bits) != 1 for p in _prime_factors(order))), 1)
+    if b_bits <= 8:
+        log, exp = [0] * (1 << b_bits), [0] * (4 * order + 1)
+    else:
+        log, exp = array("q", [0]) * (1 << b_bits), array("H", [0]) * (
+            4 * order + 1)
+    # x -> x * gen is linear: one lookup for the low byte, one for the rest
+    low = [mul_slow(c, gen, b_bits) for c in range(1 << min(b_bits, 8))]
+    high = [mul_slow(c << 8, gen, b_bits)
+            for c in range(1 << max(b_bits - 8, 0))]
     x = 1
     for i in range(order):
         exp[i] = x
         log[x] = i
-        x = mul_slow(x, gen, b_bits)
-    for i in range(order, 2 * order):
-        exp[i] = exp[i - order]
+        x = high[x >> 8] ^ low[x & 255]
+    exp[order:2 * order] = exp[:order]
+    log[0] = 2 * order
     return log, exp
 
 
@@ -154,25 +163,18 @@ def pow_(a: int, e: int, b_bits: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def np_tables(b_bits: int):
-    """Zero-sentinel (log, exp) tables as numpy arrays, for b_bits <= 16:
-    ``exp[log[a] + log[c]] == a * c`` for every a and c, zero included,
-    so array callers need no masks.  log[0] is the sentinel 2 * order
-    (order = 2^b_bits - 1); exp is uint16, the exp table doubled and
-    then zero-padded to 4 * order + 1 entries, so any sum with a
-    sentinel lands in the zeros.  log is intp, the index type, so a sum
-    of logs indexes exp without a cast."""
+def np_tables(b_bits: int) -> tuple["numpy.ndarray", "numpy.ndarray"]:
+    """``_tables(b_bits)`` as read-only numpy arrays, for b_bits <= 16, so
+    array callers need no masks: log is intp, the index type, so a sum of
+    logs indexes exp without a cast, and exp is uint16.  Above b_bits = 8
+    they are views of the ``array`` buffers, not copies."""
     import numpy as np
 
-    order = (1 << b_bits) - 1
     log, exp = _tables(b_bits)
-    log_np = np.asarray(log, dtype=np.intp)
-    log_np[0] = 2 * order
-    exp_np = np.zeros(4 * order + 1, dtype=np.uint16)
-    exp_np[:2 * order] = exp
-    for table in (log_np, exp_np):
+    log, exp = np.asarray(log, dtype=np.intp), np.asarray(exp, np.uint16)
+    for table in (log, exp):
         table.setflags(write=False)  # cached and shared by every call
-    return log_np, exp_np
+    return log, exp
 
 
 @lru_cache(maxsize=None)
@@ -189,43 +191,62 @@ def np_mul_table(b_bits: int):
 
 
 def mul(a: int, b: int, b_bits: int) -> int:
-    """Product in GF(2^b_bits)."""
-    if b_bits == 1:
-        return a & b
-    if a == 0 or b == 0:
-        return 0
+    """Product in GF(2^b_bits): one table lookup up to degree 16; above
+    it, Horner over a's nibbles, top first, with b's first window."""
     if b_bits <= _TABLE_DEGREE_LIMIT:
         log, exp = _tables(b_bits)
         return exp[log[a] + log[b]]
-    return mul_slow(a, b, b_bits)
+    t, carries = _window(b, b_bits), _carries(b_bits)
+    mask, top, r = (1 << b_bits) - 1, b_bits - 4, 0
+    for sh in range((b_bits - 1) & ~3, -1, -4):
+        r = ((r << 4) & mask) ^ carries[r >> top] ^ t[(a >> sh) & 15]
+    return r
+
+
+@lru_cache(maxsize=None)
+def _carries(b_bits: int) -> list[int]:
+    """carries[h] = h * 2^b_bits in GF(2^b_bits), for the 4-bit carry h
+    out of a shift by 4."""
+    return [mul_slow(h << (b_bits - 4), 16, b_bits) for h in range(16)]
+
+
+def _window(x: int, b_bits: int) -> list[int]:
+    """The 4-bit window table of x: ``[nib * x for nib in range(16)]``,
+    one list display over the basis products x, 2x, 4x and 8x."""
+    f, top = IRREDUCIBLE[b_bits], b_bits - 1
+    x1 = (x << 1) ^ (f & -(x >> top))
+    x2 = (x1 << 1) ^ (f & -(x1 >> top))
+    x3 = (x2 << 1) ^ (f & -(x2 >> top))
+    a, b, c = x ^ x1, x ^ x2, x1 ^ x2
+    d = a ^ x2
+    return [0, x, x1, a, x2, b, c, d,
+            x3, x3 ^ x, x3 ^ x1, x3 ^ a, x3 ^ x2, x3 ^ b, x3 ^ c, x3 ^ d]
+
+
+def _windows(x: int, b_bits: int) -> list[list[int]]:
+    """Every 4-bit window table of x, low nibble first: ``windows[j][nib]``
+    is (nib * 2^(4j)) * x."""
+    carries, mask, top = _carries(b_bits), (1 << b_bits) - 1, b_bits - 4
+    windows = []
+    for _ in range(0, b_bits, 4):
+        windows.append(_window(x, b_bits))
+        x = ((x << 4) & mask) ^ carries[x >> top]
+    return windows
 
 
 def poly_eval(coeffs: list[int], x: int, b_bits: int) -> int:
     """Horner evaluation of sum(coeffs[i] * x^(deg-i)) in GF(2^b_bits).
 
-    The multiplier x is fixed for the whole call, so its tables are built
+    The multiplier x is fixed for the whole call, so its tables are read
     once: log[x] up to degree 16, 4-bit window tables of x above it."""
     acc = 0
-    if b_bits == 1 or x == 0:
-        for c in coeffs:
-            acc = mul(acc, x, b_bits) ^ c
-        return acc
     if b_bits <= _TABLE_DEGREE_LIMIT:
         log, exp = _tables(b_bits)
         lx = log[x]
         for c in coeffs:
-            acc = (exp[log[acc] + lx] if acc else 0) ^ c
+            acc = exp[log[acc] + lx] ^ c
         return acc
-    # windows[j][nib] = (nib * 2^(4j)) * x, from the shift-reduce steps x*2^i
-    f, windows = IRREDUCIBLE[b_bits], []
-    for _ in range(0, b_bits, 4):
-        t = [0]
-        for _ in range(4):
-            t += [e ^ x for e in t]
-            x <<= 1
-            if x >> b_bits:
-                x ^= f
-        windows.append(t)
+    windows = _windows(x, b_bits)
     for c in coeffs:
         r = c
         for t in windows:

@@ -76,8 +76,7 @@ class NmExtParams:
         lv = self.nipm.levels[0]
         widths = (self.n, self.d, self.d1, self.ff.w, self.ff.m_out,
                   self.d_z, lv.m_in, lv.w, lv.m_out, lv.d_slice)
-        object.__setattr__(self, "symbols16", lv.ell > 1
-                           and lv.d_slice <= self.d_z
+        object.__setattr__(self, "symbols16", lv.d_slice <= self.d_z
                            and not any(v % 16 for v in widths))
 
     @property

@@ -162,7 +162,7 @@ def affine_int(m: int, z: int, s: int) -> int:
         log, exp = gf2._tables(16)
         for sh in range(m - 16, -1, -16):
             a, c = (u >> sh) & mask, (s >> sh) & mask
-            out = (out << 16) | (exp[log[a] + log[c]] if a and c else 0)
+            out = (out << 16) | exp[log[a] + log[c]]
     return out ^ v
 
 

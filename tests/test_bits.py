@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab.bits import (BitString, blocks, concat, from_str, matrix,
-                         pad_to, segment, slice_bits, suffix, zeros)
+from extlab.bits import (BitString, blocks, concat, from_str, int_blocks,
+                         matrix, pad_to, segment, slice_bits, suffix, zeros)
 
 
 def test_bit_indexing_is_left_to_right():
@@ -69,3 +69,25 @@ def test_blocks_match_a_reference_split(source, b):
     padded = str(x) + "0" * (-n % b)
     assert blocks(x, b) == [int(padded[i:i + b], 2)
                             for i in range(0, len(padded), b)]
+
+
+def _peel(val, n, b):
+    # the generic split: blocks peeled off the low end of the padded int
+    k = -(-n // b)
+    v, out = val << (k * b - n), []
+    for _ in range(k):
+        out.append(v & ((1 << b) - 1))
+        v >>= b
+    return out[::-1]
+
+
+@pytest.mark.parametrize("b", [8, 16, 32, 64])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_byte_aligned_blocks_match_the_peel(b, data):
+    # the struct split of byte-aligned blocks, on whole blocks and on a
+    # ragged last block padded right
+    n = data.draw(st.one_of(st.sampled_from([0, b, 32 * b, 32 * b + 5]),
+                            st.integers(0, 40 * b)), label="n")
+    val = data.draw(st.integers(0, (1 << n) - 1), label="val")
+    assert int_blocks(val, n, b) == _peel(val, n, b)

@@ -91,6 +91,53 @@ def test_np_tables_match_mul():
             assert prod == [gf2.mul(a, x, b) for x in range(1 << b)], (b, a)
 
 
+@pytest.mark.parametrize("b", [1, 2, 8, 9, 14, 16])
+def test_scalar_tables_match_mul_slow(b):
+    # the zero-sentinel law on the scalar tables, lists up to b = 8 and
+    # array buffers above, for a = 0, 1 and a random element against
+    # every c, zero included
+    import random
+
+    log, exp = gf2._tables(b)
+    for a in {0, 1, random.Random(b).randrange(1 << b)}:
+        assert [exp[log[a] + log[c]] for c in range(1 << b)] == \
+            [gf2.mul_slow(a, c, b) for c in range(1 << b)], a
+
+
+@pytest.mark.parametrize("b", [9, 14, 16])
+def test_scalar_tables_step_by_a_generator(b):
+    # exp walks the powers of its generator through both copies, and
+    # log inverts it on every nonzero element
+    log, exp = gf2._tables(b)
+    order, gen = (1 << b) - 1, exp[1]
+    assert exp[0] == 1
+    assert all(exp[i + 1] == gf2.mul_slow(exp[i], gen, b)
+               for i in range(2 * order - 1))
+    assert all(exp[log[a]] == a for a in range(1, order + 1))
+    assert sorted(log[1:]) == list(range(order))
+
+
+def test_np_tables_share_the_scalar_buffers():
+    import numpy as np
+
+    for table, view in zip(gf2._tables(16), gf2.np_tables(16)):
+        assert np.shares_memory(view, np.asarray(table))
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[1] = 0
+
+
+@pytest.mark.parametrize("b", [17, 24, 32, 33, 64])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_wide_mul_matches_mul_slow(b, data):
+    # Horner over a's nibbles with c's first window table, zero included
+    elem = st.one_of(st.sampled_from([0, 1, (1 << b) - 1]),
+                     st.integers(0, (1 << b) - 1))
+    a, c = data.draw(elem, label="a"), data.draw(elem, label="c")
+    assert gf2.mul(a, c, b) == gf2.mul_slow(a, c, b)
+
+
 def _horner_slow(coeffs, x, b):
     acc = 0
     for c in coeffs:

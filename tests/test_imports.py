@@ -123,14 +123,33 @@ def test_every_public_definition_has_a_reader():
          p.read_text() for p in READERS}) == []
 
 
-def test_import_extlab_leaves_numpy_unloaded():
-    # numpy and its GF(2^16) tables load on first use, so a command that
-    # never needs them does not pay for them
+def _numpy_modules_after(code: str) -> str:
+    """The numpy modules loaded after running ``code`` in a fresh
+    interpreter, as a printed sorted list."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    r = subprocess.run([sys.executable, "-c", "import sys, extlab; "
+    r = subprocess.run([sys.executable, "-c", code + "\nimport sys; "
                         "print(sorted(m for m in sys.modules "
                         "if m.split('.')[0] == 'numpy'))"],
                        env=env, capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    return r.stdout.strip()
+
+
+def test_import_extlab_leaves_numpy_unloaded():
+    # numpy and its GF(2^16) tables load on first use, so a command that
+    # never needs them does not pay for them
+    assert _numpy_modules_after("import extlab") == "[]"
+
+
+def test_scalar_field_calls_leave_numpy_unloaded():
+    # the scalar tables are ``array`` buffers above GF(2^8), so scalar
+    # products, Horner steps and the narrow block-16 affine law never
+    # load numpy
+    assert _numpy_modules_after(
+        "from extlab import gf2, sext\n"
+        "for b in (9, 14, 16):\n"
+        "    top = (1 << b) - 1\n"
+        "    assert gf2.mul(top, 3, b) == gf2.mul_slow(top, 3, b)\n"
+        "    gf2.poly_eval([top, 0, 5], top - 1, b)\n"
+        "sext.affine_int(64, (1 << 128) - 3, (1 << 64) - 5)") == "[]"
