@@ -3,7 +3,9 @@
 ``adv_gen`` fingerprints the seed so that any tampered seed almost
 surely receives different advice: a short raw prefix of y is
 concatenated with Reed-Solomon symbols of y sampled at positions chosen
-by an extraction from x (seeded by another slice of y).
+by an extraction from x (seeded by another slice of y).  A symbol is
+GF(2)-linear in y, so each of its bits is the parity of y under a mask
+(``rs_masks``, built once per code position).
 
 ``flip_flop`` uses one advice bit to break the correlation between a
 row derived from (x, y) and its tampered twin: phase one runs a
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar, Iterable
 
 from . import gf2
-from .bits import BitString, int_blocks
+from .bits import BitString
 from .nipm import ParamError
 from .sext import (ExtScheme, affine_scheme, ext_val, poly_scheme,
                    sample_positions_val)
@@ -66,6 +69,41 @@ class AdvGenParams:
         return self.a0p + self.positions * self.rs_block
 
 
+@lru_cache(maxsize=None)
+def rs_masks(d: int, b: int, a: int) -> tuple[int, ...]:
+    """The parity masks of position a of the Reed-Solomon code of d-bit
+    messages in b-bit blocks: bit b - 1 - j of y's symbol at a is the
+    parity of y & masks[j].  Built on first use of a position, so a plan
+    pays only for the positions its advice samples.
+
+    The symbol at a is sum_i c_i * a^i over GF(2^b), c_i the i-th block
+    from the right of y padded right to k = ceil(d / b) blocks (Horner
+    order of ``gf2.poly_eval``, a^0 = 1 at a = 0 too).  Bit t of c_i adds
+    2^t * a^i, so bit r of the symbol is the parity of the bits (i, t)
+    whose 2^t * a^i has bit r set.  All k blocks are worked at once in
+    one int, s, holding 2^t * a^i in block i: doubling s shifts every
+    block left and reduces the blocks whose top bit fell out."""
+    k = -(-d // b)
+    ones = sum(1 << (b * i) for i in range(k))    # bit 0 of every block
+    low = ones * ((1 << (b - 1)) - 1)             # all but each top bit
+    reduce = gf2.IRREDUCIBLE[b] ^ (1 << b)
+    s, power = 0, 1
+    for i in range(k):
+        s |= power << (b * i)
+        power = gf2.mul(power, a, b)
+    cols = []
+    for _ in range(b):
+        cols.append(s)
+        s = ((s & low) << 1) ^ ((s >> (b - 1)) & ones) * reduce
+    masks = []
+    for r in range(b - 1, -1, -1):
+        m = 0
+        for t, col in enumerate(cols):
+            m |= ((col >> r) & ones) << t
+        masks.append(m >> (k * b - d))
+    return tuple(masks)
+
+
 def plan_adv_gen(n: int, d: int, eps: float) -> AdvGenParams:
     """Advice of a 2-bit raw prefix and two Reed-Solomon symbols of
     max(4, ceil(log2 d)) bits."""
@@ -95,13 +133,11 @@ def adv_gen_val(x: int, y: int, p: AdvGenParams) -> int:
     """``adv_gen`` on ints: x holds p.n bits and y p.d bits."""
     r = ext_val(p.sampler, x, y >> (p.d - p.a0))
     pos = sample_positions_val(r, p.sampler.m_out, p.positions, p.code_n)
-    b = p.rs_block
-    msg = int_blocks(y, p.d, b)
     adv = y >> (p.d - p.a0p)
-    # only the sampled codeword symbols are needed, so evaluate the
-    # message polynomial at just those points
+    # only the sampled codeword symbols are needed: one parity per bit
     for i in pos:
-        adv = (adv << b) | gf2.poly_eval(msg, i, b)
+        for mask in rs_masks(p.d, p.rs_block, i):
+            adv = (adv << 1) | ((y & mask).bit_count() & 1)
     return adv
 
 

@@ -11,10 +11,11 @@ advice bit, so rows with equal advice bits are equal: each distinct row
 (at most two) is built and refreshed once and shared by its rows.  The
 stages pass plain ints; ``nm_ext`` builds one ``BitString``, its result.
 When every width from the flip-flop through merger level 0 is a multiple
-of 16 (``NmExtParams.symbols16``, desk among them), those stages run on
-GF(2^16) symbol arrays instead, both rows at once (``_nm_ext16``); the
-int stages stay the path of every other plan and the reference the
-symbol path is tested against.
+of 16 and the refresh and level 0 fold their rows by identity
+(``NmExtParams.symbols16``, a ``SymbolPlan``; desk among them), those
+stages run on GF(2^16) symbol arrays instead, both rows at once
+(``_nm_ext16``); the int stages stay the path of every other plan and
+the reference the symbol path is tested against.
 
 ``plan_params`` emits the nominal schedule (rescaled error, advice
 length, fan-in and recursion depth as stated for the abstract
@@ -34,7 +35,7 @@ from .cbreak import AdvGenParams, FlipFlopParams, adv_gen_val, \
 from .ipm import IpmParams, merge_rows_val
 from .nipm import LevelPlan, NipmParams, ParamError, _clog2, \
     _lockstep_level, chain16, hand_plan, plan_nipm, recursive_nipm_val
-from .sext import affine16, fold16
+from .sext import fold16
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
 C_ADV = 2           # advice length multiplier
@@ -52,6 +53,67 @@ class NominalPlan:
     eps_out: float
 
 
+def _fold_case(n: int, k: int) -> str | None:
+    """How ``sext.fold16`` folds n symbols to 2k: n = 2k is the identity,
+    n = k a zero pad (v = 0), k < n < 2k a half pad (v zero-padded) and
+    n > 2k an XOR of segments; None below k."""
+    if n < k:
+        return None
+    if n == 2 * k:
+        return "identity"
+    if n == k:
+        return "zero pad"
+    return "half pad" if n < 2 * k else "xor fold"
+
+
+@dataclass(frozen=True)
+class SymbolPlan:
+    """The symbol path of a plan, widths in GF(2^16) symbols.  Each fold
+    case below is decided once: a source that folds by identity or by a
+    pad gives its u half's logs from the one gather of x and y."""
+    nx: int          # x
+    ny: int          # y
+    w: int           # flip-flop token: r1 and the keys
+    d1: int          # the slice y1 of y
+    m_ff: int        # flip-flop rows
+    d_z: int         # bootstrap z
+    m_v: int         # refreshed rows, z's slice keying them, level 0's seed
+    top: int         # advice >> top is row 0's advice bit
+    chains: int      # level 0's full blocks, of ell rows each
+    rest: int        # rows of level 0's ragged last block
+    x_w: str         # fold case of x to 2w (r1)
+    y1_w: str        # y1 to 2w (key 1; key 0 is s1, a zero pad)
+    x_m: str         # x to 2 m_ff (the rows)
+    y_z: str         # y to 2 d_z (z)
+    shifts: object   # (chains, ell): advice >> shifts & 1 picks the rows
+
+
+def _symbol_plan(p: "NmExtParams") -> SymbolPlan | None:
+    """``p``'s symbol path, or None if it has none: some width is not a
+    multiple of 16, y1 is wider than two tokens, or the refresh or level
+    0 folds a row other than by identity (m_in = d_slice = 2w = 2 m_out;
+    every ``plan_params`` plan does)."""
+    ff, lv = p.ff, p.nipm.levels[0]
+    widths = (p.n, p.d, p.d1, ff.w, ff.m_out, p.d_z, lv.m_in, lv.w,
+              lv.m_out, lv.d_slice)
+    if any(v % 16 for v in widths):
+        return None
+    nx, ny, d1, w, m_ff, d_z, m_v = (v // 16 for v in widths[:7])
+    cases = (_fold_case(nx, w), _fold_case(d1, w), _fold_case(nx, m_ff),
+             _fold_case(ny, d_z))
+    if (None in cases or cases[1] == "xor fold" or m_ff != 2 * m_v
+            or not lv.m_in == lv.d_slice == 2 * lv.w == 2 * lv.m_out):
+        return None
+    import numpy as np
+
+    L, ell = p.adv.advice_len, lv.ell
+    chains = L // ell
+    return SymbolPlan(
+        nx, ny, w, d1, m_ff, d_z, m_v, top=L - 1, chains=chains,
+        rest=L - chains * ell, x_w=cases[0], y1_w=cases[1], x_m=cases[2],
+        y_z=cases[3], shifts=(L - 1 - np.arange(chains * ell)).reshape(chains, ell))
+
+
 @dataclass(frozen=True)
 class NmExtParams:
     adv: AdvGenParams
@@ -62,8 +124,9 @@ class NmExtParams:
     # weak-seed merger of the flip-flop rows, seeded by y (derived)
     ipm: IpmParams = field(init=False, repr=False, compare=False)
     # nm_ext runs the flip-flop through merger level 0 on GF(2^16)
-    # symbols: every width they touch is a multiple of 16 (derived)
-    symbols16: bool = field(init=False, repr=False, compare=False)
+    # symbols by this plan, or on ints if None (derived)
+    symbols16: SymbolPlan | None = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self) -> None:
         if self.ff.n != self.adv.n:
@@ -73,11 +136,7 @@ class NmExtParams:
         object.__setattr__(self, "ipm", IpmParams(
             n_y=self.d, k_y=self.d, m=self.ff.m_out, d_z=self.d_z,
             nipm=self.nipm))
-        lv = self.nipm.levels[0]
-        widths = (self.n, self.d, self.d1, self.ff.w, self.ff.m_out,
-                  self.d_z, lv.m_in, lv.w, lv.m_out, lv.d_slice)
-        object.__setattr__(self, "symbols16", lv.d_slice <= self.d_z
-                           and not any(v % 16 for v in widths))
+        object.__setattr__(self, "symbols16", _symbol_plan(self))
 
     @property
     def n(self) -> int:
@@ -183,9 +242,9 @@ def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
     if x.n != p.n or y.n != p.d:
         raise ValueError("input width mismatch")
     advice = adv_gen_val(x.val, y.val, p.adv)
-    bits = [(advice >> i) & 1 for i in range(p.adv.advice_len - 1, -1, -1)]
     if p.symbols16:
-        return BitString(*_nm_ext16(x.val, y.val, bits, p))
+        return BitString(*_nm_ext16(x.val, y.val, advice, p))
+    bits = [(advice >> i) & 1 for i in range(p.adv.advice_len - 1, -1, -1)]
     y1 = y.val >> (p.d - p.d1)
     # row i depends on i only through the advice bit alpha_i, so each
     # distinct bit's row is built once (and refreshed once by the merger)
@@ -193,62 +252,75 @@ def nm_ext(x: BitString, y: BitString, p: NmExtParams) -> BitString:
     return BitString(*merge_rows_val([row[b] for b in bits], y.val, p.ipm))
 
 
-def _nm_ext16(x: int, y: int, bits: list[int], p: NmExtParams
+def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
               ) -> tuple[int, int]:
-    """``nm_ext`` after the advice, for params with ``symbols16`` set:
-    x and y become GF(2^16) symbols once, and the flip-flop, the
-    bootstrap, the refresh and merger level 0 run as ``affine16`` laws
-    on symbol arrays, both advice bits' rows at once in (2, symbols)
-    arrays whatever the advice.  Level 0 gathers its rows by advice bit
-    and runs ``nipm.chain16`` on its full blocks; a ragged last block
-    and the later levels run on ints.  Returns (width, value)."""
+    """``nm_ext`` after the advice, for params with a ``symbols16`` plan:
+    x and y become GF(2^16) symbols once, and their logs one gather; the
+    flip-flop, the bootstrap, the refresh and merger level 0 run as
+    affine laws on symbol arrays (``_law16``), both advice bits' rows at
+    once in (2, symbols) arrays whatever the advice.  Level 0 gathers
+    its rows by the advice bits and runs ``nipm.chain16`` on its full
+    blocks; a ragged last block and the later levels run on ints.
+    Returns (width, value)."""
     import numpy as np
 
-    ff, ipm, lv = p.ff, p.ipm, p.nipm.levels[0]
-    log = gf2.np_tables(16)[0]
-
-    def law(z, s):
-        # the affine law of the source z folded to 2m bits, seed s
-        k = z.shape[-1] // 2
-        return affine16(log.take(z[..., :k]), s, z[..., k:])
-
-    sym = np.frombuffer(x.to_bytes(p.n // 8, "big")
-                        + y.to_bytes(p.d // 8, "big"), dtype=">u2")
+    q, lv = p.symbols16, p.nipm.levels[0]
+    log, exp = gf2.np_tables(16)
+    sym = np.frombuffer(x.to_bytes(2 * q.nx, "big")
+                        + y.to_bytes(2 * q.ny, "big"), dtype=">u2")
     sym = sym.astype(np.uint16)
-    xs, ys = sym[:p.n // 16], sym[p.n // 16:]
-    # flip-flop: key 0 is Ext_tok(s1, r1) and key 1 is Ext_y(y1, r1)
-    s1 = ys[:ff.w // 16]
-    r1 = law(fold16(xs, 2 * ff.w), s1)
-    keys = law(np.concatenate((fold16(s1, 2 * ff.w),
-                               fold16(ys[:p.d1 // 16], 2 * ff.w))
-                              ).reshape(2, -1), r1)
-    rows = law(fold16(xs, 2 * ff.m_out), keys[:, :ff.m_out // 16])
-    # bootstrap z keyed by row 0, then refresh both rows keyed by z
-    z = law(fold16(ys, 2 * ipm.d_z), rows[bits[0], :ipm.d_z // 16])
-    fresh = law(fold16(rows, 2 * ipm.m_v), z[:ipm.m_v // 16])
+    ls = log.take(sym)
+    xs, ys, lx, ly = sym[:q.nx], sym[q.nx:], ls[:q.nx], ls[q.nx:]
+    w, mv, nw = q.w, q.m_v, lv.w // 16
+    # flip-flop: r1 = Ext_x(x, s1), key 0 is Ext_tok(s1, r1) = s1 * r1 and
+    # key 1 is Ext_y(y1, r1); s1 is y's first w symbols, so it is the u
+    # half of both keys, and key 1 adds the v half y1[w:]
+    r1 = _law16(xs, lx, w, q.x_w, ly[:w])
+    keys = exp.take(ly[:w] + log.take(r1))[None].repeat(2, axis=0)
+    if q.y1_w != "zero pad":
+        keys[1, :q.d1 - w] ^= ys[w:q.d1]
+    rows = _law16(xs, lx, q.m_ff, q.x_m, log.take(keys[:, :q.m_ff]))
+    # bootstrap z keyed by row 0, then refresh both rows keyed by z (the
+    # rows fold to 2 m_v by identity)
+    z = _law16(ys, ly, q.d_z, q.y_z,
+               log.take(rows[advice >> q.top, :q.d_z]))
+    lz = log.take(z[:mv])
+    fresh = exp.take(log.take(rows[:, :mv]) + lz) ^ rows[:, mv:]
     z_int = _sym_int(z)
-    nw, nm, ell = lv.w // 16, lv.m_out // 16, lv.ell
-    chains = len(bits) // ell
     out = []
-    if chains:
-        z_src = fold16(z[:lv.d_slice // 16], 2 * lv.w)
-        blocks = fresh[np.array(bits[:chains * ell]).reshape(chains, ell)]
-        mid = fold16(blocks[:, 1:-1], 2 * lv.w)
-        last = fold16(blocks[:, -1], 2 * lv.m_out)
-        merged = chain16(log.take(z_src[:nw]), z_src[nw:],
-                         blocks[:, 0, :nw], log.take(mid[..., :nw]),
-                         mid[..., nw:], log.take(last[:, :nm]), last[:, nm:])
-        data, step = merged.astype(">u2").tobytes(), 2 * nm
+    if q.chains:
+        # level 0 keyed by z's first m_v symbols; every row folds by
+        # identity and m_out = w, so one gather gives the u halves of
+        # the middle and last rows
+        blocks = fresh[(advice >> q.shifts) & 1]
+        lb = log.take(blocks[:, 1:, :nw])
+        merged = chain16(lz[:nw], z[nw:mv], blocks[:, 0, :nw], lb[:, :-1],
+                         blocks[:, 1:-1, nw:], lb[:, -1], blocks[:, -1, nw:])
+        data, step = merged.astype(">u2").tobytes(), 2 * nw
         out = [int.from_bytes(data[i:i + step], "big")
                for i in range(0, len(data), step)]
-    rest = bits[chains * ell:]
-    if rest:
+    if q.rest:
         fresh_int = [_sym_int(row) for row in fresh]
-        out += _lockstep_level([fresh_int[b] for b in rest],
-                               z_int >> (ipm.d_z - lv.d_slice), lv)
+        bits = [(advice >> i) & 1 for i in range(q.rest - 1, -1, -1)]
+        out += _lockstep_level([fresh_int[b] for b in bits],
+                               z_int >> (p.d_z - lv.d_slice), lv)
     if len(out) == 1:
         return lv.m_out, out[0]
-    return recursive_nipm_val(out, lv.m_out, z_int, ipm.d_z, p.nipm, start=1)
+    return recursive_nipm_val(out, lv.m_out, z_int, p.d_z, p.nipm, start=1)
+
+
+def _law16(a, la, k: int, case: str, lseed):
+    """The affine law u * s + v (``sext.affine16``) of the symbols a
+    folded to 2k symbols, keyed by the seed logs lseed; la holds a's
+    logs, whose first k are the u half's unless the fold XORs."""
+    log, exp = gf2.np_tables(16)
+    if case == "xor fold":
+        a = fold16(a, 32 * k)
+        la = log.take(a[..., :k])
+    out = exp.take(la[..., :k] + lseed)
+    if case != "zero pad":
+        out[..., :a.shape[-1] - k] ^= a[..., k:]
+    return out
 
 
 def _sym_int(a) -> int:

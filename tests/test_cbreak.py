@@ -4,7 +4,8 @@ import pytest
 from extlab import gf2
 from extlab.bits import BitString, blocks, concat, slice_bits
 from extlab.cbreak import (FlipFlopParams, adv_gen, adv_gen_val,
-                           collision_bound, flip_flop, plan_adv_gen)
+                           collision_bound, flip_flop, plan_adv_gen,
+                           rs_masks)
 from extlab.nipm import ParamError
 from extlab.nmx import desk_params, micro_params
 from extlab.pamp import _rand_bits
@@ -17,6 +18,21 @@ def test_plan_adv_gen_micro_shape():
     assert p.positions == 2 and p.a0p == 2
     assert p.advice_len == 2 + 2 * 4
     assert p.sampler.family == "poly"
+
+
+@pytest.mark.parametrize("p", [micro_params().adv, plan_adv_gen(16, 8, 0.1),
+                               desk_params().adv],
+                         ids=["micro", "census", "desk"])
+def test_rs_masks_reproduce_the_reed_solomon_symbols(p):
+    # at every position, 0 included, the parities of y under the masks
+    # are the bits of the Horner symbol, top bit first
+    b, rng = p.rs_block, np.random.Generator(np.random.Philox(61))
+    for y in (0, (1 << p.d) - 1, _rand_bits(rng, p.d), _rand_bits(rng, p.d)):
+        msg = blocks(BitString(p.d, y), b)
+        for i in range(p.code_n):
+            want = gf2.poly_eval(msg, i, b)
+            assert [(y & m).bit_count() & 1 for m in rs_masks(p.d, b, i)] \
+                == [(want >> r) & 1 for r in range(b - 1, -1, -1)]
 
 
 def test_plan_adv_gen_named_errors():

@@ -153,3 +153,25 @@ def test_scalar_field_calls_leave_numpy_unloaded():
         "    assert gf2.mul(top, 3, b) == gf2.mul_slow(top, 3, b)\n"
         "    gf2.poly_eval([top, 0, 5], top - 1, b)\n"
         "sext.affine_int(64, (1 << 128) - 3, (1 << 64) - 5)") == "[]"
+
+
+def test_micro_nm_ext_and_census_advice_leave_numpy_unloaded():
+    # the Reed-Solomon masks are ints, built without numpy at micro and
+    # census widths, and the micro pipeline stays on ints
+    assert _numpy_modules_after(
+        "from extlab import cbreak, nmx\n"
+        "from extlab.bits import BitString\n"
+        "p = cbreak.plan_adv_gen(16, 8, 0.1)\n"
+        "assert [cbreak.adv_gen_val(0x9D3A, y, p) for y in (0, 255)]\n"
+        "m = nmx.micro_params()\n"
+        "nmx.nm_ext(BitString(16, 0x9D3A), BitString(16, 0xC5F1), m)"
+    ) == "[]"
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py"),
+     *ROOT.glob("perfbench/**/*.py")]), ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_as_python_3_10(path):
+    # pyproject declares requires-python >= 3.10, and the code relies on
+    # it (int.bit_count), so no file may use later syntax
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -162,32 +162,84 @@ def _forced_advice(kind, L, rng):
     return v ^ 1 if v in (0, (1 << L) - 1) else v
 
 
-@pytest.mark.parametrize("advice", ["zeros", "ones", "mixed"])
-@pytest.mark.parametrize("plan", list(SYMBOL_PLANS))
-def test_symbol_path_matches_the_int_path(plan, advice, monkeypatch):
-    # the advice is forced, so every row pattern is reached whatever the
-    # draws; the int path is flip_flop_vals and merge_rows_val
-    p = SYMBOL_PLANS[plan]()
-    assert p.symbols16
-    L, rng, forced = p.adv.advice_len, random.Random(plan + advice), []
-    if plan.startswith("L"):
-        assert L % p.nipm.levels[0].ell == 2 and L == int(plan[1:])
+def _symbol_path_mismatches(p, draws, advice, rng, monkeypatch):
+    """The draws on which nm_ext (the symbol path) differs from the int
+    path, flip_flop_vals and merge_rows_val, under forced advice of the
+    given kind; and how many draws had distinct rows."""
+    L, forced, bad, differ = p.adv.advice_len, [], [], 0
     monkeypatch.setattr(nmx, "adv_gen_val", lambda x, y, adv: forced[-1])
-    draws, differ = _draws(p, 57, 4), 0
     for x, y in draws:
         forced.append(_forced_advice(advice, L, rng))
         bits = [(forced[-1] >> i) & 1 for i in range(L - 1, -1, -1)]
         rows = flip_flop_vals(x.val, y.val >> (p.d - p.d1), (0, 1), p.ff)
         want = merge_rows_val([rows[b] for b in bits], y.val, p.ipm)
-        assert nm_ext(x, y, p) == BitString(*want)
+        if nm_ext(x, y, p) != BitString(*want):
+            bad.append((x, y, forced[-1]))
         differ += rows[0] != rows[1]
+    return bad, differ
+
+
+@pytest.mark.parametrize("advice", ["zeros", "ones", "mixed"])
+@pytest.mark.parametrize("plan", list(SYMBOL_PLANS))
+def test_symbol_path_matches_the_int_path(plan, advice, monkeypatch):
+    # the advice is forced, so every row pattern is reached whatever the
+    # draws
+    p = SYMBOL_PLANS[plan]()
+    assert p.symbols16
+    if plan.startswith("L"):
+        assert p.adv.advice_len % p.nipm.levels[0].ell == 2
+        assert p.adv.advice_len == int(plan[1:])
+    draws = _draws(p, 57, 4)
+    bad, differ = _symbol_path_mismatches(
+        p, draws, advice, random.Random(plan + advice), monkeypatch)
+    assert bad == []
     if p.ff.w < p.d1:
         assert differ == len(draws)
 
 
+def _zero_symbols(v, n, rng):
+    """v with each of its n / 16 symbols cleared with probability 1/3."""
+    for i in range(n // 16):
+        if rng.random() < 1 / 3:
+            v &= ~(0xFFFF << (16 * i))
+    return v
+
+
+@pytest.mark.parametrize("advice", ["zeros", "ones", "mixed"])
+@pytest.mark.parametrize("plan", list(SYMBOL_PLANS))
+def test_symbol_path_matches_the_int_path_on_zero_symbols(plan, advice,
+                                                          monkeypatch):
+    # zero symbols read the log table's sentinel, in the gather of x and
+    # y and in every law after it; the last two draws zero all of y and
+    # all of x
+    p, rng = SYMBOL_PLANS[plan](), random.Random(plan + advice)
+    draws = [(BitString(p.n, _zero_symbols(x.val, p.n, rng)),
+              BitString(p.d, _zero_symbols(y.val, p.d, rng)))
+             for x, y in _draws(p, 59, 4)]
+    draws += [(draws[0][0], BitString(p.d, 0)),
+              (BitString(p.n, 0), draws[1][1])]
+    assert _symbol_path_mismatches(p, draws, advice, rng,
+                                   monkeypatch)[0] == []
+
+
+def test_symbol_plans_reach_every_fold_case():
+    # identity (desk's x), zero pad (desk's keys and z), half pad (m20's
+    # key 1 and z) and XOR fold (m8's x and z)
+    plans = [params().symbols16 for params in SYMBOL_PLANS.values()]
+    assert {case for q in plans for case in (q.x_w, q.y1_w, q.x_m, q.y_z)} \
+        == {"identity", "zero pad", "half pad", "xor fold"}
+    q = desk_params().symbols16
+    assert (q.x_w, q.y1_w, q.y_z) == ("identity", "zero pad", "zero pad")
+    q = SYMBOL_PLANS["m20"]().symbols16
+    assert q.y1_w == q.y_z == "half pad"
+    q = SYMBOL_PLANS["m8"]().symbols16
+    assert q.x_w == q.x_m == q.y_z == "xor fold"
+
+
 def test_desk_nm_ext_takes_the_symbol_path(monkeypatch):
     # desk never calls the int flip-flop or merger: one symbol-path call
-    # per extraction, with the outputs of the per-row reference
+    # per extraction, on that extraction's advice, with the outputs of the
+    # per-row reference
     p = desk_params()
     calls, real = [], nmx._nm_ext16
 
@@ -204,7 +256,7 @@ def test_desk_nm_ext_takes_the_symbol_path(monkeypatch):
         calls.clear()
         assert nm_ext(x, y, p) == _nm_ext_per_row(x, y, p)
         advice = adv_gen(x, y, p.adv)
-        assert calls == [[advice.bit(i) for i in range(advice.n)]]
+        assert calls == [advice.val]
 
 
 def test_symbol_path_is_chosen_by_width(monkeypatch):
