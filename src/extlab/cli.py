@@ -250,7 +250,6 @@ def _suite_cbreak(rng) -> list[dict]:
 
 def _suite_nmx(rng) -> list[dict]:
     p = nmx.micro_params()
-    mismatch = 0
     trials = 2000
     agree = 0
     for _ in range(trials):

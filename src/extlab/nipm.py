@@ -3,10 +3,11 @@
 ``lt_nipm`` merges up to ell rows against t tampered row/seed pairs in
 one look-ahead chain.  ``recursive_nipm`` merges L rows with geometrically
 growing seed slices, running each level's chains on plain ints
-(``recursive_nipm_val``), one block at a time or, on wide block-16
-levels, all full blocks in lockstep on numpy arrays (``chain16``, which
-``nmx.nm_ext`` also runs on its level-0 symbols); ``lt_nipm`` is the
-``BitString`` reference that the level body is tested against.
+(``recursive_nipm_val``), one block at a time in pure Python at every
+width; ``lt_nipm`` is the ``BitString`` reference that the level body
+is tested against.  ``chain16`` is the same chain on numpy arrays of
+GF(2^16) symbols, all blocks at once: only ``nmx.nm_ext``'s symbol path
+runs it, on its level-0 blocks.
 
 Planners emit the nominal parameter schedule (output lengths and errors
 as stated for the abstract construction, with all logs ceiled) next to
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import gf2
 from .altx import LevelPlan, look_ahead
 from .bits import BitString, RowMatrix, slice_bits
 from .sext import affine16, affine_int, avg_case_bound, fold
@@ -161,7 +161,7 @@ def lt_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
 def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
                    ) -> BitString:
     """Merge an L-row matrix level by level; every level runs one
-    look-ahead chain per block of rows (``_lockstep_level``)."""
+    look-ahead chain per block of rows (``_merge_level``)."""
     return BitString(*recursive_nipm_val([r.val for r in mat.rows], mat.m,
                                          y.val, y.n, params))
 
@@ -179,7 +179,7 @@ def recursive_nipm_val(rows: Sequence[int], m: int, y: int, y_n: int,
         if lv.d_slice > y_n:
             raise ValueError(f"slice width {lv.d_slice} out of range for "
                              f"{y_n} bits")
-        rows, m = _lockstep_level(rows, y >> (y_n - lv.d_slice), lv), lv.m_out
+        rows, m = _merge_level(rows, y >> (y_n - lv.d_slice), lv), lv.m_out
         if len(rows) == 1:
             break
     if len(rows) != 1:
@@ -187,23 +187,16 @@ def recursive_nipm_val(rows: Sequence[int], m: int, y: int, y_n: int,
     return m, rows[0]
 
 
-def _lockstep_level(rows: Sequence[int], w_src: int, lp: LevelPlan
-                    ) -> list[int]:
+def _merge_level(rows: Sequence[int], w_src: int, lp: LevelPlan
+                 ) -> list[int]:
     """One level over lp.m_in-bit rows, keyed by the lp.d_slice-bit seed
-    slice w_src: one look-ahead chain per block of lp.ell rows.  Same
-    outputs as lt_nipm block by block; a leftover one-row block is
-    carried through, trimmed to m_out.
-
-    The kernel is chosen once, from the level's shape: a block-16 level
-    (w and m_out divisible by 16) hands its full blocks to ``_chains16``,
-    which runs them in lockstep if they are wide enough; every other
-    block runs as an int chain of ``affine_int`` calls."""
+    slice w_src: one look-ahead chain of ``affine_int`` calls per block
+    of lp.ell rows.  Same outputs as lt_nipm block by block; a leftover
+    one-row block is carried through, trimmed to m_out."""
     w, m_in, m_out = lp.w, lp.m_in, lp.m_out
     z_src = fold(w_src, lp.d_slice, 2 * w)
-    out, start = [], 0
-    if not w % 16 and not m_out % 16:
-        out, start = _chains16(rows, z_src, lp)
-    for lo in range(start, len(rows), lp.ell):
+    out = []
+    for lo in range(0, len(rows), lp.ell):
         block = rows[lo:lo + lp.ell]
         if len(block) == 1:
             out.append(block[0] >> (m_in - m_out))
@@ -214,56 +207,6 @@ def _lockstep_level(rows: Sequence[int], w_src: int, lp: LevelPlan
         r = affine_int(w, z_src, s) >> (w - m_out)
         out.append(affine_int(m_out, fold(block[-1], m_in, 2 * m_out), r))
     return out
-
-
-# Lockstep pays numpy's per-call cost once per step for all chains: it
-# wins once a step spans this many token bits over all chains (nm_ext at
-# m = 32 and m = 8, whose level 0 is 5 x 128 and 5 x 32 bits, and at
-# n = 4096 and m = 128, whose level 1 is one 256-bit chain: see CHANGES.md)
-_STEP_BITS = 256
-
-
-def _chains16(rows: Sequence[int], z_src: int, lp: LevelPlan
-              ) -> tuple[list[int], int]:
-    """The int chains of ``_lockstep_level`` for the full blocks of lp.ell
-    rows of a level whose w and m_out are divisible by 16, all at once
-    on (chains, symbols) arrays of GF(2^16) symbols through
-    ``chain16``.  Returns their outputs and the number of rows they
-    used, or ([], 0) when the blocks make fewer than ``_STEP_BITS`` token
-    bits per step between them.
-
-    Every row becomes one 2w-bit word, u (high) and v (low) halves: the
-    first row of a block holds its w-bit prefix as u, a middle row its
-    fold to 2w bits, and the last row its fold to 2 * m_out bits with
-    each half left-aligned in its w-bit half; z_src's word comes first.
-    One gather takes the logs of every u at once."""
-    w, m_in, m_out, ell = lp.w, lp.m_in, lp.m_out, lp.ell
-    chains = len(rows) // ell
-    if chains * w < _STEP_BITS:
-        return [], 0
-    import numpy as np
-
-    rows = rows[:chains * ell]
-    nw, nm = w // 16, m_out // 16
-    mask = (1 << m_out) - 1
-    words = [z_src]
-    for lo in range(0, len(rows), ell):
-        words.append((rows[lo] >> (m_in - w)) << w)
-        words += [fold(r, m_in, 2 * w) for r in rows[lo + 1:lo + ell - 1]]
-        f = fold(rows[lo + ell - 1], m_in, 2 * m_out)
-        words.append(((f >> m_out) << (2 * w - m_out))
-                     | ((f & mask) << (w - m_out)))
-    a = np.frombuffer(b"".join(x.to_bytes(w // 4, "big") for x in words),
-                      dtype=">u2").astype(np.uint16).reshape(-1, 2 * nw)
-    log_u = gf2.np_tables(16)[0].take(a[:, :nw])
-    log_z, v_z = log_u[0], a[0, nw:]
-    a = a[1:].reshape(-1, ell, 2 * nw)
-    log_u = log_u[1:].reshape(-1, ell, nw)
-    out = chain16(log_z, v_z, a[:, 0, :nw], log_u[:, 1:-1],
-                  a[:, 1:-1, nw:], log_u[:, -1, :nm], a[:, -1, nw:nw + nm])
-    out = out.astype(">u2").tobytes()
-    return [int.from_bytes(out[i:i + 2 * nm], "big")
-            for i in range(0, len(out), 2 * nm)], len(rows)
 
 
 def chain16(log_z, v_z, s, log_mid, v_mid, log_last, v_last):

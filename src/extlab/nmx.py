@@ -14,8 +14,9 @@ When every width from the flip-flop through merger level 0 is a multiple
 of 16 and the refresh and level 0 fold their rows by identity
 (``NmExtParams.symbols16``, a ``SymbolPlan``; desk among them), those
 stages run on GF(2^16) symbol arrays instead, both rows at once
-(``_nm_ext16``); the int stages stay the path of every other plan and
-the reference the symbol path is tested against.
+(``_nm_ext16``), and numpy runs there only; the int stages are pure
+Python at every width, the path of every other plan and the reference
+the symbol path is tested against.
 
 ``plan_params`` emits the nominal schedule (rescaled error, advice
 length, fan-in and recursion depth as stated for the abstract
@@ -34,7 +35,7 @@ from .cbreak import AdvGenParams, FlipFlopParams, adv_gen_val, \
     flip_flop_vals, plan_adv_gen
 from .ipm import IpmParams, merge_rows_val
 from .nipm import LevelPlan, NipmParams, ParamError, _clog2, \
-    _lockstep_level, chain16, hand_plan, plan_nipm, recursive_nipm_val
+    _merge_level, chain16, hand_plan, plan_nipm, recursive_nipm_val
 from .sext import fold16
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
@@ -302,8 +303,8 @@ def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
     if q.rest:
         fresh_int = [_sym_int(row) for row in fresh]
         bits = [(advice >> i) & 1 for i in range(q.rest - 1, -1, -1)]
-        out += _lockstep_level([fresh_int[b] for b in bits],
-                               z_int >> (p.d_z - lv.d_slice), lv)
+        out += _merge_level([fresh_int[b] for b in bits],
+                            z_int >> (p.d_z - lv.d_slice), lv)
     if len(out) == 1:
         return lv.m_out, out[0]
     return recursive_nipm_val(out, lv.m_out, z_int, p.d_z, p.nipm, start=1)

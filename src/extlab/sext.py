@@ -142,9 +142,9 @@ def affine_int(m: int, z: int, s: int) -> int:
     v are z's halves and b is ``affine_scheme``'s block.  Up to 8 bits
     the products are one lookup in ``_product_table(m)``; wider outputs
     look each block up in the block's own table, or, at block 16, in the
-    log/exp tables: a loop below 256 bits (the scalar reference), and
-    from 256 bits on ``affine16`` on a batch of one, where one array
-    call beats the loop."""
+    GF(2^16) log/exp tables, in a pure-Python loop at every width (the
+    scalar reference that ``affine16``, the symbol path's kernel, is
+    tested against)."""
     u, v = z >> m, z & ((1 << m) - 1)
     if m <= 8:
         return _product_table(m)[(u << m) | s] ^ v
@@ -156,8 +156,6 @@ def affine_int(m: int, z: int, s: int) -> int:
         for sh in range(m - b, -1, -b):
             out = (out << b) | table[(((u >> sh) & mask) << b)
                                      | ((s >> sh) & mask)]
-    elif m >= 256:
-        return _affine_wide16(m, z, s)
     else:
         log, exp = gf2._tables(16)
         for sh in range(m - 16, -1, -16):
@@ -198,19 +196,6 @@ def _product_table(m: int) -> bytes:
                                   "big")
         rows.append(row.to_bytes(size, "big"))
     return b"".join(rows)
-
-
-def _affine_wide16(m: int, z: int, s: int) -> int:
-    """``affine_int`` at block 16 through ``affine16``, as a batch of one:
-    z (halves u and v) and s read as one big-endian uint16 array."""
-    import numpy as np
-
-    nb = m // 16
-    a = np.frombuffer(z.to_bytes(4 * nb, "big") + s.to_bytes(2 * nb, "big"),
-                      dtype=">u2")
-    out = affine16(gf2.np_tables(16)[0].take(a[:nb]), a[2 * nb:],
-                   a[nb:2 * nb])
-    return int.from_bytes(out.astype(">u2").tobytes(), "big")
 
 
 def affine16(log_u, s, v):

@@ -155,6 +155,21 @@ def test_scalar_field_calls_leave_numpy_unloaded():
         "sext.affine_int(64, (1 << 128) - 3, (1 << 64) - 5)") == "[]"
 
 
+def test_int_path_leaves_numpy_unloaded_at_block_16_widths():
+    # the int path is pure Python at every width: a 512-bit affine law,
+    # and an nm_ext whose plan has no symbol path (n = 1000 is no
+    # multiple of 16) and whose level 0 is five 128-bit chains
+    assert _numpy_modules_after(
+        "from extlab import nmx, sext\n"
+        "from extlab.bits import BitString\n"
+        "assert sext.affine_int(512, (1 << 1024) - 3, (1 << 512) - 5)\n"
+        "p = nmx.plan_params(1000, 768, 512, 32, 2 ** -8)\n"
+        "assert p.symbols16 is None\n"
+        "assert [p.nipm.levels[0].w, p.nipm.L] == [128, 20]\n"
+        "nmx.nm_ext(BitString(1000, (1 << 1000) // 7),\n"
+        "           BitString(512, (1 << 512) // 11), p)") == "[]"
+
+
 def test_micro_nm_ext_and_census_advice_leave_numpy_unloaded():
     # the Reed-Solomon masks are ints, built without numpy at micro and
     # census widths, and the micro pipeline stays on ints

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from extlab import msrc, nipm, nmx
 from extlab.bits import BitString, matrix, slice_bits
-from extlab.nipm import (LevelPlan, NipmParams, ParamError, _lockstep_level,
+from extlab.nipm import (LevelPlan, NipmParams, ParamError, _merge_level,
                          assembled_bound, hand_plan, lt_nipm, nominal_m1,
                          nominal_schedule, plan_nipm, recursive_nipm)
 
@@ -156,9 +156,8 @@ def _per_block(rows, y, lv):
 NARROW = (nmx.micro_params().nipm.levels
           + msrc.default_params(11).ipm.nipm.levels
           + nmx.desk_params().nipm.levels[1:])
-# block-16 levels that run their full blocks in lockstep from L = 8 (ell
-# 4), L = 9 (ell 3) and L = 4 (ell 4, one chain of 256 bits) on: m_out <
-# w, m_in > 2w with an m_in that is no multiple of 16, and one chain
+# wide block-16 levels, run as int chains like every level: m_out < w,
+# m_in > 2w with an m_in that is no multiple of 16, and a 256-bit chain
 WIDE = (LevelPlan(ell=4, m_in=256, w=128, m_out=48, d_slice=200),
         LevelPlan(ell=3, m_in=600, w=128, m_out=128, d_slice=512),
         LevelPlan(ell=4, m_in=512, w=256, m_out=256, d_slice=512))
@@ -170,70 +169,22 @@ WIDE = (LevelPlan(ell=4, m_in=256, w=128, m_out=48, d_slice=200),
 @settings(max_examples=12, deadline=None)
 def test_lockstep_level_matches_lt_nipm_per_block(L, t, kind, seed):
     # every level against lt_nipm block by block: the planned first level
-    # (w = m_out = 128, block 16) and the WIDE levels, which run their
-    # full blocks in lockstep once L is large enough, and the narrow
-    # levels; L mod ell covers full, ragged and carried-through blocks
+    # (w = m_out = 128, block 16), the WIDE levels and the narrow levels;
+    # L mod ell covers full, ragged and carried-through blocks
     p = plan_nipm(L, t, 256, 512, 1e-4, ell=4)
     crit3 = LevelPlan(ell=L, m_in=6, w=2, m_out=2, d_slice=6)
     rng = random.Random(seed)
     y = BitString(512, rng.getrandbits(512))
     for lv in (p.levels[0], crit3) + WIDE + NARROW:
         rows = _rows(kind, L, lv.m_in, rng)
-        got = _lockstep_level([r.val for r in rows],
-                              y.val >> (y.n - lv.d_slice), lv)
+        got = _merge_level([r.val for r in rows],
+                           y.val >> (y.n - lv.d_slice), lv)
         assert got == [r.val for r in _per_block(rows, y, lv)], lv
     rows = _rows(kind, L, 256, rng)
     want = rows
     for lv in p.levels:
         want = _per_block(want, y, lv)
     assert [recursive_nipm(matrix(rows), y, p)] == want
-
-
-def _lockstep_rows(monkeypatch):
-    """Patch nipm._chains16 to record how many rows each call runs in
-    lockstep, leaving out the calls that run none."""
-    calls, real = [], nipm._chains16
-
-    def spy(rows, z_src, lp):
-        out, used = real(rows, z_src, lp)
-        if used:
-            calls.append(used)
-        return out, used
-    monkeypatch.setattr(nipm, "_chains16", spy)
-    return calls
-
-
-def test_lockstep_path_is_chosen_by_level_shape(monkeypatch):
-    calls = _lockstep_rows(monkeypatch)
-    rng = random.Random(7)
-
-    def run(lv, L):
-        calls.clear()
-        _lockstep_level([rng.getrandbits(lv.m_in) for _ in range(L)],
-                        rng.getrandbits(lv.d_slice), lv)
-        return list(calls)
-    planned = plan_nipm(8, 1, 256, 512, 1e-4, ell=4).levels[0]
-    # the full blocks go in lockstep, the ragged tail runs as an int chain
-    for L in (8, 9, 10, 11, 21):
-        assert run(planned, L) == [L - L % 4]
-        assert run(WIDE[0], L) == [L - L % 4]
-    for L in (9, 10, 11, 20):
-        assert run(WIDE[1], L) == [L - L % 3]
-    # a step of 256 token bits or more goes in lockstep, one chain
-    # included: at n = 4096 and m = 128, nm_ext's level 1 is one chain of
-    # 256 bits and a two-row tail
-    assert run(nmx.plan_params(4096, 3072, 2048, 128, 2 ** -8).nipm.levels[1],
-               6) == [4]
-    # too few token bits per step, or no block 16; nm_ext at m = 8 merges
-    # 20 rows at w = 32, so 160 bits per step
-    assert run(planned, 7) == []                            # 128 per step
-    assert run(LevelPlan(4, 128, 64, 64, 128), 12) == []    # 192 per step
-    assert run(nmx.plan_params(1024, 768, 512, 8, 2 ** -8).nipm.levels[0],
-               20) == []
-    assert run(LevelPlan(4, 256, 120, 120, 256), 20) == []  # block 8
-    for lv in (nmx.micro_params().nipm.levels
-               + msrc.default_params(11).ipm.nipm.levels):
-        assert run(lv, 20) == []
 
 
 def test_desk_level_0_runs_in_lockstep(monkeypatch):
@@ -245,7 +196,6 @@ def test_desk_level_0_runs_in_lockstep(monkeypatch):
     def spy(log_z, v_z, s, log_mid, *rest):
         calls.append(len(s) * (log_mid.shape[1] + 2))
         return real(log_z, v_z, s, log_mid, *rest)
-    monkeypatch.setattr(nipm, "chain16", spy)
     monkeypatch.setattr(nmx, "chain16", spy)
     p = nmx.desk_params()
     rng = random.Random(8)

@@ -105,7 +105,7 @@ def test_affine_int_table_matches_reference_exhaustively(m):
 @pytest.mark.parametrize("m", [12, 24, 64, 128, 256, 512])
 def test_affine_int_wide_matches_reference(m):
     # block 4 and 8 look their blocks up in the block's table, block 16
-    # multiplies by log/exp in a loop below 256 bits and on numpy from 256
+    # multiplies by log/exp in a loop at every width
     rng = random.Random(m)
     for _ in range(500):
         z, s = rng.getrandbits(2 * m), rng.getrandbits(m)
@@ -124,9 +124,9 @@ def _symbols(n):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_wide_affine_int_matches_the_log_exp_loop(m, data):
-    # from 256 bits affine_int runs affine16 on a batch of one; the law
-    # is blockwise, so 128-bit pieces through the log/exp loop give the
-    # reference.  Zero symbols in u and s meet the tables' sentinel.
+    # the law is blockwise, so the whole width and its 128-bit pieces
+    # through the log/exp loop must agree.  Zero symbols in u and s meet
+    # the tables' sentinel.
     u, v, s = (data.draw(_symbols(m // 16)) for _ in range(3))
     mask = (1 << 128) - 1
     want = 0
@@ -203,7 +203,7 @@ def test_affine_ext_blockwise_law():
 
 
 def test_affine_wide_path_matches_blockwise():
-    # the numpy fast path (block=16, m>=128) must agree with the loop
+    # a wide block-16 extraction must agree with gf2.mul block by block
     s = affine_scheme(512, 256)
     assert s.block == 16
     rng = np.random.Generator(np.random.Philox(9))
