@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cbreak, msrc, nipm, nmx, pamp, prob, sext, verify
-from .bits import MAX_LEN, BitString
+from . import cbreak, ipm, msrc, nipm, nmx, pamp, prob, sext, verify
+from .bits import MAX_LEN, BitString, matrix
 from .nipm import ParamError
 
 OK, FAIL, USAGE = 0, 1, 2
@@ -218,16 +218,14 @@ def _suite_nipm(rng) -> list[dict]:
 
 
 def _suite_ipm(rng) -> list[dict]:
-    from . import ipm as ipm_mod
     lp = nipm.LevelPlan(ell=2, m_in=4, w=2, m_out=1, d_slice=4)
-    p = ipm_mod.micro_ipm(L=2, t=1, m=8, n_y=8, k_y=6, d_z=6,
-                          nipm=nipm.hand_plan(2, 1, (lp,)))
+    p = ipm.micro_ipm(L=2, t=1, m=8, n_y=8, k_y=6, d_z=6,
+                      nipm=nipm.hand_plan(2, 1, (lp,)))
     inst = verify.build_instance(rng, L=2, m=8, d=8, t=1, witness=1)
 
     def merge(rws, y):
-        from .bits import matrix
-        return ipm_mod.ipm_weak(matrix([BitString(8, r) for r in rws]),
-                                BitString(8, y), p).val
+        return ipm.ipm_weak(matrix([BitString(8, r) for r in rws]),
+                            BitString(8, y), p).val
     d = verify.merger_distance(merge, inst, 1)
     return [{"name": "ipm_weak_distance", "value": float(d),
              "bound": 1.0, "pass": d <= 1}]

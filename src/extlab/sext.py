@@ -276,17 +276,17 @@ def sample_positions_val(r: int, n: int, count: int, universe: int
 def ext_all_seeds_poly(scheme: ExtScheme, xs: list[int]):
     """Poly-family outputs over every seed, tallied for the exact
     strong-distance oracle.  The xs are a source's points, so they are
-    below 2^N_MAX.  Returns the int64 count table ``counts`` of shape
-    (2^d_seed, 2^m_out): ``counts[s, z]`` is the number of xs with
-    ext(x, s) = z.  Requires block <= 8 so the seed space is
-    enumerable.
+    below 2^N_MAX.  Returns the output-major int64 count table
+    ``counts[z, (s2 << b) | s1]``, the number of xs with ext(x, s) = z
+    for the seed s = (s1 << b) | s2.  Requires block <= 8 so the seed
+    space is enumerable.
 
     The output prefix_m(acc(x, s1) * s2) sees x only through the Horner
     value acc(x, s1), so the xs are first tallied into hist[s1, a], the
     number of xs with acc(x, s1) = a, and hist is then contracted with
-    the 0/1 table O[a, (s2, z)] = [prefix_m(a * s2) = z] in one float64
-    matmul.  That product is exact: every entry and every partial sum
-    is a non-negative integer at most len(xs) <= 2^N_MAX = 2^20, far
+    the 0/1 table O[a, (z, s2)] = [prefix_m(a * s2) = z] in one float64
+    matmul, O^T hist^T.  That product is exact: every entry and every
+    partial sum is a non-negative integer at most len(xs) <= 2^20, far
     below float64's 2^53, so any summation order gives the same
     integers."""
     import numpy as np
@@ -311,20 +311,19 @@ def ext_all_seeds_poly(scheme: ExtScheme, xs: list[int]):
     acc += np.arange(field, dtype=np.int64)[:, None] << b
     hist = np.bincount(acc.ravel(), minlength=field * field)
     hist = hist.reshape(field, field).astype(np.float64)
-    counts = hist @ _prefix_table(b, m)
-    # row s1, column (s2, z): seed s = (s1 << b) | s2
-    return counts.astype(np.int64).reshape(field * field, 1 << m)
+    counts = _prefix_table(b, m).T @ hist.T  # row (z, s2), column s1
+    return counts.astype(np.int64).reshape(1 << m, field * field)
 
 
 @lru_cache(maxsize=None)
 def _prefix_table(b: int, m: int):
-    """O[a, (s2 << m) | z] = 1 exactly when prefix_m(a * s2) = z in
+    """O[a, (z << b) | s2] = 1 exactly when prefix_m(a * s2) = z in
     GF(2^b), as float64 for the count contraction."""
     import numpy as np
 
     field = 1 << b
     table = np.zeros((field, field << m), dtype=np.float64)
-    cols = (np.arange(field)[None, :] << m) | (gf2.np_mul_table(b) >> (b - m))
+    cols = ((gf2.np_mul_table(b) >> (b - m)) << b) | np.arange(field)
     np.put_along_axis(table, cols, 1.0, axis=1)
     table.setflags(write=False)  # cached and shared by every call
     return table

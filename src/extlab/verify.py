@@ -5,10 +5,10 @@ enumerating supports: strong extractor distance, non-malleability
 distance against explicit tamper tables, and merger distance on planted
 instances.  All three are one quantity, the distance of (Z, side
 information) from (uniform, side information), which
-``distance_given_rest`` computes from integer counts.  Instances are
-described by their latent free bits, so a matrix whose rows are all
-functions of one shared block enumerates over the block, not over the
-ambient row space.
+``distance_of_counts`` computes from the count array ``count_table``
+builds.  Instances are described by their latent free bits, so a matrix
+whose rows are all functions of one shared block enumerates over the
+block, not over the ambient row space.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .bits import BitString
 from .prob import Dist
-from .sext import ExtScheme, ext
+from .sext import ExtScheme, ext, ext_all_seeds_poly
 
 
 # ---------------------------------------------------------------- tampering
@@ -71,27 +72,39 @@ def flip_low_bit_tamper(d: int) -> TamperFn:
 
 # ------------------------------------------------------------ the kernel
 
-def distance_given_rest(counts: dict, m_out: int, total: int) -> Fraction:
+def _count_dtype(m_out: int, total: int):
+    """int64 if total 2^(m_out+1) fits (it bounds the kernel's values)."""
+    import numpy as np
+    return np.int64 if total << (m_out + 1) < 1 << 63 else object
+
+
+def count_table(z, side, weights, m_out: int, total: int):
+    """C[z, j]: the summed weight of the cells with output z and the j-th
+    smallest side code, over three arrays of outputs, side codes (any
+    integers) and weights that broadcast together and sum to ``total``."""
+    import numpy as np
+    dtype = _count_dtype(m_out, total)
+    z, side, weights = np.broadcast_arrays(
+        z, side, np.asarray(weights).astype(dtype))
+    lo, hi = z.min(), z.max()
+    if lo < 0 or hi >> m_out:
+        raise ValueError(f"outputs {lo}..{hi} do not fit in {m_out} bits")
+    codes, j = np.unique(side.ravel(), return_inverse=True)
+    C = np.zeros((1 << m_out, len(codes)), dtype=dtype)
+    np.add.at(C, (z.ravel(), j), weights.ravel())
+    return C
+
+
+def distance_of_counts(C, m_out: int, total: int) -> Fraction:
     """Exact distance of (Z, R) from (U, R), U uniform on m_out bits and
-    independent of R: the average over the side information R of Z's
-    distance from uniform.  ``counts`` maps (z, r) to an integer weight;
-    the weights sum to ``total``.  The sum is over integers, and one
-    Fraction is made at the end."""
+    independent of R, from C[z, r], the integer weight on output z and
+    side value r (2^m_out rows, columns in any order, summing to total):
+    1 - sum over cells of min(C, C_r / 2^m) / total, C_r = sum_z C."""
+    import numpy as np
     size = 1 << m_out
-    side_total: dict = {}
-    side_seen: dict = {}
-    for (z, side), c in counts.items():
-        if not 0 <= z < size:
-            raise ValueError(f"output {z} does not fit in {m_out} bits")
-        side_total[side] = side_total.get(side, 0) + c
-        side_seen[side] = side_seen.get(side, 0) + 1
-    # sum over seen cells of |c/total - c_side/(2^m total)|, plus
-    # c_side/(2^m total) for each of the 2^m - seen unseen cells
-    acc = sum(abs(c * size - side_total[side])
-              for (_, side), c in counts.items())
-    acc += sum(c_side * (size - side_seen[side])
-               for side, c_side in side_total.items())
-    return Fraction(acc, 2 * size * total)
+    C = C.astype(_count_dtype(m_out, total), copy=False)
+    shared = int(np.minimum(C * size, C.sum(axis=0)).sum())
+    return Fraction(size * total - shared, size * total)
 
 
 # ------------------------------------------------------- extractor oracles
@@ -106,37 +119,38 @@ def ext_fn_of(scheme: ExtScheme) -> ExtFn:
     return f
 
 
+def _seeded_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int,
+                     tamper: TamperFn | None) -> Fraction:
+    """Distance of (f(X, Y), R) from (U, R), Y uniform on d_seed bits and
+    R = Y, or (f(X, A(Y)), Y) under a tamper A; one f call per (x, y)."""
+    import numpy as np
+
+    out = np.array([[f(x, y) for x in source.points]
+                    for y in range(1 << d_seed)])  # out[y, i]
+    side = np.arange(1 << d_seed)[:, None]
+    if tamper is not None:
+        side = out[list(tamper.table)] * (1 << d_seed) + side
+    total = source.den << d_seed
+    C = count_table(out, side, source.weights, m_out, total)
+    return distance_of_counts(C, m_out, total)
+
+
 def strong_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int
                     ) -> Fraction:
     """Exact distance of (Ext(X, S), S) from (U_m, S) with S uniform."""
-    sup = list(zip(source.points, source.weights))
-    counts: dict = {}
-    for s in range(1 << d_seed):
-        for x, c in sup:
-            key = (f(x, s), s)
-            counts[key] = counts.get(key, 0) + c
-    return distance_given_rest(counts, m_out, source.den << d_seed)
+    return _seeded_distance(f, source, d_seed, m_out, None)
 
 
 def strong_distance_poly_fast(scheme: ExtScheme, source: Dist) -> Fraction:
     """Exact strong distance for poly schemes over flat sources, from the
-    seed-by-output count table of ``ext_all_seeds_poly``.  With N points
-    and every cell weighing 1/(N 2^d), the distance is the sum over the
-    (s, z) cells of |c 2^m - N| / (2 N 2^(d+m)).  Each term is at most
-    N 2^m and the terms of one seed sum to at most 2 N 2^m, so the whole
-    sum is at most 2^(d+m+1) N <= 2^45 and int64 holds it exactly.
-    Non-flat sources go to the scalar ``strong_distance``."""
-    import numpy as np
-
-    from .sext import ext_all_seeds_poly
-
+    output-by-seed count table of ``ext_all_seeds_poly``.  Non-flat
+    sources go to the scalar ``strong_distance``."""
     if len(set(source.weights)) > 1:  # not flat
         return strong_distance(ext_fn_of(scheme), source,
                                scheme.d_seed, scheme.m_out)
-    counts = ext_all_seeds_poly(scheme, source.points)  # (2^d, 2^m)
-    n, size = len(source.points), counts.shape[1]
-    big = int(np.abs(counts * size - n).sum())
-    return Fraction(big, 2 * n * counts.size)
+    total = len(source.points) << scheme.d_seed
+    return distance_of_counts(ext_all_seeds_poly(scheme, source.points),
+                              scheme.m_out, total)
 
 
 def nm_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int,
@@ -145,14 +159,7 @@ def nm_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int,
     with Y uniform on d_seed bits."""
     if tamper.d != d_seed:
         raise ValueError("tamper arity mismatch")
-    # f once per (x, seed): out[y][i] = f(points[i], y)
-    out = [[f(x, y) for x in source.points] for y in range(1 << d_seed)]
-    counts: dict = {}
-    for y in range(1 << d_seed):
-        for z, za, c in zip(out[y], out[tamper(y)], source.weights):
-            key = (z, (za, y))
-            counts[key] = counts.get(key, 0) + c
-    return distance_given_rest(counts, m_out, source.den << d_seed)
+    return _seeded_distance(f, source, d_seed, m_out, tamper)
 
 
 # --------------------------------------------------------- merger oracles
@@ -191,29 +198,24 @@ def merger_distance(merge: MergerFn, inst: MergerInstance, m_out: int
     with M replaced by an independent uniform string."""
     n_lat = 1 << inst.lat_x_bits
     n_y = 1 << inst.d
-    counts: dict = {}
-    cache: dict = {}
+    merged = lru_cache(maxsize=None)(merge)  # one call per (rows, y)
+    outs, sides, wide = [], [], 0
     for lat in range(n_lat):
         rows = inst.rows_of(lat)
         tampered = [tf(rows) for tf in inst.tamper_rows]
         for y in range(n_y):
-            ck = (rows, y)
-            mv = cache.get(ck)
-            if mv is None:
-                mv = merge(rows, y)
-                cache[ck] = mv
-            rest = [y]      # side information: (y, M^g, Y^g for each g)
+            outs.append(merged(rows, y))
+            side = y    # (y, M^g, Y^g for each g), M^g in m_out bits
             for g in range(inst.t):
                 yg = inst.tamper_y[g](y)
-                ck = (tampered[g], yg)
-                mg = cache.get(ck)
-                if mg is None:
-                    mg = merge(tampered[g], yg)
-                    cache[ck] = mg
-                rest += (mg, yg)
-            key = (mv, tuple(rest))
-            counts[key] = counts.get(key, 0) + 1
-    return distance_given_rest(counts, m_out, n_lat * n_y)
+                mg = merged(tampered[g], yg)
+                wide |= mg
+                side = (side << m_out | mg) << inst.d | yg
+            sides.append(side)
+    if wide >> m_out:
+        raise ValueError(f"a tampered output does not fit in {m_out} bits")
+    C = count_table(outs, sides, 1, m_out, n_lat * n_y)
+    return distance_of_counts(C, m_out, n_lat * n_y)
 
 
 def rot(v: int, m: int, sh: int) -> int:

@@ -24,9 +24,9 @@ from extlab.nipm import (LevelPlan, NipmParams, ParamError, assembled_bound,
 from extlab.prob import Dist, bit_error, stat_distance, uniform
 from extlab.sext import ext, poly_scheme
 from extlab.verify import (adversarial_xor_instance, build_instance,
-                           distance_given_rest, enumerate_tampers,
-                           ext_fn_of, merger_distance, nm_distance,
-                           sample_tamper, strong_distance,
+                           count_table, distance_of_counts,
+                           enumerate_tampers, ext_fn_of, merger_distance,
+                           nm_distance, sample_tamper, strong_distance,
                            strong_distance_poly_fast, xor_strawman)
 
 ONE = Fraction(1)
@@ -219,17 +219,19 @@ def _ff_joint_distance(p: cbreak.FlipFlopParams, src: Dist, b: int,
                        bp: int, tamper) -> Fraction:
     """Exact distance of (out, tampered out, Y) from (uniform, ., Y) for
     a flat source."""
-    sup = src.support()
-    counts: Counter = Counter()
-    for x in sup:
-        for y in range(1 << p.d_y):
-            ya = tamper(y) if tamper else y
-            o = cbreak.flip_flop(BitString(p.n, x), BitString(p.d_y, y),
-                                 b, p).val
-            oa = cbreak.flip_flop(BitString(p.n, x), BitString(p.d_y, ya),
-                                  bp, p).val
-            counts[(o, (oa, y))] += 1
-    return distance_given_rest(counts, p.m_out, len(sup) << p.d_y)
+    sup, ys = src.support(), range(1 << p.d_y)
+
+    def outs(bit: int, seeds) -> np.ndarray:  # outs[y, x]
+        return np.array([[cbreak.flip_flop(BitString(p.n, x),
+                                           BitString(p.d_y, y), bit, p).val
+                          for x in sup] for y in seeds])
+
+    o = outs(b, ys)
+    oa = outs(bp, [tamper(y) if tamper else y for y in ys])
+    side = oa << p.d_y | np.arange(1 << p.d_y)[:, None]
+    total = o.size
+    return distance_of_counts(count_table(o, side, 1, p.m_out, total),
+                              p.m_out, total)
 
 
 def _chain_budget(p: cbreak.FlipFlopParams, k: int, t: int = 1) -> Fraction:

@@ -270,14 +270,15 @@ def test_fast_strong_distance_matches_exact():
 
 
 def test_ext_all_seeds_poly_matches_scalar():
-    # the count table tallies scalar ext over all 1,024 seeds
+    # the count table tallies scalar ext over all 1,024 seeds, output
+    # major, in column (s2 << 5) | s1 for the seed (s1 << 5) | s2
     s = poly_scheme(10, 2, claimed_k=5, block=5)
     xs = [0, 1, 0x155, 0x3FF]
-    want = np.zeros((1 << 10, 1 << 2), dtype=np.int64)
+    want = np.zeros((1 << 2, 1 << 10), dtype=np.int64)
     for x in xs:
         for seed in range(1 << 10):
             z = ext(s, BitString(10, x), BitString(10, seed)).val
-            want[seed, z] += 1
+            want[z, (seed & 31) << 5 | seed >> 5] += 1
     table = ext_all_seeds_poly(s, xs)
     assert table.shape == want.shape and table.dtype == np.int64
     assert (table == want).all()

@@ -9,8 +9,8 @@ from extlab.prob import (flat, from_counts, sample_flat_source,
                          stat_distance_maps, uniform)
 from extlab.sext import poly_scheme
 from extlab.verify import (TamperFn, adversarial_xor_instance,
-                           build_instance, distance_given_rest,
-                           enumerate_tampers, ext_fn_of,
+                           build_instance, count_table,
+                           distance_of_counts, enumerate_tampers, ext_fn_of,
                            flip_low_bit_tamper, merger_distance,
                            nm_distance, rot, sample_tamper,
                            strong_distance, strong_distance_poly_fast,
@@ -149,6 +149,16 @@ def _dense_joint_distance(p: dict, m_out: int) -> Fraction:
     return stat_distance_maps(p, q)
 
 
+def _kernel_distance(counts: dict, m_out: int, total: int) -> Fraction:
+    """The distance of z given the rest, the side information, for the
+    dict counts {(z, side): weight}, through count_table and
+    distance_of_counts."""
+    (z, side), weights = zip(*counts), list(counts.values())
+    return distance_of_counts(
+        count_table(list(z), list(side), weights, m_out, total),
+        m_out, total)
+
+
 @pytest.mark.parametrize("m_out", [1, 2, 3])
 @pytest.mark.parametrize("flat_weights", [True, False])
 def test_distance_given_rest_matches_dense_formula(m_out, flat_weights):
@@ -158,24 +168,31 @@ def test_distance_given_rest_matches_dense_formula(m_out, flat_weights):
         counts = {}
         for side in range(int(rng.integers(1, 6))):
             # side 0 always misses all but one z; the others miss a
-            # random number of them
+            # random number of them.  Side codes are wide and unsorted.
             seen = 1 if side == 0 else int(rng.integers(1, size + 1))
+            code = (5 - side) << 70 | side
             for z in rng.choice(size, size=seen, replace=False):
-                counts[(int(z), (side, "r"))] = (
+                counts[(int(z), code)] = (
                     1 if flat_weights else int(rng.integers(1, 9)))
         total = sum(counts.values())
-        assert distance_given_rest(counts, m_out, total) == \
+        assert _kernel_distance(counts, m_out, total) == \
             _dense_distance(counts, m_out, total)
 
 
 def test_distance_given_rest_known_values():
-    uniform_z = {(z, 0): 1 for z in range(4)}
-    assert distance_given_rest(uniform_z, 2, 4) == 0
-    assert distance_given_rest({(0, 0): 3}, 1, 3) == Fraction(1, 2)
-    assert distance_given_rest({(0, 0): 1, (0, 1): 1}, 2, 2) == \
-        Fraction(3, 4)
-    with pytest.raises(ValueError):
-        distance_given_rest({(2, 0): 1}, 1, 1)
+    cases = [({(z, 0): 1 for z in range(4)}, 2, 4, 0),
+             ({(0, 0): 3}, 1, 3, Fraction(1, 2)),
+             ({(0, 0): 1, (0, 1): 1}, 2, 2, Fraction(3, 4))]
+    for counts, m_out, total, want in cases:
+        assert _kernel_distance(counts, m_out, total) == want == \
+            _dense_distance(counts, m_out, total)
+    # the kernel alone, on an array with an empty column
+    C = np.array([[3, 0, 1], [0, 0, 1]])
+    assert distance_of_counts(C, 1, 5) == Fraction(3, 10) == \
+        _dense_distance({(0, 0): 3, (0, 2): 1, (1, 2): 1}, 1, 5)
+    for z in (2, -1):
+        with pytest.raises(ValueError):
+            count_table([z], [0], [1], 1, 1)
 
 
 # ------------------------------ oracles against dense Fraction weights
@@ -258,3 +275,50 @@ def test_strong_distance_poly_fast_matches_scalar_at_block_8():
     src = flat(12, [0x001, 0x0FF, 0x7A5])
     assert strong_distance_poly_fast(scheme, src) == strong_distance(
         ext_fn_of(scheme), src, scheme.d_seed, scheme.m_out)
+
+
+def test_strong_and_nm_distance_with_weights_past_int64():
+    # weights near 2^70 put total 2^(m+1) past 2^63, so the counts are
+    # Python ints; both oracles still match the dense Fractions
+    rng = np.random.Generator(np.random.Philox(71))
+    counts = [(1 << 70) + int(c) for c in rng.integers(0, 1 << 20, size=16)]
+    counts[3] = 0
+    src = from_counts(4, counts)
+    assert src.den > 1 << 63
+    for f, d, m_out in ((ext_fn_of(poly_scheme(4, 2, block=2)), 4, 2),
+                        (lambda x, s: (x * 7 + s) % 3, 3, 2)):
+        assert strong_distance(f, src, d, m_out) == _dense_oracle(
+            lambda x, y: (f(x, y), y), counts, d, m_out)
+        t = sample_tamper(rng, d)
+        assert nm_distance(f, src, d, m_out, t) == _dense_oracle(
+            lambda x, y: (f(x, y), (f(x, t(y)), y)), counts, d, m_out)
+
+
+def test_merger_distance_with_side_codes_past_64_bits():
+    # t = 6, m_out = 8, d = 4: the side code (y, M^g, Y^g for 6 copies)
+    # takes 4 + 6 * 12 = 76 bits
+    rng = np.random.Generator(np.random.Philox(72))
+    inst = build_instance(rng, L=2, m=4, d=4, t=6, witness=1)
+
+    def merge(rows, y):
+        return ((rows[0] << 4 | rows[1]) * (2 * y + 1)) & 0xFF
+
+    total = 1 << (inst.lat_x_bits + inst.d)
+    joint: dict = {}
+    for lat in range(1 << inst.lat_x_bits):
+        rows = inst.rows_of(lat)
+        for y in range(1 << inst.d):
+            side = [y]
+            for tf, ty in zip(inst.tamper_rows, inst.tamper_y):
+                side += (merge(tf(rows), ty(y)), ty(y))
+            key = (merge(rows, y), tuple(side))
+            joint[key] = joint.get(key, 0) + Fraction(1, total)
+    want = _dense_joint_distance(joint, 8)
+    assert 0 < want < 1
+    assert merger_distance(merge, inst, 8) == want
+    # an output wider than m_out bits, on tampered rows only, is rejected
+    # rather than packed into a neighbouring field of the side code
+    honest = {inst.rows_of(lat) for lat in range(1 << inst.lat_x_bits)}
+    with pytest.raises(ValueError, match="tampered output"):
+        merger_distance(lambda rows, y: merge(rows, y) | (
+            (rows not in honest) << 8), inst, 8)
