@@ -80,18 +80,26 @@ def _count_dtype(m_out: int, total: int):
 
 def count_table(z, side, weights, m_out: int, total: int):
     """C[z, j]: the summed weight of the cells with output z and the j-th
-    smallest side code, over three arrays of outputs, side codes (any
-    integers) and weights that broadcast together and sum to ``total``."""
+    distinct side value, from arrays of outputs, weights summing to
+    ``total`` and side fields (one int64 array each), all broadcast."""
     import numpy as np
     dtype = _count_dtype(m_out, total)
-    z, side, weights = np.broadcast_arrays(
-        z, side, np.asarray(weights).astype(dtype))
-    lo, hi = z.min(), z.max()
-    if lo < 0 or hi >> m_out:
-        raise ValueError(f"outputs {lo}..{hi} do not fit in {m_out} bits")
-    codes, j = np.unique(side.ravel(), return_inverse=True)
-    C = np.zeros((1 << m_out, len(codes)), dtype=dtype)
-    np.add.at(C, (z.ravel(), j), weights.ravel())
+    try:
+        z = np.asarray(z, dtype=np.int64)
+        wide = z.min() < 0 or z.max() >> m_out
+    except OverflowError:
+        wide = True
+    if wide:
+        raise ValueError(f"an output does not fit in {m_out} bits")
+    z, weights, *side = np.broadcast_arrays(
+        z, np.asarray(weights, dtype=dtype),
+        *(np.asarray(f, dtype=np.int64) for f in side))
+    j = np.zeros(z.size, dtype=np.int64)
+    for f in side:  # j ranks the side values seen so far, field by field
+        codes, jf = np.unique(f, return_inverse=True)
+        _, j = np.unique(j * len(codes) + jf.ravel(), return_inverse=True)
+    C = np.zeros((1 << m_out, int(j.max()) + 1), dtype=dtype)
+    np.add.at(C, (z.ravel(), j.ravel()), weights.ravel())
     return C
 
 
@@ -123,13 +131,11 @@ def _seeded_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int,
                      tamper: TamperFn | None) -> Fraction:
     """Distance of (f(X, Y), R) from (U, R), Y uniform on d_seed bits and
     R = Y, or (f(X, A(Y)), Y) under a tamper A; one f call per (x, y)."""
-    import numpy as np
-
-    out = np.array([[f(x, y) for x in source.points]
-                    for y in range(1 << d_seed)])  # out[y, i]
-    side = np.arange(1 << d_seed)[:, None]
+    out = [[f(x, y) for x in source.points]
+           for y in range(1 << d_seed)]  # out[y][i]
+    side = [[[y] for y in range(1 << d_seed)]]
     if tamper is not None:
-        side = out[list(tamper.table)] * (1 << d_seed) + side
+        side.append([out[a] for a in tamper.table])
     total = source.den << d_seed
     C = count_table(out, side, source.weights, m_out, total)
     return distance_of_counts(C, m_out, total)
@@ -196,25 +202,19 @@ def merger_distance(merge: MergerFn, inst: MergerInstance, m_out: int
                     ) -> Fraction:
     """Exact distance of (M, M^1..M^t, Y, Y^1..Y^t) from the same tuple
     with M replaced by an independent uniform string."""
-    n_lat = 1 << inst.lat_x_bits
-    n_y = 1 << inst.d
+    n_lat, n_y = 1 << inst.lat_x_bits, 1 << inst.d
     merged = lru_cache(maxsize=None)(merge)  # one call per (rows, y)
-    outs, sides, wide = [], [], 0
+    outs, sides = [], []
     for lat in range(n_lat):
         rows = inst.rows_of(lat)
         tampered = [tf(rows) for tf in inst.tamper_rows]
         for y in range(n_y):
             outs.append(merged(rows, y))
-            side = y    # (y, M^g, Y^g for each g), M^g in m_out bits
-            for g in range(inst.t):
-                yg = inst.tamper_y[g](y)
-                mg = merged(tampered[g], yg)
-                wide |= mg
-                side = (side << m_out | mg) << inst.d | yg
+            side = [y]  # (y, M^g, Y^g for each g)
+            for rows_g, ty in zip(tampered, inst.tamper_y):
+                side += (merged(rows_g, ty(y)), ty(y))
             sides.append(side)
-    if wide >> m_out:
-        raise ValueError(f"a tampered output does not fit in {m_out} bits")
-    C = count_table(outs, sides, 1, m_out, n_lat * n_y)
+    C = count_table(outs, zip(*sides), 1, m_out, n_lat * n_y)
     return distance_of_counts(C, m_out, n_lat * n_y)
 
 

@@ -228,7 +228,7 @@ def _ff_joint_distance(p: cbreak.FlipFlopParams, src: Dist, b: int,
 
     o = outs(b, ys)
     oa = outs(bp, [tamper(y) if tamper else y for y in ys])
-    side = oa << p.d_y | np.arange(1 << p.d_y)[:, None]
+    side = [oa, np.arange(1 << p.d_y)[:, None]]
     total = o.size
     return distance_of_counts(count_table(o, side, 1, p.m_out, total),
                               p.m_out, total)

@@ -151,12 +151,11 @@ def _dense_joint_distance(p: dict, m_out: int) -> Fraction:
 
 def _kernel_distance(counts: dict, m_out: int, total: int) -> Fraction:
     """The distance of z given the rest, the side information, for the
-    dict counts {(z, side): weight}, through count_table and
-    distance_of_counts."""
-    (z, side), weights = zip(*counts), list(counts.values())
-    return distance_of_counts(
-        count_table(list(z), list(side), weights, m_out, total),
-        m_out, total)
+    dict counts {(z, side): weight}, each side a tuple of fields,
+    through count_table and distance_of_counts."""
+    z, sides = zip(*counts)
+    C = count_table(z, zip(*sides), list(counts.values()), m_out, total)
+    return distance_of_counts(C, m_out, total)
 
 
 @pytest.mark.parametrize("m_out", [1, 2, 3])
@@ -168,11 +167,12 @@ def test_distance_given_rest_matches_dense_formula(m_out, flat_weights):
         counts = {}
         for side in range(int(rng.integers(1, 6))):
             # side 0 always misses all but one z; the others miss a
-            # random number of them.  Side codes are wide and unsorted.
+            # random number of them.  Side fields are wide, negative
+            # and unsorted.
             seen = 1 if side == 0 else int(rng.integers(1, size + 1))
-            code = (5 - side) << 70 | side
+            fields = ((5 - side) << 60, -side, 7)
             for z in rng.choice(size, size=seen, replace=False):
-                counts[(int(z), code)] = (
+                counts[(int(z), fields)] = (
                     1 if flat_weights else int(rng.integers(1, 9)))
         total = sum(counts.values())
         assert _kernel_distance(counts, m_out, total) == \
@@ -180,9 +180,9 @@ def test_distance_given_rest_matches_dense_formula(m_out, flat_weights):
 
 
 def test_distance_given_rest_known_values():
-    cases = [({(z, 0): 1 for z in range(4)}, 2, 4, 0),
-             ({(0, 0): 3}, 1, 3, Fraction(1, 2)),
-             ({(0, 0): 1, (0, 1): 1}, 2, 2, Fraction(3, 4))]
+    cases = [({(z, (0,)): 1 for z in range(4)}, 2, 4, 0),
+             ({(0, (0,)): 3}, 1, 3, Fraction(1, 2)),
+             ({(0, (0,)): 1, (0, (1,)): 1}, 2, 2, Fraction(3, 4))]
     for counts, m_out, total, want in cases:
         assert _kernel_distance(counts, m_out, total) == want == \
             _dense_distance(counts, m_out, total)
@@ -190,9 +190,9 @@ def test_distance_given_rest_known_values():
     C = np.array([[3, 0, 1], [0, 0, 1]])
     assert distance_of_counts(C, 1, 5) == Fraction(3, 10) == \
         _dense_distance({(0, 0): 3, (0, 2): 1, (1, 2): 1}, 1, 5)
-    for z in (2, -1):
+    for z in (2, -1, 1 << 64):
         with pytest.raises(ValueError):
-            count_table([z], [0], [1], 1, 1)
+            count_table([z], [[0]], [1], 1, 1)
 
 
 # ------------------------------ oracles against dense Fraction weights
@@ -277,12 +277,13 @@ def test_strong_distance_poly_fast_matches_scalar_at_block_8():
         ext_fn_of(scheme), src, scheme.d_seed, scheme.m_out)
 
 
-def test_strong_and_nm_distance_with_weights_past_int64():
-    # weights near 2^70 put total 2^(m+1) past 2^63, so the counts are
-    # Python ints; both oracles still match the dense Fractions
+@pytest.mark.parametrize("big", [1 << 63, 1 << 70])
+def test_strong_and_nm_distance_with_weights_past_int64(big):
+    # weights near 2^63 or 2^70 put total 2^(m+1) past 2^63, so the
+    # counts are Python ints; both oracles still match the dense Fractions
     rng = np.random.Generator(np.random.Philox(71))
-    counts = [(1 << 70) + int(c) for c in rng.integers(0, 1 << 20, size=16)]
-    counts[3] = 0
+    counts = [big + int(c) for c in rng.integers(0, 1 << 20, size=16)]
+    counts[3], counts[5] = 0, 3
     src = from_counts(4, counts)
     assert src.den > 1 << 63
     for f, d, m_out in ((ext_fn_of(poly_scheme(4, 2, block=2)), 4, 2),
@@ -294,15 +295,9 @@ def test_strong_and_nm_distance_with_weights_past_int64():
             lambda x, y: (f(x, y), (f(x, t(y)), y)), counts, d, m_out)
 
 
-def test_merger_distance_with_side_codes_past_64_bits():
-    # t = 6, m_out = 8, d = 4: the side code (y, M^g, Y^g for 6 copies)
-    # takes 4 + 6 * 12 = 76 bits
-    rng = np.random.Generator(np.random.Philox(72))
-    inst = build_instance(rng, L=2, m=4, d=4, t=6, witness=1)
-
-    def merge(rows, y):
-        return ((rows[0] << 4 | rows[1]) * (2 * y + 1)) & 0xFF
-
+def _dense_merger(merge, inst, m_out: int) -> Fraction:
+    """Reference for merger_distance: the joint law of (M, (Y, M^g, Y^g
+    for each g)) as Fractions."""
     total = 1 << (inst.lat_x_bits + inst.d)
     joint: dict = {}
     for lat in range(1 << inst.lat_x_bits):
@@ -313,12 +308,30 @@ def test_merger_distance_with_side_codes_past_64_bits():
                 side += (merge(tf(rows), ty(y)), ty(y))
             key = (merge(rows, y), tuple(side))
             joint[key] = joint.get(key, 0) + Fraction(1, total)
-    want = _dense_joint_distance(joint, 8)
+    return _dense_joint_distance(joint, m_out)
+
+
+@pytest.mark.parametrize("t", [5, 6])
+def test_merger_distance_with_many_tampered_copies(t):
+    # m_out = 8, d = 4: the side information (Y, M^g, Y^g for t copies)
+    # holds 4 + 12 t bits, 64 at t = 5 and 76 at t = 6.  Only the last
+    # copy's output varies with the latent, by at most 4 bits, so side
+    # values that differ in those bits alone must stay apart.
+    rng = np.random.Generator(np.random.Philox(73))
+    inst = build_instance(rng, L=2, m=4, d=4, t=t, witness=1)
+    pin = inst.tamper_rows[-1](inst.rows_of(0))[1]
+
+    def merge(rows, y):
+        return rows[0] if rows[1] == pin else rows[1] * (2 * y + 1) & 0xFF
+
+    want = _dense_merger(merge, inst, 8)
     assert 0 < want < 1
     assert merger_distance(merge, inst, 8) == want
-    # an output wider than m_out bits, on tampered rows only, is rejected
-    # rather than packed into a neighbouring field of the side code
+    # a tampered output wider than m_out bits is side information like
+    # any other; only the merged output itself must fit
     honest = {inst.rows_of(lat) for lat in range(1 << inst.lat_x_bits)}
-    with pytest.raises(ValueError, match="tampered output"):
-        merger_distance(lambda rows, y: merge(rows, y) | (
-            (rows not in honest) << 8), inst, 8)
+
+    def wide(rows, y):
+        return merge(rows, y) | (rows not in honest) << 40
+
+    assert merger_distance(wide, inst, 8) == _dense_merger(wide, inst, 8)
