@@ -9,8 +9,10 @@ chain neither grows nor shrinks.
 ``look_ahead`` is the row-matrix variant used by the mergers: step i
 draws S_{i+1} from row i+1, and the final step applies a wide extractor
 to the last row.  With a single row it degenerates to one wide
-extraction keyed by a slice of the seed source.  ``LevelPlan`` holds
-the widths of one merger level and of the chain it runs.
+extraction keyed by a slice of the seed source.  It is the reference
+that ``nipm.lt_nipm`` and the int level body ``nipm._merge_level`` are
+tested against.  ``LevelPlan`` holds the widths of one merger level and
+of the chain it runs.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ class LevelPlan:
     def __post_init__(self) -> None:
         if self.ell < 2:
             raise ValueError("fan-in must be at least 2")
-        if self.w < 1:
-            raise ValueError("chain width must be positive")
+        if self.m_out < 1:  # and so w >= m_out >= 1 below
+            raise ValueError("output width must be positive")
         if self.w > self.m_in:
             raise ValueError("chain width exceeds row width")
         if self.m_out > self.m_in:

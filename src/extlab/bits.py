@@ -15,16 +15,22 @@ MAX_LEN = 1 << 24  # sanity guard; real instances stay far below this
 _STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BitString:
+    __slots__ = ("n", "val")
     n: int
     val: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.n > MAX_LEN:
-            raise ValueError(f"bad width {self.n}")
-        if self.val < 0 or self.val >> self.n:
-            raise ValueError(f"value does not fit in {self.n} bits")
+    def __init__(self, n: int, val: int) -> None:
+        if n < 0 or n > MAX_LEN:
+            raise ValueError(f"bad width {n}")
+        if val < 0 or val >> n:
+            raise ValueError(f"value does not fit in {n} bits")
+        _set_n(self, n)
+        _set_val(self, val)
+
+    def __reduce__(self):
+        return BitString, (self.n, self.val)
 
     def bit(self, i: int) -> int:
         """Bit i, counting from the left (i = 0 is leftmost)."""
@@ -114,17 +120,22 @@ def int_blocks(val: int, n: int, b: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RowMatrix:
     """L rows of m bits each."""
 
+    __slots__ = ("m", "rows")
     m: int
     rows: tuple[BitString, ...]
 
-    def __post_init__(self) -> None:
-        for r in self.rows:
-            if r.n != self.m:
-                raise ValueError("row width mismatch")
+    def __init__(self, m: int, rows: tuple[BitString, ...]) -> None:
+        if any(r.n != m for r in rows):
+            raise ValueError("row width mismatch")
+        _set_m(self, m)
+        _set_rows(self, rows)
+
+    def __reduce__(self):
+        return RowMatrix, (self.m, self.rows)
 
     @property
     def L(self) -> int:
@@ -132,6 +143,11 @@ class RowMatrix:
 
     def __getitem__(self, i: int) -> BitString:
         return self.rows[i]
+
+
+# the slots' own setters, which a slotted frozen dataclass's __init__ needs
+_set_n, _set_val = BitString.n.__set__, BitString.val.__set__
+_set_m, _set_rows = RowMatrix.m.__set__, RowMatrix.rows.__set__
 
 
 def matrix(rows: list[BitString]) -> RowMatrix:

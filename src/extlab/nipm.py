@@ -1,13 +1,13 @@
 """Independence-preserving mergers built on look-ahead extraction.
 
-``lt_nipm`` merges up to ell rows against t tampered row/seed pairs in
-one look-ahead chain.  ``recursive_nipm`` merges L rows with geometrically
-growing seed slices, running each level's chains on plain ints
-(``recursive_nipm_val``), one block at a time in pure Python at every
-width; ``lt_nipm`` is the ``BitString`` reference that the level body
-is tested against.  ``chain16`` is the same chain on numpy arrays of
-GF(2^16) symbols, all blocks at once: only ``nmx.nm_ext``'s symbol path
-runs it, on its level-0 blocks.
+``lt_nipm`` merges up to ell rows in one look-ahead chain: one block of
+the level body, ``_merge_level``, with ``BitString`` ends.
+``recursive_nipm`` merges L rows with geometrically growing seed slices,
+running each level's chains on plain ints (``recursive_nipm_val``), one
+block at a time in pure Python at every width; ``altx.look_ahead`` is
+the ``BitString`` reference both are tested against.  ``chain16`` is the
+same chain on numpy arrays of GF(2^16) symbols, all blocks at once: only
+``nmx.nm_ext``'s symbol path runs it, on its level-0 blocks.
 
 Planners emit the nominal parameter schedule (output lengths and errors
 as stated for the abstract construction, with all logs ceiled) next to
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .altx import LevelPlan, look_ahead
-from .bits import BitString, RowMatrix, slice_bits
+from .altx import LevelPlan
+from .bits import BitString, RowMatrix
 from .sext import affine16, affine_int, avg_case_bound, fold
 
 DEFAULT_C = 4  # planner constant for the c * ell * log(m/eps) overhead
@@ -152,10 +152,26 @@ def hand_plan(L: int, t: int, levels: Sequence[LevelPlan]) -> NipmParams:
 
 def lt_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
             ) -> BitString:
-    """Merge up to lp.ell rows with one look-ahead chain seeded from y."""
+    """Merge up to lp.ell rows with one look-ahead chain seeded from y:
+    ``_merge_level`` on one block, with look_ahead's errors.  One row is
+    look_ahead's wide extraction, where the level body carries it."""
+    d, m_in, m_out = lp.d_slice, lp.m_in, lp.m_out
     if len(rows) > lp.ell:
         raise ValueError("too many rows for this level")
-    return look_ahead(tuple(rows), slice_bits(y, lp.d_slice), lp)
+    if not 0 <= d <= y.n:
+        raise ValueError(f"slice width {d} out of range for {y.n} bits")
+    if not rows:
+        raise ValueError("no rows")
+    if any(row.n != m_in for row in rows):
+        raise ValueError("row width mismatch")
+    w_src = y.val >> (y.n - d)
+    if len(rows) > 1:
+        return BitString(m_out, _merge_level([r.val for r in rows], w_src,
+                                             lp)[0])
+    if m_out > d:
+        raise ValueError(f"slice width {m_out} out of range for {d} bits")
+    z = fold(rows[0].val, m_in, 2 * m_out)
+    return BitString(m_out, affine_int(m_out, z, w_src >> (d - m_out)))
 
 
 def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 from typing import Iterable, Sequence
 
 N_MAX = 20
@@ -35,7 +36,7 @@ class Dist:
         xs = self.points
         if not xs or len(self.weights) != len(xs):
             raise ValueError("need one weight per point, and some points")
-        if any(a >= b for a, b in zip((-1, *xs), (*xs, 1 << self.n))):
+        if xs[0] < 0 or xs[-1] >> self.n or any(map(ge, xs, xs[1:])):
             raise ValueError("points must be distinct, ascending, in range")
         if min(self.weights) <= 0:
             raise ValueError("non-positive weight")

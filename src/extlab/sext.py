@@ -303,13 +303,13 @@ def ext_all_seeds_poly(scheme: ExtScheme, xs: list[int]):
     v = np.asarray(xs, dtype=np.int64)[:, None] << pad
     shifts = np.arange((n_blocks - 1) * b, -1, -b, dtype=np.int64)
     xb = (v >> shifts) & (field - 1)
-    # acc[s1, x] by Horner, one product-table row per s1
-    acc = np.zeros((field, len(xs)), dtype=np.int64)
-    for j in range(n_blocks):
-        acc = np.take_along_axis(mul, acc, axis=1) ^ xb[:, j]
-    # flat index s1 * 2^b + a, so the bincount is hist[s1, a]
-    acc += np.arange(field, dtype=np.int64)[:, None] << b
-    hist = np.bincount(acc.ravel(), minlength=field * field)
+    # Horner on idx[s1, x] = s1 * 2^b + acc(x, s1) from the first block, one
+    # take from the flat product table per block; the bincount is hist[s1, a]
+    row = np.arange(field, dtype=np.int64)[:, None] << b
+    idx = row | xb[:, 0]
+    for j in range(1, n_blocks):
+        idx = row | (mul.take(idx) ^ xb[:, j])
+    hist = np.bincount(idx.ravel(), minlength=field * field)
     hist = hist.reshape(field, field).astype(np.float64)
     counts = _prefix_table(b, m).T @ hist.T  # row (z, s2), column s1
     return counts.astype(np.int64).reshape(1 << m, field * field)

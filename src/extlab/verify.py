@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from .bits import BitString
@@ -201,20 +200,26 @@ class MergerInstance:
 def merger_distance(merge: MergerFn, inst: MergerInstance, m_out: int
                     ) -> Fraction:
     """Exact distance of (M, M^1..M^t, Y, Y^1..Y^t) from the same tuple
-    with M replaced by an independent uniform string."""
+    with M replaced by an independent uniform string; ``merge`` runs
+    once per distinct (rows, y) cell that the tuple reads."""
+    import numpy as np
     n_lat, n_y = 1 << inst.lat_x_bits, 1 << inst.d
-    merged = lru_cache(maxsize=None)(merge)  # one call per (rows, y)
-    outs, sides = [], []
-    for lat in range(n_lat):
-        rows = inst.rows_of(lat)
-        tampered = [tf(rows) for tf in inst.tamper_rows]
-        for y in range(n_y):
-            outs.append(merged(rows, y))
-            side = [y]  # (y, M^g, Y^g for each g)
-            for rows_g, ty in zip(tampered, inst.tamper_y):
-                side += (merged(rows_g, ty(y)), ty(y))
-            sides.append(side)
-    C = count_table(outs, zip(*sides), 1, m_out, n_lat * n_y)
+    lats = [inst.rows_of(lat) for lat in range(n_lat)]
+    copies = [lats] + [[tf(rows) for rows in lats] for tf in inst.tamper_rows]
+    index: dict[tuple[int, ...], int] = {}  # distinct rows -> matrix id
+    mats = np.array([[index.setdefault(rows, len(index)) for rows in c]
+                     for c in copies], dtype=np.int64)[:, :, None]
+    ys = np.array([list(range(n_y))] + [ty.table for ty in inst.tamper_y],
+                  dtype=np.int64)[:, None, :]
+    need = np.zeros((len(index), n_y), dtype=bool)
+    need[mats, ys] = True
+    out = np.zeros(need.shape, dtype=np.int64)
+    distinct, (mi, yi) = list(index), np.nonzero(need)
+    out[mi, yi] = [merge(distinct[i], y)
+                   for i, y in zip(mi.tolist(), yi.tolist())]
+    outs = out[mats, ys]  # outs[g, lat, y] = merge(M^g, Y^g(y)), g = 0: M
+    # side fields (Y, Y^1..Y^t, M^1..M^t), in an order no distance sees
+    C = count_table(outs[0], [*ys, *outs[1:]], 1, m_out, n_lat * n_y)
     return distance_of_counts(C, m_out, n_lat * n_y)
 
 

@@ -172,8 +172,11 @@ def test_criterion_04_compose_equals_recursion():
     for _ in range(1000):
         rows = [BitString(8, int(v)) for v in rng.integers(256, size=4)]
         y = BitString(12, int(rng.integers(1 << 12)))
-        want = lt_nipm([lt_nipm(rows[:2], y, lv0),
-                        lt_nipm(rows[2:], y, lv0)], y, lv1)
+        # composed from the BitString reference, not from lt_nipm, which
+        # runs the same level body as the recursion
+        w0, w1 = slice_bits(y, lv0.d_slice), slice_bits(y, lv1.d_slice)
+        want = look_ahead((look_ahead(tuple(rows[:2]), w0, lv0),
+                           look_ahead(tuple(rows[2:]), w0, lv0)), w1, lv1)
         mismatches += recursive_nipm(matrix(rows), y, p) != want
     _report(4, "unrolled lt_nipm levels == depth-2 recursion",
             mismatches == 0,

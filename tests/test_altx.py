@@ -15,6 +15,8 @@ def test_chain_params_validated():
         LevelPlan(3, 8, 4, 5, 16)   # output wider than token
     with pytest.raises(ValueError):
         LevelPlan(3, 8, 0, 0, 16)
+    with pytest.raises(ValueError, match="output width"):
+        LevelPlan(3, 8, 4, 0, 16)   # no chain or extraction has 0 bits
     with pytest.raises(ValueError, match="fan-in"):
         LevelPlan(ell=1, m_in=256, w=256, m_out=256, d_slice=256)
 

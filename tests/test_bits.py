@@ -1,9 +1,14 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab.bits import (BitString, blocks, concat, from_str, int_blocks,
-                         matrix, pad_to, segment, slice_bits, suffix, zeros)
+from extlab.bits import (MAX_LEN, BitString, RowMatrix, blocks, concat,
+                         from_str, int_blocks, matrix, pad_to, segment,
+                         slice_bits, suffix, zeros)
 
 
 def test_bit_indexing_is_left_to_right():
@@ -91,3 +96,42 @@ def test_byte_aligned_blocks_match_the_peel(b, data):
                             st.integers(0, 40 * b)), label="n")
     val = data.draw(st.integers(0, (1 << n) - 1), label="val")
     assert int_blocks(val, n, b) == _peel(val, n, b)
+
+
+def test_bitstring_and_row_matrix_keep_frozen_record_semantics():
+    # slots and a hand-written __init__ keep the frozen dataclass behaviour
+    x, m = BitString(4, 11), matrix([from_str("101"), from_str("010")])
+    assert x == BitString(4, 11) and x != BitString(4, 10)
+    assert x != (4, 11) and m != (3, m.rows)  # another class is unequal
+    assert hash(x) == hash((4, 11)) and hash(m) == hash((3, m.rows))
+    assert repr(x) == "BitString(n=4, val=11)"
+    assert repr(m) == ("RowMatrix(m=3, rows=(BitString(n=3, val=5), "
+                       "BitString(n=3, val=2)))")
+    for obj, field in ((x, "n"), (x, "val"), (m, "rows")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, field)
+    with pytest.raises(FrozenInstanceError):
+        x.extra = 1
+    for obj in (x, m, zeros(0)):
+        for twin in (copy.copy(obj), copy.deepcopy(obj),
+                     pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and type(twin) is type(obj)
+            assert repr(twin) == repr(obj)
+
+
+@pytest.mark.parametrize("n, val, msg", [
+    (-1, 0, "bad width -1"), (MAX_LEN + 1, 0, f"bad width {MAX_LEN + 1}"),
+    (3, 8, "value does not fit in 3 bits"),
+    (3, -1, "value does not fit in 3 bits"),
+    (0, 1, "value does not fit in 0 bits")])
+def test_bitstring_checks_width_and_value(n, val, msg):
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        BitString(n, val)
+
+
+def test_row_matrix_checks_row_widths():
+    with pytest.raises(ValueError, match="row width mismatch"):
+        RowMatrix(3, (from_str("101"), from_str("01")))
+    assert RowMatrix(2, ()).L == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extlab import msrc, nipm, nmx
+from extlab.altx import look_ahead
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.nipm import (LevelPlan, NipmParams, ParamError, _merge_level,
                          assembled_bound, hand_plan, lt_nipm, nominal_m1,
@@ -90,6 +91,13 @@ def test_lt_nipm_output_width_and_determinism():
         lt_nipm(rows * 2, y, lp)
 
 
+def _chain(rows, y, lv):
+    """One block by the BitString reference: look_ahead keyed by y's
+    lv.d_slice-bit prefix.  lt_nipm runs the level body under test, so
+    the unrolls below compose this instead."""
+    return look_ahead(tuple(rows), slice_bits(y, lv.d_slice), lv)
+
+
 def test_recursive_nipm_two_levels():
     p = micro_params()
     rng = np.random.Generator(np.random.Philox(21))
@@ -100,9 +108,9 @@ def test_recursive_nipm_two_levels():
         assert out.n == 2
         # manual unroll
         lv0, lv1 = p.levels
-        a = lt_nipm(rows[:2], y, lv0)
-        b = lt_nipm(rows[2:], y, lv0)
-        assert out == lt_nipm([a, b], y, lv1)
+        a = _chain(rows[:2], y, lv0)
+        b = _chain(rows[2:], y, lv0)
+        assert out == _chain([a, b], y, lv1)
 
 
 def test_recursive_handles_leftover_row():
@@ -111,9 +119,9 @@ def test_recursive_handles_leftover_row():
     y = BitString(12, 0x741)
     out = recursive_nipm(matrix(rows), y, p)
     lv0, lv1 = p.levels
-    a = lt_nipm(rows[:2], y, lv0)
+    a = _chain(rows[:2], y, lv0)
     b = slice_bits(rows[2], 4)        # leftover passes through trimmed
-    assert out == lt_nipm([a, b], y, lv1)
+    assert out == _chain([a, b], y, lv1)
 
 
 def test_assembled_bound_monotone_and_capped():
@@ -144,9 +152,9 @@ def _rows(kind, L, m, rng):
 
 
 def _per_block(rows, y, lv):
-    """A level by the scalar reference: lt_nipm on each block of lv.ell
-    rows, a one-row block carried through trimmed to m_out."""
-    return [slice_bits(b[0], lv.m_out) if len(b) == 1 else lt_nipm(b, y, lv)
+    """A level by the BitString reference: look_ahead on each block of
+    lv.ell rows, a one-row block carried through trimmed to m_out."""
+    return [slice_bits(b[0], lv.m_out) if len(b) == 1 else _chain(b, y, lv)
             for b in (rows[i:i + lv.ell] for i in range(0, len(rows), lv.ell))]
 
 
@@ -168,9 +176,10 @@ WIDE = (LevelPlan(ell=4, m_in=256, w=128, m_out=48, d_slice=200),
     ["distinct", "equal", "two", "sparse"]), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=12, deadline=None)
 def test_lockstep_level_matches_lt_nipm_per_block(L, t, kind, seed):
-    # every level against lt_nipm block by block: the planned first level
-    # (w = m_out = 128, block 16), the WIDE levels and the narrow levels;
-    # L mod ell covers full, ragged and carried-through blocks
+    # every level against look_ahead (lt_nipm's reference) block by
+    # block: the planned first level (w = m_out = 128, block 16), the WIDE
+    # levels and the narrow levels; L mod ell covers full, ragged and
+    # carried-through blocks
     p = plan_nipm(L, t, 256, 512, 1e-4, ell=4)
     crit3 = LevelPlan(ell=L, m_in=6, w=2, m_out=2, d_slice=6)
     rng = random.Random(seed)
@@ -185,6 +194,47 @@ def test_lockstep_level_matches_lt_nipm_per_block(L, t, kind, seed):
     for lv in p.levels:
         want = _per_block(want, y, lv)
     assert [recursive_nipm(matrix(rows), y, p)] == want
+
+
+# crit 3's one-level merger plans (rows of m bits, a d-bit seed, fan-in
+# L), the weak-seed merger's inner level, and a level whose seed slice is
+# narrower than its output, so a one-row call fails its slice
+CRIT3 = tuple(LevelPlan(ell=L, m_in=m, w=2, m_out=2, d_slice=d)
+              for L, m, d in ((2, 8, 6), (3, 6, 6), (4, 6, 4), (2, 6, 8),
+                              (3, 4, 6), (4, 4, 6), (2, 8, 8), (3, 6, 4),
+                              (2, 4, 4)))
+SHORT_SLICE = LevelPlan(ell=3, m_in=8, w=4, m_out=4, d_slice=2)
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except ValueError as e:
+        return "error", str(e)
+
+
+@given(lv=st.sampled_from(NARROW + WIDE + CRIT3 + (SHORT_SLICE,)),
+       data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_lt_nipm_matches_look_ahead(lv, data):
+    # lt_nipm runs the level body on one block; look_ahead on the seed's
+    # d_slice prefix is its reference, for 1..ell rows, with the same
+    # ValueErrors for no rows, a row of the wrong width, a seed shorter
+    # than the slice and, on one row, a slice shorter than m_out
+    k = data.draw(st.integers(0, lv.ell + 1), label="rows")
+    widths = data.draw(st.lists(st.sampled_from([lv.m_in] * 9 + [lv.m_in + 1]),
+                                min_size=k, max_size=k), label="widths")
+    rows = [BitString(w, data.draw(st.integers(0, (1 << w) - 1)))
+            for w in widths]
+    y_n = data.draw(st.sampled_from(
+        [lv.d_slice] * 4 + [lv.d_slice + 9, lv.d_slice - 1]), label="y.n")
+    y = BitString(y_n, data.draw(st.integers(0, (1 << y_n) - 1)))
+    got = _outcome(lt_nipm, rows, y, lv)
+    if k > lv.ell:
+        assert got == ("error", "too many rows for this level")
+    else:
+        assert got == _outcome(lambda: look_ahead(
+            tuple(rows), slice_bits(y, lv.d_slice), lv))
 
 
 def test_desk_level_0_runs_in_lockstep(monkeypatch):

@@ -279,12 +279,12 @@ def test_nm_ext_builds_one_bitstring(params, monkeypatch):
     p = params()
     (x, y), = _draws(p, 56, 1)
     built = []
-    check = BitString.__post_init__
+    init = BitString.__init__
 
-    def counted(self):
-        built.append(self.n)
-        check(self)
-    monkeypatch.setattr(BitString, "__post_init__", counted)
+    def counted(self, n, val):
+        built.append(n)
+        init(self, n, val)
+    monkeypatch.setattr(BitString, "__init__", counted)
     z = nm_ext(x, y, p)
     assert built == [p.m] and z.n == p.m
 

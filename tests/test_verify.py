@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from extlab.prob import (flat, from_counts, sample_flat_source,
                          stat_distance_maps, uniform)
 from extlab.sext import poly_scheme
-from extlab.verify import (TamperFn, adversarial_xor_instance,
-                           build_instance, count_table,
+from extlab.verify import (MergerInstance, TamperFn,
+                           adversarial_xor_instance, build_instance, count_table,
                            distance_of_counts, enumerate_tampers, ext_fn_of,
                            flip_low_bit_tamper, merger_distance,
                            nm_distance, rot, sample_tamper,
@@ -335,3 +336,30 @@ def test_merger_distance_with_many_tampered_copies(t):
         return merge(rows, y) | (rows not in honest) << 40
 
     assert merger_distance(wide, inst, 8) == _dense_merger(wide, inst, 8)
+
+
+def test_merger_distance_calls_merge_once_per_needed_cell():
+    # two latents share each row tuple, copy 1 swaps the two original
+    # matrices, and copy 2 builds two new ones that are read only at the
+    # image {0, 1, 2} of its seed table: 2 x 4 + 2 x 3 = 14 needed cells
+    inst = MergerInstance(
+        L=2, m=2, d=2, t=2, witness=1, lat_x_bits=3,
+        rows_of=lambda lat: (lat & 1, 0),
+        tamper_rows=(lambda rows: (rows[0] ^ 1, 0),
+                     lambda rows: (rows[0], 1)),
+        tamper_y=(TamperFn(2, (1, 0, 3, 2)), TamperFn(2, (1, 2, 1, 0))))
+    need = {(inst.rows_of(lat), y) for lat in range(8) for y in range(4)}
+    need |= {(tf(inst.rows_of(lat)), ty(y)) for lat in range(8)
+             for y in range(4)
+             for tf, ty in zip(inst.tamper_rows, inst.tamper_y)}
+    assert len(need) == 14
+    calls = Counter()
+
+    def merge(rows, y):
+        calls[rows, y] += 1
+        return (3 * rows[0] + rows[1] + y * y) & 3
+
+    got = merger_distance(merge, inst, 2)
+    assert calls == Counter(dict.fromkeys(need, 1))
+    assert isinstance(got, Fraction) and 0 < got < 1
+    assert got == _dense_merger(merge, inst, 2)
