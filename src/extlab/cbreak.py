@@ -24,15 +24,14 @@ between their steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Iterable
 
 from . import gf2
 from .bits import BitString
 from .nipm import ParamError
-from .sext import (ExtScheme, affine_scheme, ext_val, poly_scheme,
-                   sample_positions_val)
+from .sext import ExtScheme, affine_scheme, ext_val, poly_scheme
 
 
 @dataclass(frozen=True)
@@ -42,12 +41,23 @@ class AdvGenParams:
     rs_block: int    # Reed-Solomon symbol size (bits)
     sampler: ExtScheme   # samples positions from x, seeded by a slice of y
     positions: ClassVar[int] = 2   # number of sampled Reed-Solomon symbols
+    # adv_gen_val's shifts (derived): y's sampler seed, y's raw prefix and
+    # each sampled position in the sampler output, then the position mask
+    _shifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a0 > self.d or self.a0p > self.d:
             raise ParamError("a0", "advice slices exceed seed length")
         if self.code_n > (1 << self.rs_block):
             raise ParamError("rs_block", "code longer than field")
+        # positions: w-bit chunks of the sampler output (d >= a0 >= 2: w >= 1)
+        m, w = self.sampler.m_out, (self.code_n - 1).bit_length()
+        if self.positions * w > m:
+            raise ParamError("sampler", "output too short for the positions")
+        object.__setattr__(self, "_shifts", (
+            self.d - self.a0, self.d - self.a0p,
+            tuple(m - (i + 1) * w for i in range(self.positions)),
+            (1 << w) - 1))
 
     @property
     def n(self) -> int:
@@ -131,12 +141,13 @@ def adv_gen(x: BitString, y: BitString, p: AdvGenParams) -> BitString:
 
 def adv_gen_val(x: int, y: int, p: AdvGenParams) -> int:
     """``adv_gen`` on ints: x holds p.n bits and y p.d bits."""
-    r = ext_val(p.sampler, x, y >> (p.d - p.a0))
-    pos = sample_positions_val(r, p.sampler.m_out, p.positions, p.code_n)
-    adv = y >> (p.d - p.a0p)
+    seed_sh, prefix_sh, pos_shs, pos_mask = p._shifts
+    r = ext_val(p.sampler, x, y >> seed_sh)
+    adv = y >> prefix_sh
+    d, b, code_n = p.d, p.rs_block, p.code_n
     # only the sampled codeword symbols are needed: one parity per bit
-    for i in pos:
-        for mask in rs_masks(p.d, p.rs_block, i):
+    for sh in pos_shs:
+        for mask in rs_masks(d, b, ((r >> sh) & pos_mask) % code_n):
             adv = (adv << 1) | ((y & mask).bit_count() & 1)
     return adv
 

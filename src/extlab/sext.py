@@ -44,6 +44,9 @@ class ExtScheme:
     claimed_k: int
     # seed width: two field elements (poly), or m_out (affine) (derived)
     d_seed: int = field(init=False, repr=False, compare=False)
+    # poly Horner constants (derived): x's right pad to whole blocks, the
+    # top block's shift, the block mask and the output shift
+    _horner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -62,6 +65,9 @@ class ExtScheme:
             raise ValueError("claimed_k out of range")
         object.__setattr__(self, "d_seed", 2 * self.block
                            if self.family == "poly" else self.m_out)
+        b, pad = self.block, -self.n_in % self.block
+        object.__setattr__(self, "_horner", (
+            pad, self.n_in + pad - b, (1 << b) - 1, b - self.m_out))
 
     @property
     def claimed_eps(self) -> float:
@@ -98,11 +104,20 @@ def ext_val(scheme: ExtScheme, x: int, s: int) -> int:
     """``ext`` on ints: x holds n_in bits and s d_seed bits, and the
     result m_out bits.  The widths are not checked: callers pass values
     their parameters sized."""
-    m = scheme.m_out
     if scheme.family == "poly":
         b = scheme.block
-        acc = gf2.poly_eval(int_blocks(x, scheme.n_in, b), s >> b, b)
-        return gf2.mul(acc, s & ((1 << b) - 1), b) >> (b - m)
+        pad, top, mask, out = scheme._horner
+        if b > 16:
+            acc = gf2.poly_eval(int_blocks(x, scheme.n_in, b), s >> b, b)
+            return gf2.mul(acc, s & mask, b) >> out
+        # up to 16 bits: Horner off x's padded int, top block first
+        log, exp = gf2._tables(b)
+        lx, v = log[s >> b], x << pad
+        acc = v >> top
+        for sh in range(top - b, -1, -b):
+            acc = exp[log[acc] + lx] ^ ((v >> sh) & mask)
+        return exp[log[acc] + log[s & mask]] >> out
+    m = scheme.m_out
     return affine_int(m, fold(x, scheme.n_in, 2 * m), s)
 
 
@@ -255,13 +270,9 @@ def _sqrt_fraction_upper(x: Fraction) -> Fraction:
 
 def sample_positions(r: BitString, count: int, universe: int) -> list[int]:
     """Deterministically turn extractor output r into ``count`` positions
-    in range(universe), reading fixed-width chunks left to right."""
-    return sample_positions_val(r.val, r.n, count, universe)
-
-
-def sample_positions_val(r: int, n: int, count: int, universe: int
-                         ) -> list[int]:
-    """``sample_positions`` of the n-bit int r."""
+    in range(universe), reading fixed-width chunks left to right (the
+    reference for ``cbreak.adv_gen_val``'s inline chunks)."""
+    r, n = r.val, r.n
     if universe < 1:
         raise ValueError("empty universe")
     w = max(1, (universe - 1).bit_length())
@@ -298,16 +309,14 @@ def ext_all_seeds_poly(scheme: ExtScheme, xs: list[int]):
     mul = gf2.np_mul_table(b)
     # blocks(x, b) for every x at once: left to right, the last one
     # right-padded with zeros
-    n_blocks = -(-scheme.n_in // b)
-    pad = n_blocks * b - scheme.n_in
+    pad, top = scheme._horner[:2]
     v = np.asarray(xs, dtype=np.int64)[:, None] << pad
-    shifts = np.arange((n_blocks - 1) * b, -1, -b, dtype=np.int64)
-    xb = (v >> shifts) & (field - 1)
+    xb = (v >> np.arange(top, -1, -b, dtype=np.int64)) & (field - 1)
     # Horner on idx[s1, x] = s1 * 2^b + acc(x, s1) from the first block, one
     # take from the flat product table per block; the bincount is hist[s1, a]
     row = np.arange(field, dtype=np.int64)[:, None] << b
     idx = row | xb[:, 0]
-    for j in range(1, n_blocks):
+    for j in range(1, xb.shape[1]):
         idx = row | (mul.take(idx) ^ xb[:, j])
     hist = np.bincount(idx.ravel(), minlength=field * field)
     hist = hist.reshape(field, field).astype(np.float64)

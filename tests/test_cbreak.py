@@ -1,15 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from extlab import gf2
 from extlab.bits import BitString, blocks, concat, slice_bits
-from extlab.cbreak import (FlipFlopParams, adv_gen, adv_gen_val,
-                           collision_bound, flip_flop, plan_adv_gen,
-                           rs_masks)
+from extlab.cbreak import (AdvGenParams, FlipFlopParams, adv_gen,
+                           adv_gen_val, collision_bound, flip_flop,
+                           plan_adv_gen, rs_masks)
 from extlab.nipm import ParamError
 from extlab.nmx import desk_params, micro_params
 from extlab.pamp import _rand_bits
-from extlab.sext import ext, sample_positions
+from extlab.sext import ext, poly_scheme, sample_positions
 
 
 def test_plan_adv_gen_micro_shape():
@@ -18,6 +20,13 @@ def test_plan_adv_gen_micro_shape():
     assert p.positions == 2 and p.a0p == 2
     assert p.advice_len == 2 + 2 * 4
     assert p.sampler.family == "poly"
+    # the derived shifts stay out of ==, hash and repr
+    q = AdvGenParams(d=8, a0p=2, rs_block=4, sampler=poly_scheme(16, 4,
+                                                                  block=4))
+    assert p == q and hash(p) == hash(q)
+    assert [f.name for f in fields(AdvGenParams) if f.compare or f.repr] \
+        == ["d", "a0p", "rs_block", "sampler"]
+    assert "_shifts" not in repr(p)
 
 
 @pytest.mark.parametrize("p", [micro_params().adv, plan_adv_gen(16, 8, 0.1),
@@ -39,6 +48,11 @@ def test_plan_adv_gen_named_errors():
     with pytest.raises(ParamError) as e:
         plan_adv_gen(16, 4, 0.1)  # sampler seed would not fit in y
     assert e.value.name == "a0"
+    with pytest.raises(ParamError) as e:
+        # two 2-bit positions need 4 sampler bits, at construction
+        AdvGenParams(d=8, a0p=2, rs_block=4,
+                     sampler=poly_scheme(16, 2, block=4))
+    assert e.value.name == "sampler"
 
 
 def test_advice_is_prefix_plus_sampled_symbols():
@@ -72,7 +86,9 @@ def _adv_gen_ref(x, y, p):
 
 @pytest.mark.parametrize("p, draws", [
     (micro_params().adv, 500), (plan_adv_gen(16, 8, 0.1), 500),
-    (desk_params().adv, 40)], ids=["micro", "census", "desk"])
+    (desk_params().adv, 40), (plan_adv_gen(4096, 2048, 0.1), 40),
+    (plan_adv_gen(64, 4096, 0.1), 40)],
+    ids=["micro", "census", "desk", "sampler18", "sampler20"])
 def test_adv_gen_int_body_matches_bitstring_reference(p, draws):
     rng = np.random.Generator(np.random.Philox(44))
     for _ in range(draws):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extlab import gf2
-from extlab.bits import BitString, blocks, pad_to
+from extlab.bits import BitString, blocks, int_blocks, pad_to
 from extlab.prob import sample_flat_source
 from extlab.sext import (ExtScheme, affine_int, affine_scheme,
                          avg_case_bound, ext, ext_all_seeds_poly, ext_val,
@@ -22,6 +23,13 @@ def test_poly_scheme_shape():
     assert s.block == 8 and s.d_seed == 16 and s.family == "poly"
     with pytest.raises(ValueError):
         poly_scheme(12, 9, block=8)  # m_out > block
+    # the derived seed width and Horner constants stay out of ==, hash, repr
+    assert poly_scheme(16, 4, block=4) == ExtScheme(16, 4, "poly", 4, 16)
+    assert hash(poly_scheme(16, 4, block=4)) == hash(
+        ExtScheme(16, 4, "poly", 4, 16))
+    assert [f.name for f in fields(ExtScheme) if f.compare or f.repr] == [
+        "n_in", "m_out", "family", "block", "claimed_k"]
+    assert "_horner" not in repr(s) and "d_seed" not in repr(s)
 
 
 def test_affine_scheme_shape():
@@ -40,6 +48,24 @@ def test_poly_ext_is_blockwise_polynomial():
     acc = gf2.poly_eval(blocks(x, 8), 0x2A, 8)
     want = gf2.mul(acc, 0x3C, 8) >> 6
     assert ext(s, x, seed).val == want
+
+
+@pytest.mark.parametrize("b", [*range(1, 17), 18, 20, 32])
+def test_poly_ext_val_matches_its_block_list_reference(b):
+    # up to 16 bits ext_val runs Horner off x's padded int; the reference
+    # splits x into blocks, then evaluates with gf2.poly_eval and gf2.mul.
+    # Widths that are not a multiple of b use the padding, and the seed
+    # halves run through 0 and all ones
+    rng, full = random.Random(b), (1 << b) - 1
+    for n in sorted({1, b, 2 * b - 1, 3 * b + 1}):
+        for m in sorted({1, max(b // 2, 1), b}):
+            scheme = poly_scheme(n, m, block=b)
+            for x in (0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
+                for s1 in (0, full, rng.getrandbits(b)):
+                    for s2 in (0, full, rng.getrandbits(b)):
+                        want = gf2.mul(gf2.poly_eval(int_blocks(x, n, b), s1,
+                                                     b), s2, b) >> (b - m)
+                        assert ext_val(scheme, x, (s1 << b) | s2) == want
 
 
 def test_poly_ext_zero_source_is_zero():
