@@ -2,8 +2,7 @@
 multi-source randomness extraction, with exact-rational oracles at
 micro scale."""
 
-from .bits import (BitString, RowMatrix, blocks, concat, from_str, matrix,
-                   pad_to, segment, slice_bits, suffix, zeros)
+from .bits import BitString, RowMatrix, blocks, concat, matrix, slice_bits
 from .prob import (Dist, flat, from_counts, from_weights, min_entropy,
                    point_mass, sample_flat_source, stat_distance,
                    stat_distance_maps, uniform, xor_bit_dists)

@@ -50,34 +50,11 @@ class BitString:
         return BitString(self.n, self.val ^ other.val)
 
 
-def from_str(s: str) -> BitString:
-    if s and set(s) - {"0", "1"}:
-        raise ValueError("not a 0/1 string")
-    return BitString(len(s), int(s, 2) if s else 0)
-
-
-def zeros(n: int) -> BitString:
-    return BitString(n, 0)
-
-
 def slice_bits(x: BitString, w: int) -> BitString:
     """Prefix of width w (the first w bits)."""
     if not 0 <= w <= x.n:
         raise ValueError(f"slice width {w} out of range for {x.n} bits")
     return BitString(w, x.val >> (x.n - w))
-
-
-def suffix(x: BitString, start: int) -> BitString:
-    """Everything after the first ``start`` bits."""
-    if not 0 <= start <= x.n:
-        raise ValueError("suffix start out of range")
-    w = x.n - start
-    return BitString(w, x.val & ((1 << w) - 1))
-
-
-def segment(x: BitString, start: int, w: int) -> BitString:
-    """Bits [start, start+w)."""
-    return slice_bits(suffix(x, start), w)
 
 
 def concat(*parts: BitString) -> BitString:
@@ -86,13 +63,6 @@ def concat(*parts: BitString) -> BitString:
         n += p.n
         val = (val << p.n) | p.val
     return BitString(n, val)
-
-
-def pad_to(x: BitString, n: int) -> BitString:
-    """Right-pad with zeros up to width n."""
-    if n < x.n:
-        raise ValueError("cannot pad down")
-    return BitString(n, x.val << (n - x.n))
 
 
 def blocks(x: BitString, b: int) -> list[int]:

@@ -41,8 +41,9 @@ class AdvGenParams:
     rs_block: int    # Reed-Solomon symbol size (bits)
     sampler: ExtScheme   # samples positions from x, seeded by a slice of y
     positions: ClassVar[int] = 2   # number of sampled Reed-Solomon symbols
-    # adv_gen_val's shifts (derived): y's sampler seed, y's raw prefix and
-    # each sampled position in the sampler output, then the position mask
+    # adv_gen_val's constants (derived): the shifts of y's sampler seed,
+    # y's raw prefix and each sampled position in the sampler output, the
+    # position mask and code_n
     _shifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -57,7 +58,7 @@ class AdvGenParams:
         object.__setattr__(self, "_shifts", (
             self.d - self.a0, self.d - self.a0p,
             tuple(m - (i + 1) * w for i in range(self.positions)),
-            (1 << w) - 1))
+            (1 << w) - 1, self.code_n))
 
     @property
     def n(self) -> int:
@@ -141,10 +142,10 @@ def adv_gen(x: BitString, y: BitString, p: AdvGenParams) -> BitString:
 
 def adv_gen_val(x: int, y: int, p: AdvGenParams) -> int:
     """``adv_gen`` on ints: x holds p.n bits and y p.d bits."""
-    seed_sh, prefix_sh, pos_shs, pos_mask = p._shifts
+    seed_sh, prefix_sh, pos_shs, pos_mask, code_n = p._shifts
     r = ext_val(p.sampler, x, y >> seed_sh)
     adv = y >> prefix_sh
-    d, b, code_n = p.d, p.rs_block, p.code_n
+    d, b = p.d, p.rs_block
     # only the sampled codeword symbols are needed: one parity per bit
     for sh in pos_shs:
         for mask in rs_masks(d, b, ((r >> sh) & pos_mask) % code_n):

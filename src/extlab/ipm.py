@@ -77,4 +77,4 @@ def merge_rows_val(rows: Sequence[int], y: int, p: IpmParams
     refresh = affine_scheme(p.m, p.m_v)
     fresh = {r: ext_val(refresh, r, v) for r in dict.fromkeys(rows)}
     return recursive_nipm_val([fresh[r] for r in rows], p.m_v, z, p.d_z,
-                              p.nipm)
+                              p.nipm.levels)

@@ -179,17 +179,16 @@ def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
     """Merge an L-row matrix level by level; every level runs one
     look-ahead chain per block of rows (``_merge_level``)."""
     return BitString(*recursive_nipm_val([r.val for r in mat.rows], mat.m,
-                                         y.val, y.n, params))
+                                         y.val, y.n, params.levels))
 
 
 def recursive_nipm_val(rows: Sequence[int], m: int, y: int, y_n: int,
-                       params: NipmParams, start: int = 0
-                       ) -> tuple[int, int]:
-    """``recursive_nipm`` on ints: rows of m bits and a y_n-bit seed y.
-    Returns the merged row as (width, value).  ``start`` levels have
-    already run on the rows (``nmx.nm_ext`` runs level 0 itself on
-    GF(2^16) symbols); the rows must then be more than one."""
-    for lv in params.levels[start:]:
+                       levels: Sequence[LevelPlan]) -> tuple[int, int]:
+    """``recursive_nipm`` on ints: rows of m bits and a y_n-bit seed y,
+    merged by ``levels`` in turn until one row is left (``nmx.nm_ext``'s
+    symbol path runs level 0 itself on GF(2^16) symbols and passes the
+    rest).  Returns the merged row as (width, value)."""
+    for lv in levels:
         if m != lv.m_in:
             raise ValueError("row width mismatch")
         if lv.d_slice > y_n:
@@ -239,20 +238,18 @@ def chain16(log_z, v_z, s, log_mid, v_mid, log_last, v_last):
     return affine16(log_last, r, v_last)
 
 
-def assembled_bound(params: NipmParams, k_row: float, k_seed: float,
-                    row_slack: Fraction = Fraction(0),
-                    witness_slack: Fraction = Fraction(0)) -> Fraction:
+def assembled_bound(params: NipmParams, k_row: float, k_seed: float
+                    ) -> Fraction:
     """Error budget for the merger on an instance whose rows carry k_row
     bits of conditional min-entropy and whose seed source carries k_seed.
 
     Mirrors the per-step ledger: each chain step conditions all prior
     tokens across the t+1 copies (average conditional entropy drops by
     the revealed widths), and each extraction contributes its
-    average-case leftover-hash error.  Row closeness and witness slack
-    enter once per row / once per instance.
+    average-case leftover-hash error.
     """
     t = params.t
-    total = witness_slack
+    total = Fraction(0)
     ky, kr = k_seed, k_row
     for lv in params.levels:
         eps_level = Fraction(0)
@@ -265,7 +262,6 @@ def assembled_bound(params: NipmParams, k_row: float, k_seed: float,
             scheme = (lv.scheme_final() if j == lv.ell - 1
                       else lv.scheme_row())
             eps_level += avg_case_bound(scheme, max(kr_step, 0))
-        eps_level += lv.ell * row_slack
         total = lv.ell * total + eps_level
         kr = lv.m_out  # merged rows at most this wide
         ky -= (t + 1) * 2 * lv.w * (lv.ell - 1)

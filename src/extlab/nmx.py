@@ -54,24 +54,14 @@ class NominalPlan:
     eps_out: float
 
 
-def _fold_case(n: int, k: int) -> str | None:
-    """How ``sext.fold16`` folds n symbols to 2k: n = 2k is the identity,
-    n = k a zero pad (v = 0), k < n < 2k a half pad (v zero-padded) and
-    n > 2k an XOR of segments; None below k."""
-    if n < k:
-        return None
-    if n == 2 * k:
-        return "identity"
-    if n == k:
-        return "zero pad"
-    return "half pad" if n < 2 * k else "xor fold"
-
-
 @dataclass(frozen=True)
 class SymbolPlan:
-    """The symbol path of a plan, widths in GF(2^16) symbols.  Each fold
-    case below is decided once: a source that folds by identity or by a
-    pad gives its u half's logs from the one gather of x and y."""
+    """The symbol path of a plan, widths in GF(2^16) symbols.  Each law
+    folds its source to twice its output by ``sext.fold``'s rule, read
+    off the widths: x to 2w (r1) and to 2 m_ff (the rows), y1 to 2w
+    (key 1; key 0 is s1, padded) and y to 2 d_z (z).  A source no wider
+    than twice the output pads, so its u half's logs come from the one
+    gather of x and y; a wider one XOR-folds."""
     nx: int          # x
     ny: int          # y
     w: int           # flip-flop token: r1 and the keys
@@ -82,17 +72,14 @@ class SymbolPlan:
     top: int         # advice >> top is row 0's advice bit
     chains: int      # level 0's full blocks, of ell rows each
     rest: int        # rows of level 0's ragged last block
-    x_w: str         # fold case of x to 2w (r1)
-    y1_w: str        # y1 to 2w (key 1; key 0 is s1, a zero pad)
-    x_m: str         # x to 2 m_ff (the rows)
-    y_z: str         # y to 2 d_z (z)
     shifts: object   # (chains, ell): advice >> shifts & 1 picks the rows
 
 
 def _symbol_plan(p: "NmExtParams") -> SymbolPlan | None:
     """``p``'s symbol path, or None if it has none: some width is not a
-    multiple of 16, y1 is wider than two tokens, or the refresh or level
-    0 folds a row other than by identity (m_in = d_slice = 2w = 2 m_out;
+    multiple of 16, x is narrower than a token (a row is never wider), y
+    narrower than z, y1 wider than two tokens, or the refresh or level 0
+    folds a row other than by identity (m_in = d_slice = 2w = 2 m_out;
     every ``plan_params`` plan does)."""
     ff, lv = p.ff, p.nipm.levels[0]
     widths = (p.n, p.d, p.d1, ff.w, ff.m_out, p.d_z, lv.m_in, lv.w,
@@ -100,9 +87,7 @@ def _symbol_plan(p: "NmExtParams") -> SymbolPlan | None:
     if any(v % 16 for v in widths):
         return None
     nx, ny, d1, w, m_ff, d_z, m_v = (v // 16 for v in widths[:7])
-    cases = (_fold_case(nx, w), _fold_case(d1, w), _fold_case(nx, m_ff),
-             _fold_case(ny, d_z))
-    if (None in cases or cases[1] == "xor fold" or m_ff != 2 * m_v
+    if (nx < w or ny < d_z or d1 > 2 * w or m_ff != 2 * m_v
             or not lv.m_in == lv.d_slice == 2 * lv.w == 2 * lv.m_out):
         return None
     import numpy as np
@@ -111,8 +96,8 @@ def _symbol_plan(p: "NmExtParams") -> SymbolPlan | None:
     chains = L // ell
     return SymbolPlan(
         nx, ny, w, d1, m_ff, d_z, m_v, top=L - 1, chains=chains,
-        rest=L - chains * ell, x_w=cases[0], y1_w=cases[1], x_m=cases[2],
-        y_z=cases[3], shifts=(L - 1 - np.arange(chains * ell)).reshape(chains, ell))
+        rest=L - chains * ell,
+        shifts=(L - 1 - np.arange(chains * ell)).reshape(chains, ell))
 
 
 @dataclass(frozen=True)
@@ -276,15 +261,14 @@ def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
     # flip-flop: r1 = Ext_x(x, s1), key 0 is Ext_tok(s1, r1) = s1 * r1 and
     # key 1 is Ext_y(y1, r1); s1 is y's first w symbols, so it is the u
     # half of both keys, and key 1 adds the v half y1[w:]
-    r1 = _law16(xs, lx, w, q.x_w, ly[:w])
+    r1 = _law16(xs, lx, w, ly[:w])
     keys = exp.take(ly[:w] + log.take(r1))[None].repeat(2, axis=0)
-    if q.y1_w != "zero pad":
+    if q.d1 > w:
         keys[1, :q.d1 - w] ^= ys[w:q.d1]
-    rows = _law16(xs, lx, q.m_ff, q.x_m, log.take(keys[:, :q.m_ff]))
+    rows = _law16(xs, lx, q.m_ff, log.take(keys[:, :q.m_ff]))
     # bootstrap z keyed by row 0, then refresh both rows keyed by z (the
     # rows fold to 2 m_v by identity)
-    z = _law16(ys, ly, q.d_z, q.y_z,
-               log.take(rows[advice >> q.top, :q.d_z]))
+    z = _law16(ys, ly, q.d_z, log.take(rows[advice >> q.top, :q.d_z]))
     lz = log.take(z[:mv])
     fresh = exp.take(log.take(rows[:, :mv]) + lz) ^ rows[:, mv:]
     z_int = _sym_int(z)
@@ -307,19 +291,23 @@ def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
                             z_int >> (p.d_z - lv.d_slice), lv)
     if len(out) == 1:
         return lv.m_out, out[0]
-    return recursive_nipm_val(out, lv.m_out, z_int, p.d_z, p.nipm, start=1)
+    return recursive_nipm_val(out, lv.m_out, z_int, p.d_z,
+                              p.nipm.levels[1:])
 
 
-def _law16(a, la, k: int, case: str, lseed):
+def _law16(a, la, k: int, lseed):
     """The affine law u * s + v (``sext.affine16``) of the symbols a
-    folded to 2k symbols, keyed by the seed logs lseed; la holds a's
-    logs, whose first k are the u half's unless the fold XORs."""
+    folded to 2k symbols by ``sext.fold``'s rule, keyed by the seed logs
+    lseed; la holds a's logs.  An a wider than 2k XOR-folds and takes
+    its u half's logs afresh; one no wider pads (or is already 2k), so
+    its first k logs are the u half's and any symbols past k start the
+    v half."""
     log, exp = gf2.np_tables(16)
-    if case == "xor fold":
+    if a.shape[-1] > 2 * k:
         a = fold16(a, 32 * k)
         la = log.take(a[..., :k])
     out = exp.take(la[..., :k] + lseed)
-    if case != "zero pad":
+    if a.shape[-1] > k:
         out[..., :a.shape[-1] - k] ^= a[..., k:]
     return out
 

@@ -148,21 +148,12 @@ def run_protocol(x: BitString, rng, p: PampParams, adv: Adversary
     y = BitString(p.nmx.d, _rand_bits(rng, p.nmx.d))
     y_recv = adv.round1(y)
 
-    cache: dict[int, BitString] = {}
-
-    def z_of(seed: BitString) -> BitString:
-        got = cache.get(seed.val)
-        if got is None:
-            got = nm_ext(x, seed, p.nmx)
-            cache[seed.val] = got
-        return got
-
-    z_bob = z_of(y_recv)
+    z_bob = nm_ext(x, y_recv, p.nmx)
     w = BitString(p.w_len, _rand_bits(rng, p.w_len))
     tag = mac_tag(slice_bits(z_bob, 2 * s), w, s)
     w_recv, tag_recv = adv.round2(y, w, tag)
 
-    z_alice = z_of(y)
+    z_alice = z_bob if y_recv == y else nm_ext(x, y, p.nmx)
     accepted = tag_recv == mac_tag(slice_bits(z_alice, 2 * s), w_recv, s)
     key_bob = ext(p.final, x, w)
     key_alice = None

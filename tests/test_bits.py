@@ -7,25 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extlab.bits import (MAX_LEN, BitString, RowMatrix, blocks, concat,
-                         from_str, int_blocks, matrix, pad_to, segment,
-                         slice_bits, suffix, zeros)
+                         int_blocks, matrix, slice_bits)
 
 
 def test_bit_indexing_is_left_to_right():
-    x = from_str("1011")
+    x = BitString(4, 0b1011)
     assert x.n == 4 and x.val == 0b1011
     assert [x.bit(i) for i in range(4)] == [1, 0, 1, 1]
 
 
 def test_str_roundtrip():
-    s = "100110001111"
-    assert str(from_str(s)) == s
+    assert str(BitString(12, 0b100110001111)) == "100110001111"
 
 
 def test_xor_requires_equal_widths():
-    assert (from_str("1100") ^ from_str("1010")) == from_str("0110")
+    assert BitString(4, 0b1100) ^ BitString(4, 0b1010) == BitString(4, 0b110)
     with pytest.raises(ValueError):
-        from_str("11") ^ from_str("111")
+        BitString(2, 0b11) ^ BitString(3, 0b111)
 
 
 def test_value_must_fit():
@@ -35,32 +33,25 @@ def test_value_must_fit():
         BitString(-1, 0)
 
 
-def test_slice_suffix_segment():
-    x = from_str("10110100")
-    assert slice_bits(x, 3) == from_str("101")
-    assert suffix(x, 3) == from_str("10100")
-    assert segment(x, 2, 4) == from_str("1101")
-    assert concat(slice_bits(x, 3), suffix(x, 3)) == x
-
-
-def test_pad_and_zeros():
-    assert pad_to(from_str("101"), 6) == from_str("101000")
-    assert zeros(4).val == 0
+def test_slice_and_concat():
+    x = BitString(8, 0b10110100)
+    assert slice_bits(x, 3) == BitString(3, 0b101)
+    assert concat(slice_bits(x, 3), BitString(5, 0b10100)) == x
 
 
 def test_blocks_pad_last_on_the_right():
-    x = from_str("10110")
+    x = BitString(5, 0b10110)
     # blocks of 2: 10 | 11 | 0_ -> last padded right
     assert blocks(x, 2) == [0b10, 0b11, 0b00]
     assert blocks(x, 5) == [x.val]
 
 
 def test_matrix_uniform_width():
-    m = matrix([from_str("101"), from_str("010")])
+    m = matrix([BitString(3, 0b101), BitString(3, 0b010)])
     assert m.L == 2 and m.m == 3
-    assert m[1] == from_str("010")
+    assert m[1] == BitString(3, 0b010)
     with pytest.raises(ValueError):
-        matrix([from_str("101"), from_str("01")])
+        matrix([BitString(3, 0b101), BitString(2, 0b01)])
 
 
 @given(st.integers(0, 1100).flatmap(
@@ -100,7 +91,7 @@ def test_byte_aligned_blocks_match_the_peel(b, data):
 
 def test_bitstring_and_row_matrix_keep_frozen_record_semantics():
     # slots and a hand-written __init__ keep the frozen dataclass behaviour
-    x, m = BitString(4, 11), matrix([from_str("101"), from_str("010")])
+    x, m = BitString(4, 11), matrix([BitString(3, 5), BitString(3, 2)])
     assert x == BitString(4, 11) and x != BitString(4, 10)
     assert x != (4, 11) and m != (3, m.rows)  # another class is unequal
     assert hash(x) == hash((4, 11)) and hash(m) == hash((3, m.rows))
@@ -114,7 +105,7 @@ def test_bitstring_and_row_matrix_keep_frozen_record_semantics():
             delattr(obj, field)
     with pytest.raises(FrozenInstanceError):
         x.extra = 1
-    for obj in (x, m, zeros(0)):
+    for obj in (x, m, BitString(0, 0)):
         for twin in (copy.copy(obj), copy.deepcopy(obj),
                      pickle.loads(pickle.dumps(obj))):
             assert twin == obj and type(twin) is type(obj)
@@ -133,5 +124,5 @@ def test_bitstring_checks_width_and_value(n, val, msg):
 
 def test_row_matrix_checks_row_widths():
     with pytest.raises(ValueError, match="row width mismatch"):
-        RowMatrix(3, (from_str("101"), from_str("01")))
+        RowMatrix(3, (BitString(3, 0b101), BitString(2, 0b01)))
     assert RowMatrix(2, ()).L == 0

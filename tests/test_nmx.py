@@ -222,18 +222,29 @@ def test_symbol_path_matches_the_int_path_on_zero_symbols(plan, advice,
                                    monkeypatch)[0] == []
 
 
+def _fold_kinds(q):
+    """How ``sext.fold`` takes each symbol-path source to twice its law's
+    output, from the plan's widths: x to 2w, y1 to 2w, x to 2 m_ff and y
+    to 2 d_z."""
+    return tuple("identity" if n == 2 * k else "zero pad" if n == k
+                 else "half pad" if n < 2 * k else "xor fold"
+                 for n, k in ((q.nx, q.w), (q.d1, q.w), (q.nx, q.m_ff),
+                              (q.ny, q.d_z)))
+
+
 def test_symbol_plans_reach_every_fold_case():
     # identity (desk's x), zero pad (desk's keys and z), half pad (m20's
     # key 1 and z) and XOR fold (m8's x and z)
-    plans = [params().symbols16 for params in SYMBOL_PLANS.values()]
-    assert {case for q in plans for case in (q.x_w, q.y1_w, q.x_m, q.y_z)} \
+    plans = [_fold_kinds(params().symbols16)
+             for params in SYMBOL_PLANS.values()]
+    assert {kind for kinds in plans for kind in kinds} \
         == {"identity", "zero pad", "half pad", "xor fold"}
-    q = desk_params().symbols16
-    assert (q.x_w, q.y1_w, q.y_z) == ("identity", "zero pad", "zero pad")
-    q = SYMBOL_PLANS["m20"]().symbols16
-    assert q.y1_w == q.y_z == "half pad"
-    q = SYMBOL_PLANS["m8"]().symbols16
-    assert q.x_w == q.x_m == q.y_z == "xor fold"
+    x_w, y1_w, _, y_z = _fold_kinds(desk_params().symbols16)
+    assert (x_w, y1_w, y_z) == ("identity", "zero pad", "zero pad")
+    _, y1_w, _, y_z = _fold_kinds(SYMBOL_PLANS["m20"]().symbols16)
+    assert y1_w == y_z == "half pad"
+    x_w, _, x_m, y_z = _fold_kinds(SYMBOL_PLANS["m8"]().symbols16)
+    assert x_w == x_m == y_z == "xor fold"
 
 
 def test_desk_nm_ext_takes_the_symbol_path(monkeypatch):

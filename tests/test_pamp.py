@@ -208,3 +208,24 @@ def test_accepted_altered_w_keys_alice_from_her_w(monkeypatch):
     res = run_protocol(x, rng, DESK, Adversary("forge", lambda y: y, forge))
     assert res.accepted and res.attack_success and not res.keys_agree
     assert len(seeds) == 2 and seeds[0] != seeds[1]
+
+
+@pytest.mark.parametrize("adv, calls", [(passive(), 1), (flip_round2(), 1),
+                                        (flip_round1(), 2)],
+                         ids=["passive", "flip2", "flip1"])
+def test_nm_ext_runs_once_per_distinct_seed(adv, calls, monkeypatch):
+    # Bob extracts from the seed he received; Alice reuses his output when
+    # her seed is the same one and extracts again only when round 1
+    # changed it
+    seeds, real = [], pamp.nm_ext
+
+    def spy(x, y, p):
+        seeds.append(y)
+        return real(x, y, p)
+    monkeypatch.setattr(pamp, "nm_ext", spy)
+    rng = np.random.Generator(np.random.Philox(81))
+    for _ in range(3):
+        seeds.clear()
+        x = _flat_secret(rng, DESK.nmx.n, 768)
+        run_protocol(x, rng, DESK, adv)
+        assert len(seeds) == len(set(seeds)) == calls
