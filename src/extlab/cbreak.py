@@ -31,7 +31,7 @@ from typing import ClassVar, Iterable
 from . import gf2
 from .bits import BitString
 from .nipm import ParamError
-from .sext import ExtScheme, affine_scheme, ext_val, poly_scheme
+from .sext import ExtScheme, affine_scheme, ext_val, lhl_bound, poly_scheme
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,11 @@ def collision_bound(p: AdvGenParams) -> float:
     uniform sampler output): distinct seeds either differ in the raw
     prefix or their codewords agree on at most deg positions, so every
     sampled symbol of a shared-position pair collides with probability
-    at most deg/code_n; add the sampler's claimed error once."""
+    at most deg/code_n; add the sampler's leftover-hash error at a full
+    n-bit source once."""
     deg = -(-p.d // p.rs_block) - 1
     agree = deg / p.code_n
-    return agree ** p.positions + p.sampler.claimed_eps
+    return agree ** p.positions + float(lhl_bound(p.sampler, p.n))
 
 
 @dataclass(frozen=True)

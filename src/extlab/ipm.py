@@ -44,7 +44,7 @@ class IpmParams:
         return self.nipm.levels[0].m_in
 
     def scheme_boot(self) -> ExtScheme:
-        return affine_scheme(self.n_y, self.d_z, claimed_k=self.k_y)
+        return affine_scheme(self.n_y, self.d_z)
 
 
 def micro_ipm(L: int, t: int, m: int, n_y: int, k_y: int, d_z: int,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .bits import BitString, RowMatrix, matrix
 from .ipm import IpmParams, ipm_weak, micro_ipm
@@ -26,9 +26,11 @@ from .nipm import LevelPlan, ParamError, hand_plan
 class MultiParams:
     r: int          # number of matrices / majority arity (odd)
     alpha: float    # bad-set exponent: at most r^(1/2 - alpha) bad indices
-    gamma: float    # almost-t-wise slack of the good bits
-    c: float        # outer constant of the majority bias bound
     ipm: IpmParams
+    # almost-t-wise slack of the good bits: the synthetic generator's good
+    # bits are exactly independent
+    gamma: ClassVar[float] = 0.0
+    c: ClassVar[float] = 1.0    # outer constant of the majority bias bound
 
     def __post_init__(self) -> None:
         if self.r % 2 == 0:
@@ -116,16 +118,14 @@ def multi_ext(gen: SyntheticGenerator, sources: Sequence[BitString],
     return majority(reduce_bits(mats, weak, gen.params))
 
 
-def default_params(r: int, t: int = 1, alpha: float = 0.5,
-                   gamma: float = 0.0, c: float = 1.0) -> MultiParams:
+def default_params(r: int, t: int = 1, alpha: float = 0.5) -> MultiParams:
     """r matrices of four 16-bit rows reduced through a micro weak-seed
-    merger; the synthetic generator's good bits are exactly independent,
-    so gamma defaults to zero."""
+    merger."""
     levels = (LevelPlan(ell=2, m_in=8, w=4, m_out=4, d_slice=8),
               LevelPlan(ell=2, m_in=4, w=2, m_out=2, d_slice=12))
     ipm = micro_ipm(L=4, t=t, m=16, n_y=16, k_y=12, d_z=12,
                     nipm=hand_plan(4, t, levels))
-    return MultiParams(r=r, alpha=alpha, gamma=gamma, c=c, ipm=ipm)
+    return MultiParams(r=r, alpha=alpha, ipm=ipm)
 
 
 def exact_majority_prob_one(r: int, pinned_ones: int) -> Fraction:

@@ -124,13 +124,14 @@ def random_adversary(rng) -> Adversary:
 def table_adversary(name: str, r1_masks: list[int], r2_masks: list[int]
                     ) -> Adversary:
     """Deterministic table adversary (for --adversary custom.json):
-    round i XORs its masks onto (y,) or (w, tag)."""
+    round i XORs its masks onto (y,) or (w, tag).  A mask wider than its
+    field raises ``ValueError`` when the round runs."""
     def r1(y: BitString) -> BitString:
-        return y ^ BitString(y.n, r1_masks[0] & ((1 << y.n) - 1))
+        return y ^ BitString(y.n, r1_masks[0])
 
     def r2(y: BitString, w: BitString, t: BitString):
-        return (w ^ BitString(w.n, r2_masks[0] & ((1 << w.n) - 1)),
-                t ^ BitString(t.n, r2_masks[1] & ((1 << t.n) - 1)))
+        return (w ^ BitString(w.n, r2_masks[0]),
+                t ^ BitString(t.n, r2_masks[1]))
     return Adversary(name, r1, r2)
 
 

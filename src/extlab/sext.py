@@ -41,7 +41,6 @@ class ExtScheme:
     m_out: int
     family: str
     block: int
-    claimed_k: int
     # seed width: two field elements (poly), or m_out (affine) (derived)
     d_seed: int = field(init=False, repr=False, compare=False)
     # poly Horner constants (derived): x's right pad to whole blocks, the
@@ -61,35 +60,25 @@ class ExtScheme:
         elif self.block != min(self.m_out & -self.m_out, 16):
             raise ValueError("affine family: block must be "
                              "min(m_out & -m_out, 16)")
-        if not 0 <= self.claimed_k <= self.n_in:
-            raise ValueError("claimed_k out of range")
         object.__setattr__(self, "d_seed", 2 * self.block
                            if self.family == "poly" else self.m_out)
         b, pad = self.block, -self.n_in % self.block
         object.__setattr__(self, "_horner", (
             pad, self.n_in + pad - b, (1 << b) - 1, b - self.m_out))
 
-    @property
-    def claimed_eps(self) -> float:
-        """Leftover-hash error bound at the claimed min-entropy."""
-        return float(lhl_bound(self, self.claimed_k))
-
 
 @lru_cache(maxsize=None)
-def poly_scheme(n_in: int, m_out: int, claimed_k: int | None = None,
-                block: int | None = None) -> ExtScheme:
+def poly_scheme(n_in: int, m_out: int, block: int | None = None
+                ) -> ExtScheme:
     if block is None:
         block = max(m_out, 8)
-    k = n_in if claimed_k is None else claimed_k
-    return ExtScheme(n_in, m_out, "poly", block, k)
+    return ExtScheme(n_in, m_out, "poly", block)
 
 
 @lru_cache(maxsize=None)
-def affine_scheme(n_in: int, m_out: int,
-                  claimed_k: int | None = None) -> ExtScheme:
+def affine_scheme(n_in: int, m_out: int) -> ExtScheme:
     """Block: the largest power of two <= 16 that divides m_out."""
-    k = n_in if claimed_k is None else claimed_k
-    return ExtScheme(n_in, m_out, "affine", min(m_out & -m_out, 16), k)
+    return ExtScheme(n_in, m_out, "affine", min(m_out & -m_out, 16))
 
 
 def ext(scheme: ExtScheme, x: BitString, seed: BitString) -> BitString:
@@ -156,26 +145,19 @@ def affine_int(m: int, z: int, s: int) -> int:
     m-bit seed; the output is u*s + v blockwise over GF(2^b), where u and
     v are z's halves and b is ``affine_scheme``'s block.  Up to 8 bits
     the products are one lookup in ``_product_table(m)``; wider outputs
-    look each block up in the block's own table, or, at block 16, in the
-    GF(2^16) log/exp tables, in a pure-Python loop at every width (the
-    scalar reference that ``affine16``, the symbol path's kernel, is
-    tested against)."""
+    multiply block by block through the zero-sentinel GF(2^b) log/exp
+    tables, in a pure-Python loop at every block (at block 16 the scalar
+    reference that ``affine16``, the symbol path's kernel, is tested
+    against)."""
     u, v = z >> m, z & ((1 << m) - 1)
     if m <= 8:
         return _product_table(m)[(u << m) | s] ^ v
     b = m & -m if m & 15 else 16
     mask = (1 << b) - 1
+    log, exp = gf2._tables(b)
     out = 0
-    if b <= 8:
-        table = _product_table(b)
-        for sh in range(m - b, -1, -b):
-            out = (out << b) | table[(((u >> sh) & mask) << b)
-                                     | ((s >> sh) & mask)]
-    else:
-        log, exp = gf2._tables(16)
-        for sh in range(m - 16, -1, -16):
-            a, c = (u >> sh) & mask, (s >> sh) & mask
-            out = (out << 16) | exp[log[a] + log[c]]
+    for sh in range(m - b, -1, -b):
+        out = (out << b) | exp[log[(u >> sh) & mask] + log[(s >> sh) & mask]]
     return out ^ v
 
 

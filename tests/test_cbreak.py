@@ -11,7 +11,7 @@ from extlab.cbreak import (AdvGenParams, FlipFlopParams, adv_gen,
 from extlab.nipm import ParamError
 from extlab.nmx import desk_params, micro_params
 from extlab.pamp import _rand_bits
-from extlab.sext import ext, poly_scheme, sample_positions
+from extlab.sext import ext, lhl_bound, poly_scheme, sample_positions
 
 
 def test_plan_adv_gen_micro_shape():
@@ -116,7 +116,8 @@ def test_distinct_seeds_rarely_share_advice():
 def test_collision_bound_formula():
     p = plan_adv_gen(16, 8, 0.1)
     deg = -(-8 // 4) - 1
-    assert collision_bound(p) == (deg / 4) ** 2 + p.sampler.claimed_eps
+    assert collision_bound(p) == (deg / 4) ** 2 + float(
+        lhl_bound(p.sampler, 16))
 
 
 def test_flip_flop_params_validated():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from extlab import msrc, pamp, verify
 from extlab.bits import MAX_LEN
 from extlab.cli import _bar_value, main
 
@@ -387,6 +388,9 @@ PINNED_REPORTS = {
         "bound\tname\tpass\tseed64\tvalue\n"
         "1.0\tlt_nipm_distance\tTrue\t5\t0.0\n"
         "0.4\txor_strawman_distance\tTrue\t5\t0.9375\n"),
+    "verify suite --module ipm --seed 5": (
+        "bound\tname\tpass\tseed64\tvalue\n"
+        "1.0\tipm_weak_distance\tTrue\t5\t0.0\n"),
     "multisource run --r 11 --trials 40 --seed 5": (
         "bound\tdetail\tname\tpass\tseed64\tvalue\n"
         "0.37695+-0.51470\ttrials=23\tmaj_rate_bad0\tTrue\t5\t"
@@ -450,3 +454,37 @@ def test_multisource_bias_bound_is_capped_at_one(r, bad, capped, capsys):
     row = _majority_bias_row(r, bad, capsys)
     assert float(row["bound"]) <= 1
     assert row["detail"] == ("capped" if capped else "")
+
+
+# one failing row per reporting command, forced at the layer below it
+FAILING = {
+    "verify": (["verify", "suite", "--module", "sext"],
+               verify, "strong_distance_poly_fast",
+               lambda scheme, src: Fraction(1)),
+    "pa": (["pa", "simulate", "--trials", "20"], pamp, "run_protocol",
+           lambda x, rng, p, adv: pamp.TrialResult(True, True, False, True)),
+    "multisource": (["multisource", "run", "--trials", "40"], msrc,
+                    "exact_majority_prob_one", lambda r, bad: Fraction(2)),
+}
+
+
+@pytest.mark.parametrize("cmd", FAILING)
+def test_failed_row_exits_1_and_writes_the_report(cmd, tmp_path,
+                                                  monkeypatch):
+    argv, module, name, fake = FAILING[cmd]
+    monkeypatch.setattr(module, name, fake)
+    out = tmp_path / "report.tsv"
+    assert main(argv + ["--seed", "3", "--out", str(out)]) == 1
+    header, *lines = out.read_text().splitlines()
+    col = header.split("\t").index("pass")
+    assert "False" in [line.split("\t")[col] for line in lines]
+    assert out.with_suffix(".png").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    PLAN_NIPM + ["--eps", "0.01"],
+    PLAN_NMEXT + ["--n", "1024", "--eps", "0.01"],
+    ["nmext", "eval"]], ids=["plan_nipm", "plan_nmext", "nmext_eval"])
+def test_reports_without_a_verdict_exit_0(argv, capsys):
+    assert main(argv) == 0
+    assert "pass" not in capsys.readouterr().out.splitlines()[0].split("\t")

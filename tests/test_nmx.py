@@ -319,3 +319,35 @@ def test_output_is_seed_sensitive():
         y = BitString(16, int(rng.integers(1 << 16)))
         diff += nm_ext(x, y, p) != nm_ext(x, y ^ BitString(16, 1), p)
     assert 0.35 < diff / trials < 0.65
+
+
+def _advice_moves_output(p, draws, monkeypatch):
+    """The draws on which nm_ext's output differs between forced advice
+    of all zeros, all ones and 0101...: whether the advice reaches the
+    output at all."""
+    L, forced = p.adv.advice_len, []
+    monkeypatch.setattr(nmx, "adv_gen_val", lambda x, y, adv: forced[0])
+    moved = 0
+    for x, y in draws:
+        outs = set()
+        for advice in (0, (1 << L) - 1, (1 << L) // 3):
+            forced[:] = [advice]
+            outs.add(nm_ext(x, y, p))
+        moved += len(outs) > 1
+    return moved
+
+
+# the flip-flop's bit-1 key is Ext_y(y1, r1) and its bit-0 key Ext_tok(s1,
+# r1), s1 = y1's w-bit prefix; when d1 = w (desk) the two keys, and so
+# the two rows, are one, and the output cannot see its advice
+@pytest.mark.xfail(strict=True, reason="desk flip-flop rows ignore the "
+                   "advice bit: both keys are one key when d1 = w")
+def test_desk_output_moves_with_forced_advice(monkeypatch):
+    p = desk_params()
+    assert _advice_moves_output(p, _draws(p, 61, 20), monkeypatch) > 0
+
+
+def test_micro_output_moves_with_forced_advice(monkeypatch):
+    # the control: at micro widths the same probe sees the advice
+    p = micro_params()
+    assert _advice_moves_output(p, _draws(p, 61, 20), monkeypatch) > 0

@@ -139,6 +139,23 @@ def test_table_and_random_adversaries_run():
         assert res.tampered
 
 
+def test_table_adversary_rejects_a_mask_wider_than_its_field():
+    # a 600-bit Y mask does not fit the 512-bit seed: it raises rather
+    # than lose its top bits; in-range masks XOR on unchanged
+    d, w_len, s = DESK.nmx.d, DESK.w_len, DESK.mac_bits
+    y, w, t = BitString(d, 5), BitString(w_len, 6), BitString(s, 7)
+    wide = table_adversary("wide", [1 << 599], [0, 0])
+    with pytest.raises(ValueError, match=f"does not fit in {d} bits"):
+        wide.round1(y)
+    for r2_masks in ([1 << w_len, 0], [0, 1 << s]):
+        with pytest.raises(ValueError, match="does not fit"):
+            table_adversary("wide", [0], r2_masks).round2(y, w, t)
+    top = table_adversary("top", [1 << (d - 1)], [1 << (w_len - 1), 1])
+    assert top.round1(y).val == 5 | 1 << (d - 1)
+    assert top.round2(y, w, t) == (BitString(w_len, 6 | 1 << (w_len - 1)),
+                                   BitString(s, 6))
+
+
 def test_security_experiment_report():
     rng = np.random.Generator(np.random.Philox(77))
     rep = security_experiment(rng, DESK, passive(), trials=30,

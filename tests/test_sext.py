@@ -19,16 +19,16 @@ from extlab.verify import strong_distance, strong_distance_poly_fast, \
 
 
 def test_poly_scheme_shape():
-    s = poly_scheme(12, 2, claimed_k=6)
+    s = poly_scheme(12, 2)
     assert s.block == 8 and s.d_seed == 16 and s.family == "poly"
     with pytest.raises(ValueError):
         poly_scheme(12, 9, block=8)  # m_out > block
     # the derived seed width and Horner constants stay out of ==, hash, repr
-    assert poly_scheme(16, 4, block=4) == ExtScheme(16, 4, "poly", 4, 16)
+    assert poly_scheme(16, 4, block=4) == ExtScheme(16, 4, "poly", 4)
     assert hash(poly_scheme(16, 4, block=4)) == hash(
-        ExtScheme(16, 4, "poly", 4, 16))
+        ExtScheme(16, 4, "poly", 4))
     assert [f.name for f in fields(ExtScheme) if f.compare or f.repr] == [
-        "n_in", "m_out", "family", "block", "claimed_k"]
+        "n_in", "m_out", "family", "block"]
     assert "_horner" not in repr(s) and "d_seed" not in repr(s)
 
 
@@ -38,11 +38,11 @@ def test_affine_scheme_shape():
     assert affine_scheme(64, 32).block == 16
     assert affine_scheme(64, 3).block == 1
     with pytest.raises(ValueError):
-        ExtScheme(16, 8, "affine", 4, 16)  # block 4 is not m_out's
+        ExtScheme(16, 8, "affine", 4)  # block 4 is not m_out's
 
 
 def test_poly_ext_is_blockwise_polynomial():
-    s = poly_scheme(12, 2, claimed_k=6)
+    s = poly_scheme(12, 2)
     x = BitString(12, 0xABC)
     seed = BitString(16, (0x2A << 8) | 0x3C)
     acc = gf2.poly_eval(blocks(x, 8), 0x2A, 8)
@@ -128,10 +128,10 @@ def test_affine_int_table_matches_reference_exhaustively(m):
             assert affine_int(m, z, s) == _affine_ref(m, z, s), (u, s)
 
 
-@pytest.mark.parametrize("m", [12, 24, 64, 128, 256, 512])
+@pytest.mark.parametrize("m", [9, 10, 12, 14, 24, 40, 64, 128, 256, 512])
 def test_affine_int_wide_matches_reference(m):
-    # block 4 and 8 look their blocks up in the block's table, block 16
-    # multiplies by log/exp in a loop at every width
+    # above 8 bits every block (1, 2, 4, 8 and 16 here) multiplies through
+    # its zero-sentinel log/exp tables in one loop
     rng = random.Random(m)
     for _ in range(500):
         z, s = rng.getrandbits(2 * m), rng.getrandbits(m)
@@ -164,13 +164,14 @@ def test_wide_affine_int_matches_the_log_exp_loop(m, data):
 
 
 def test_narrow_affine_int_does_not_call_mul(monkeypatch):
-    # up to 8 bits, and block <= 8 above that, the law is table lookups
+    # up to 8 bits the law is one product-table lookup, above that one
+    # log/exp lookup per block, at block 1, 2, 4 and 8 too
     def no_mul(*args):
         raise AssertionError("per-block gf2.mul call")
 
     monkeypatch.setattr(gf2, "mul", no_mul)
     rng = random.Random(3)
-    for m in [*range(1, 9), 12]:
+    for m in [*range(1, 9), 9, 10, 12, 14, 24, 40]:
         z, s = rng.getrandbits(2 * m), rng.getrandbits(m)
         assert affine_int(m, z, s) == _affine_ref(m, z, s)
 
@@ -252,7 +253,7 @@ def test_affine_wide_path_matches_blockwise():
        st.integers(0, (1 << 16) - 1))
 @settings(max_examples=100)
 def test_poly_ext_linear_in_source(x1, x2, sv):
-    s = poly_scheme(12, 2, claimed_k=6)
+    s = poly_scheme(12, 2)
     seed = BitString(16, sv)
     a = ext(s, BitString(12, x1), seed)
     b = ext(s, BitString(12, x2), seed)
@@ -262,23 +263,23 @@ def test_poly_ext_linear_in_source(x1, x2, sv):
 
 def test_lhl_bound_values():
     # single-block scheme is exactly universal: bound = sqrt(2^(m-k))/2
-    s = poly_scheme(12, 2, claimed_k=6, block=12)
+    s = poly_scheme(12, 2, block=12)
     assert abs(float(lhl_bound(s, 6)) - 0.5 * 2 ** -2) < 1e-10
     # two-block b=8 scheme pays the almost-universality excess
-    s8 = poly_scheme(12, 2, claimed_k=6)
+    s8 = poly_scheme(12, 2)
     assert float(lhl_bound(s8, 6)) > float(lhl_bound(s, 6))
     assert lhl_bound(s8, 0) == 1  # capped
 
 
 def test_avg_case_bound_dominates_worst_case():
-    s = poly_scheme(12, 2, claimed_k=6, block=12)
+    s = poly_scheme(12, 2, block=12)
     assert avg_case_bound(s, 6) >= lhl_bound(s, 6)
     assert avg_case_bound(s, 6) <= lhl_bound(s, 4) + Fraction(1, 4)
 
 
 def test_measured_distance_within_lhl_bound():
     rng = np.random.Generator(np.random.Philox(5))
-    s = poly_scheme(10, 2, claimed_k=5, block=5)
+    s = poly_scheme(10, 2, block=5)
     bound = lhl_bound(s, 5)
     for _ in range(10):
         src = sample_flat_source(rng, 10, 5)
@@ -288,7 +289,7 @@ def test_measured_distance_within_lhl_bound():
 
 def test_fast_strong_distance_matches_exact():
     rng = np.random.Generator(np.random.Philox(6))
-    s = poly_scheme(10, 2, claimed_k=5, block=5)
+    s = poly_scheme(10, 2, block=5)
     for _ in range(3):
         src = sample_flat_source(rng, 10, 5)
         assert strong_distance_poly_fast(s, src) == \
@@ -298,7 +299,7 @@ def test_fast_strong_distance_matches_exact():
 def test_ext_all_seeds_poly_matches_scalar():
     # the count table tallies scalar ext over all 1,024 seeds, output
     # major, in column (s2 << 5) | s1 for the seed (s1 << 5) | s2
-    s = poly_scheme(10, 2, claimed_k=5, block=5)
+    s = poly_scheme(10, 2, block=5)
     xs = [0, 1, 0x155, 0x3FF]
     want = np.zeros((1 << 2, 1 << 10), dtype=np.int64)
     for x in xs:
