@@ -36,44 +36,46 @@ from .sext import ExtScheme, affine_scheme, ext_val, lhl_bound, poly_scheme
 
 @dataclass(frozen=True)
 class AdvGenParams:
+    """Advice of a 2-bit raw prefix of y and two Reed-Solomon symbols of
+    y, of max(4, ceil(log2 d)) bits each, at positions sampled from x.
+    n and d are the only choices; every other width follows from them
+    at construction."""
+    n: int           # x length
     d: int           # y length
-    a0p: int         # raw prefix of y copied into the advice
-    rs_block: int    # Reed-Solomon symbol size (bits)
-    sampler: ExtScheme   # samples positions from x, seeded by a slice of y
+    a0p: ClassVar[int] = 2         # raw prefix of y copied into the advice
     positions: ClassVar[int] = 2   # number of sampled Reed-Solomon symbols
+    # derived: the Reed-Solomon symbol bits, the rate-1/2 evaluation
+    # domain (twice the message length) and the sampler of positions
+    rs_block: int = field(init=False, repr=False, compare=False)
+    code_n: int = field(init=False, repr=False, compare=False)
+    sampler: ExtScheme = field(init=False, repr=False, compare=False)
     # adv_gen_val's constants (derived): the shifts of y's sampler seed,
     # y's raw prefix and each sampled position in the sampler output, the
     # position mask and code_n
     _shifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.a0 > self.d or self.a0p > self.d:
-            raise ParamError("a0", "advice slices exceed seed length")
-        if self.code_n > (1 << self.rs_block):
-            raise ParamError("rs_block", "code longer than field")
-        # positions: w-bit chunks of the sampler output (d >= a0 >= 2: w >= 1)
-        m, w = self.sampler.m_out, (self.code_n - 1).bit_length()
-        if self.positions * w > m:
-            raise ParamError("sampler", "output too short for the positions")
+        rs_block = max(4, math.ceil(math.log2(max(self.d, 4))))
+        code_n = 2 * -(-self.d // rs_block)
+        # positions: w-bit chunks of the sampler output (code_n >= 2)
+        w = (code_n - 1).bit_length()
+        m = self.positions * w
+        b = max(m, 4)
+        if 2 * b > self.d:
+            raise ParamError("a0", f"seed too short for the sampler "
+                                   f"({2 * b} > {self.d})")
+        object.__setattr__(self, "rs_block", rs_block)
+        object.__setattr__(self, "code_n", code_n)
+        object.__setattr__(self, "sampler", poly_scheme(self.n, m, block=b))
         object.__setattr__(self, "_shifts", (
             self.d - self.a0, self.d - self.a0p,
             tuple(m - (i + 1) * w for i in range(self.positions)),
-            (1 << w) - 1, self.code_n))
-
-    @property
-    def n(self) -> int:
-        """x length."""
-        return self.sampler.n_in
+            (1 << w) - 1, code_n))
 
     @property
     def a0(self) -> int:
         """Slice of y used as the sampler seed."""
         return self.sampler.d_seed
-
-    @property
-    def code_n(self) -> int:
-        """Rate-1/2 evaluation domain: twice the message length."""
-        return 2 * -(-self.d // self.rs_block)
 
     @property
     def advice_len(self) -> int:
@@ -116,22 +118,9 @@ def rs_masks(d: int, b: int, a: int) -> tuple[int, ...]:
 
 
 def plan_adv_gen(n: int, d: int, eps: float) -> AdvGenParams:
-    """Advice of a 2-bit raw prefix and two Reed-Solomon symbols of
-    max(4, ceil(log2 d)) bits."""
-    positions = AdvGenParams.positions
-    rs_block = max(4, math.ceil(math.log2(max(d, 4))))
-    code_n = 2 * -(-d // rs_block)
-    w = max(1, (code_n - 1).bit_length())
-    m_r = positions * w
-    b = max(m_r, 4)
-    a0 = 2 * b
-    if a0 > d:
-        raise ParamError("a0", f"seed too short for the sampler ({a0} > {d})")
-    sampler = poly_scheme(n, m_r, block=b)
-    p = AdvGenParams(d=d, a0p=min(2, d), rs_block=rs_block, sampler=sampler)
-    if p.advice_len < 8:
-        raise ParamError("L", "advice shorter than 8 bits")
-    return p
+    """The advice plan of an n-bit x and a d-bit y: ``AdvGenParams(n,
+    d)``.  eps is not read; the advice widths depend on n and d only."""
+    return AdvGenParams(n, d)
 
 
 def adv_gen(x: BitString, y: BitString, p: AdvGenParams) -> BitString:

@@ -211,7 +211,8 @@ def _suite_nipm(rng) -> list[dict]:
     adv = verify.adversarial_xor_instance(rng, L=2, m=4, d=4)
     d2 = verify.merger_distance(verify.xor_strawman, adv, 4)
     return [{"name": "lt_nipm_distance", "value": float(d),
-             "bound": float(bound), "pass": d <= bound},
+             "bound": float(bound), "pass": d <= bound,
+             "detail": "capped" if bound == 1 else ""},
             {"name": "xor_strawman_distance", "value": float(d2),
              "bound": 0.4, "pass": d2 >= Fraction(2, 5)}]
 
@@ -224,7 +225,7 @@ def _suite_ipm(rng) -> list[dict]:
     d = verify.merger_distance(
         lambda rws, y: ipm.merge_rows_val(rws, y, p)[1], inst, 1)
     return [{"name": "ipm_weak_distance", "value": float(d),
-             "bound": 1.0, "pass": d <= 1}]
+             "bound": 1.0, "pass": d <= 1, "detail": "capped"}]
 
 
 def _suite_cbreak(rng) -> list[dict]:

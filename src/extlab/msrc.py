@@ -91,9 +91,9 @@ class SyntheticGenerator:
 
 
 def make_generator(rng, p: MultiParams, n_bad: int) -> SyntheticGenerator:
-    max_bad = math.ceil(p.r ** (0.5 - p.alpha))
-    if n_bad > max_bad:
-        raise ParamError("bad_set", f"more than r^(1/2-alpha) = {max_bad}")
+    bound = p.r ** (0.5 - p.alpha)
+    if n_bad > bound + 1e-9:    # a bound a float below an integer admits it
+        raise ParamError("bad_set", f"{n_bad} > r^(1/2-alpha) = {bound:.6g}")
     bad = tuple(sorted(int(i) for i in
                        rng.choice(p.r, size=n_bad, replace=False)))
     return SyntheticGenerator(params=p, seed=int(rng.integers(1 << 63)),

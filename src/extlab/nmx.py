@@ -10,10 +10,12 @@ merger seeded by z merges them.  Row i depends on i only through its
 advice bit, so rows with equal advice bits are equal: each distinct row
 (at most two) is built and refreshed once and shared by its rows.  The
 stages pass plain ints; ``nm_ext`` builds one ``BitString``, its result.
-When every width from the flip-flop through merger level 0 is a multiple
-of 16 and the refresh and level 0 fold their rows by identity
-(``NmExtParams.symbols16``, a ``SymbolPlan``; desk among them), those
-stages run on GF(2^16) symbol arrays instead, both rows at once
+A plan (``NmExtParams``) stores only the advice, the merger and the
+nominal schedule; the flip-flop and the weak-seed merger are derived
+(token, rows and z are twice the merger's row width).  When n, d and
+level 0's token are multiples of 16 and level 0 folds its rows by
+identity (``NmExtParams.symbols16``, a ``SymbolPlan``; desk among them),
+those stages run on GF(2^16) symbol arrays instead, both rows at once
 (``_nm_ext16``), and numpy runs there only; the int stages are pure
 Python at every width, the path of every other plan and the reference
 the symbol path is tested against.
@@ -58,17 +60,14 @@ class NominalPlan:
 class SymbolPlan:
     """The symbol path of a plan, widths in GF(2^16) symbols.  Each law
     folds its source to twice its output by ``sext.fold``'s rule, read
-    off the widths: x to 2w (r1) and to 2 m_ff (the rows), y1 to 2w
-    (key 1; key 0 is s1, padded) and y to 2 d_z (z).  A source no wider
-    than twice the output pads, so its u half's logs come from the one
-    gather of x and y; a wider one XOR-folds."""
+    off the widths: x to 2w (r1 and the rows), y1 to 2w (key 1; key 0 is
+    s1, padded) and y to 2w (z).  A source no wider than twice the
+    output pads, so its u half's logs come from the one gather of x and
+    y; a wider one XOR-folds."""
     nx: int          # x
     ny: int          # y
-    w: int           # flip-flop token: r1 and the keys
+    w: int           # flip-flop token, rows and z; refreshed rows: w / 2
     d1: int          # the slice y1 of y
-    m_ff: int        # flip-flop rows
-    d_z: int         # bootstrap z
-    m_v: int         # refreshed rows, z's slice keying them, level 0's seed
     top: int         # advice >> top is row 0's advice bit
     chains: int      # level 0's full blocks, of ell rows each
     rest: int        # rows of level 0's ragged last block
@@ -76,18 +75,12 @@ class SymbolPlan:
 
 
 def _symbol_plan(p: "NmExtParams") -> SymbolPlan | None:
-    """``p``'s symbol path, or None if it has none: some width is not a
-    multiple of 16, x is narrower than a token (a row is never wider), y
-    narrower than z, y1 wider than two tokens, or the refresh or level 0
-    folds a row other than by identity (m_in = d_slice = 2w = 2 m_out;
-    every ``plan_params`` plan does)."""
-    ff, lv = p.ff, p.nipm.levels[0]
-    widths = (p.n, p.d, p.d1, ff.w, ff.m_out, p.d_z, lv.m_in, lv.w,
-              lv.m_out, lv.d_slice)
-    if any(v % 16 for v in widths):
-        return None
-    nx, ny, d1, w, m_ff, d_z, m_v = (v // 16 for v in widths[:7])
-    if (nx < w or ny < d_z or d1 > 2 * w or m_ff != 2 * m_v
+    """``p``'s symbol path, or None if it has none: n, d or level 0's
+    chain token w is not a multiple of 16, or level 0 folds a row other
+    than by identity (m_in = d_slice = 2w = 2 m_out; every
+    ``plan_params`` plan does).  Every other width follows from these."""
+    lv = p.nipm.levels[0]
+    if (p.n % 16 or p.d % 16 or lv.w % 16
             or not lv.m_in == lv.d_slice == 2 * lv.w == 2 * lv.m_out):
         return None
     import numpy as np
@@ -95,18 +88,22 @@ def _symbol_plan(p: "NmExtParams") -> SymbolPlan | None:
     L, ell = p.adv.advice_len, lv.ell
     chains = L // ell
     return SymbolPlan(
-        nx, ny, w, d1, m_ff, d_z, m_v, top=L - 1, chains=chains,
-        rest=L - chains * ell,
+        p.n // 16, p.d // 16, p.ff.w // 16, p.d1 // 16, top=L - 1,
+        chains=chains, rest=L - chains * ell,
         shifts=(L - 1 - np.arange(chains * ell)).reshape(chains, ell))
 
 
 @dataclass(frozen=True)
 class NmExtParams:
+    """A plan of the pipeline: the advice, the recursive merger of the
+    refreshed rows and the nominal schedule.  The rest is derived: the
+    flip-flop token, its rows and the bootstrap z are all w = 2 m_v
+    wide, m_v the merger's row width, and y1 is min(d, 2w) wide."""
     adv: AdvGenParams
-    ff: FlipFlopParams        # flip-flop over x and the slice y1 of y
-    d_z: int                  # bootstrap width of the weak-seed merger
     nipm: NipmParams          # recursive merger of the refreshed rows
     nominal: NominalPlan
+    # flip-flop over x and the slice y1 of y (derived)
+    ff: FlipFlopParams = field(init=False, repr=False, compare=False)
     # weak-seed merger of the flip-flop rows, seeded by y (derived)
     ipm: IpmParams = field(init=False, repr=False, compare=False)
     # nm_ext runs the flip-flop through merger level 0 on GF(2^16)
@@ -115,13 +112,15 @@ class NmExtParams:
                                          compare=False)
 
     def __post_init__(self) -> None:
-        if self.ff.n != self.adv.n:
-            raise ParamError("n", "flip-flop and advice source widths differ")
-        if self.d1 > self.d:
-            raise ParamError("d1", "y1 slice exceeds seed")
+        w = 2 * self.nipm.levels[0].m_in
+        if w > self.n:
+            raise ParamError("m_ff", "flip-flop rows wider than the source")
+        if self.nipm.d_min > w:
+            raise ParamError("d", "merger seed slices exceed z")
+        object.__setattr__(self, "ff", FlipFlopParams(
+            n=self.n, d_y=min(self.d, 2 * w), w=w, m_out=w))
         object.__setattr__(self, "ipm", IpmParams(
-            n_y=self.d, k_y=self.d, m=self.ff.m_out, d_z=self.d_z,
-            nipm=self.nipm))
+            n_y=self.d, k_y=self.d, m=w, d_z=w, nipm=self.nipm))
         object.__setattr__(self, "symbols16", _symbol_plan(self))
 
     @property
@@ -184,19 +183,12 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
     ell_impl = 4
     r_impl = max(1, math.ceil(math.log(L) / math.log(ell_impl)))
     m_v = m << r_impl               # rows halve once per merger level
-    m_ff = 2 * m_v
-    w_ff = max(m_ff, 8)
-    d1 = min(d, max(2 * w_ff, 8))
-    if d1 < w_ff:
+    if 2 * m_v > d:
         raise ParamError("d1", "seed too short for the flip-flop chain")
-    if m_ff > k:
+    if 2 * m_v > k:
         raise ParamError("k", "flip-flop output exceeds the entropy budget")
-    ff = FlipFlopParams(n=n, d_y=d1, w=w_ff, m_out=m_ff)
-    d_z = min(2 * m_v + m, m_ff)
-    nipm = plan_nipm(L, t, m_v, d_z, eps1, ell=ell_impl, m_target=m)
-    if nipm.d_min > d_z:
-        raise ParamError("d", "merger seed slices exceed z")
-    return NmExtParams(adv=adv, ff=ff, d_z=d_z, nipm=nipm, nominal=nominal)
+    nipm = plan_nipm(L, t, m_v, 2 * m_v, eps1, ell=ell_impl, m_target=m)
+    return NmExtParams(adv=adv, nipm=nipm, nominal=nominal)
 
 
 def micro_params() -> NmExtParams:
@@ -211,8 +203,7 @@ def micro_params() -> NmExtParams:
     levels = (LevelPlan(ell=4, m_in=4, w=2, m_out=2, d_slice=4),
               LevelPlan(ell=4, m_in=2, w=1, m_out=1, d_slice=8))
     nipm = hand_plan(adv.advice_len, 1, levels)    # L = 10
-    ff = FlipFlopParams(n=n, d_y=16, w=8, m_out=8)
-    return NmExtParams(adv=adv, ff=ff, d_z=8, nipm=nipm,
+    return NmExtParams(adv=adv, nipm=nipm,
                        nominal=_nominal_plan(n, 12, d, eps, "linear"))
 
 
@@ -257,7 +248,7 @@ def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
     sym = sym.astype(np.uint16)
     ls = log.take(sym)
     xs, ys, lx, ly = sym[:q.nx], sym[q.nx:], ls[:q.nx], ls[q.nx:]
-    w, mv, nw = q.w, q.m_v, lv.w // 16
+    w, mv, nw = q.w, q.w // 2, lv.w // 16
     # flip-flop: r1 = Ext_x(x, s1), key 0 is Ext_tok(s1, r1) = s1 * r1 and
     # key 1 is Ext_y(y1, r1); s1 is y's first w symbols, so it is the u
     # half of both keys, and key 1 adds the v half y1[w:]
@@ -265,10 +256,10 @@ def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
     keys = exp.take(ly[:w] + log.take(r1))[None].repeat(2, axis=0)
     if q.d1 > w:
         keys[1, :q.d1 - w] ^= ys[w:q.d1]
-    rows = _law16(xs, lx, q.m_ff, log.take(keys[:, :q.m_ff]))
+    rows = _law16(xs, lx, w, log.take(keys))
     # bootstrap z keyed by row 0, then refresh both rows keyed by z (the
     # rows fold to 2 m_v by identity)
-    z = _law16(ys, ly, q.d_z, log.take(rows[advice >> q.top, :q.d_z]))
+    z = _law16(ys, ly, w, log.take(rows[advice >> q.top]))
     lz = log.take(z[:mv])
     fresh = exp.take(log.take(rows[:, :mv]) + lz) ^ rows[:, mv:]
     z_int = _sym_int(z)
@@ -288,10 +279,10 @@ def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
         fresh_int = [_sym_int(row) for row in fresh]
         bits = [(advice >> i) & 1 for i in range(q.rest - 1, -1, -1)]
         out += _merge_level([fresh_int[b] for b in bits],
-                            z_int >> (p.d_z - lv.d_slice), lv)
+                            z_int >> (p.ipm.d_z - lv.d_slice), lv)
     if len(out) == 1:
         return lv.m_out, out[0]
-    return recursive_nipm_val(out, lv.m_out, z_int, p.d_z,
+    return recursive_nipm_val(out, lv.m_out, z_int, p.ipm.d_z,
                               p.nipm.levels[1:])
 
 

@@ -19,14 +19,15 @@ def test_plan_adv_gen_micro_shape():
     assert p.rs_block == 4 and p.code_n == 4
     assert p.positions == 2 and p.a0p == 2
     assert p.advice_len == 2 + 2 * 4
-    assert p.sampler.family == "poly"
-    # the derived shifts stay out of ==, hash and repr
-    q = AdvGenParams(d=8, a0p=2, rs_block=4, sampler=poly_scheme(16, 4,
-                                                                  block=4))
+    assert p.sampler == poly_scheme(16, 4, block=4) and p.a0 == 8
+    # n and d are the only choices; the derived widths and shifts stay
+    # out of ==, hash and repr
+    q = AdvGenParams(16, 8)
     assert p == q and hash(p) == hash(q)
+    assert [f.name for f in fields(AdvGenParams) if f.init] == ["n", "d"]
     assert [f.name for f in fields(AdvGenParams) if f.compare or f.repr] \
-        == ["d", "a0p", "rs_block", "sampler"]
-    assert "_shifts" not in repr(p)
+        == ["n", "d"]
+    assert repr(p) == "AdvGenParams(n=16, d=8)"
 
 
 @pytest.mark.parametrize("p", [micro_params().adv, plan_adv_gen(16, 8, 0.1),
@@ -45,14 +46,36 @@ def test_rs_masks_reproduce_the_reed_solomon_symbols(p):
 
 
 def test_plan_adv_gen_named_errors():
-    with pytest.raises(ParamError) as e:
-        plan_adv_gen(16, 4, 0.1)  # sampler seed would not fit in y
-    assert e.value.name == "a0"
-    with pytest.raises(ParamError) as e:
-        # two 2-bit positions need 4 sampler bits, at construction
-        AdvGenParams(d=8, a0p=2, rs_block=4,
-                     sampler=poly_scheme(16, 2, block=4))
-    assert e.value.name == "sampler"
+    # the 8-bit sampler seed would not fit in y, at construction
+    for build in (lambda: plan_adv_gen(16, 4, 0.1),
+                  lambda: AdvGenParams(16, 4)):
+        with pytest.raises(ParamError) as e:
+            build()
+        assert e.value.name == "a0"
+        assert str(e.value) == "a0: seed too short for the sampler (8 > 4)"
+
+
+def test_advice_plans_meet_their_invariants():
+    # what makes the checks AdvGenParams no longer runs hold on every
+    # plan: the code fits its field, the sampler output is exactly the
+    # positions' widths, the sampler seed and raw prefix fit in y, and
+    # the advice is at least 10 bits
+    refused = set()
+    for d in range(8, 601):
+        for eps in (0.1, 2 ** -20):
+            try:
+                p = plan_adv_gen(64, d, eps)
+            except ParamError as e:
+                assert e.name == "a0"
+                refused.add(d)
+                continue
+            assert p.code_n <= 1 << p.rs_block
+            w = (p.code_n - 1).bit_length()
+            assert p.sampler.m_out == p.positions * w
+            assert p.a0p <= p.a0 <= p.d
+            assert p.advice_len >= 10
+    # 9 to 11 bits of y take a 12-bit sampler seed
+    assert refused == {9, 10, 11}
 
 
 def test_advice_is_prefix_plus_sampled_symbols():

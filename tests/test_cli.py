@@ -385,12 +385,12 @@ PINNED_REPORTS = {
         "bound\tname\tpass\tseed64\tvalue\n"
         "0.1\tadvice_collision_rate\tTrue\t5\t0.0026393995098039215\n"),
     "verify suite --module nipm --seed 5": (
-        "bound\tname\tpass\tseed64\tvalue\n"
-        "1.0\tlt_nipm_distance\tTrue\t5\t0.0\n"
-        "0.4\txor_strawman_distance\tTrue\t5\t0.9375\n"),
+        "bound\tdetail\tname\tpass\tseed64\tvalue\n"
+        "1.0\tcapped\tlt_nipm_distance\tTrue\t5\t0.0\n"
+        "0.4\t\txor_strawman_distance\tTrue\t5\t0.9375\n"),
     "verify suite --module ipm --seed 5": (
-        "bound\tname\tpass\tseed64\tvalue\n"
-        "1.0\tipm_weak_distance\tTrue\t5\t0.0\n"),
+        "bound\tdetail\tname\tpass\tseed64\tvalue\n"
+        "1.0\tcapped\tipm_weak_distance\tTrue\t5\t0.0\n"),
     "multisource run --r 11 --trials 40 --seed 5": (
         "bound\tdetail\tname\tpass\tseed64\tvalue\n"
         "0.37695+-0.51470\ttrials=23\tmaj_rate_bad0\tTrue\t5\t"
@@ -398,6 +398,39 @@ PINNED_REPORTS = {
         "0.62305+-0.51470\ttrials=17\tmaj_rate_bad1\tTrue\t5\t"
         "0.5294117647058824\n"
         "0.8015113445777636\t\tmajority_bias\tTrue\t5\t0.175\n"),
+    # desk's plan, and one at n = 2048 whose symbol path XOR-folds x,
+    # adds y1's v half to key 1 and has a ragged level-0 block (L = 22)
+    "params plan-nmext --n 1024 --k 768 --d 512 --m 32 --eps 0.00390625": (
+        "detail\tname\tvalue\n"
+        "nominal=62\tL_advice\t20\n"
+        "nominal=8\tell\t4\n"
+        "nominal=2\tr\t3\n"
+        "nominal=155\td1\t512\n"
+        "nominal=120\td2\t512\n"
+        "nominal=124\td3\t256\n"
+        "\tm_ff\t512\n"
+        "\tm_mid\t256\n"
+        "\tm\t32\n"
+        "\teps1\t4.76837158203125e-07\n"
+        "\teps_out_nominal\t5.91278076171875e-05\n"),
+    "params plan-nmext --n 2048 --k 1536 --d 1024 --m 32 --eps 0.00390625": (
+        "detail\tname\tvalue\n"
+        "nominal=66\tL_advice\t22\n"
+        "nominal=8\tell\t4\n"
+        "nominal=3\tr\t3\n"
+        "nominal=165\td1\t1024\n"
+        "nominal=128\td2\t512\n"
+        "nominal=132\td3\t256\n"
+        "\tm_ff\t512\n"
+        "\tm_mid\t256\n"
+        "\tm\t32\n"
+        "\teps1\t2.384185791015625e-07\n"
+        "\teps_out_nominal\t3.147125244140625e-05\n"),
+    "nmext eval --n 2048 --k 1536 --d 1024 --m 32 --seed 5": (
+        "name\tvalue\n"
+        "output_hex\t1ea49da8\n"
+        "output_bits\t32\n"
+        "seed64\t5\n"),
 }
 
 

@@ -1,6 +1,7 @@
 """No module in ``src/extlab/`` or ``tests/`` imports a name it never reads,
 every public top-level function or class of ``src/extlab/`` has a
-reader, and ``import extlab`` loads no numpy.
+reader, ``import extlab`` loads no numpy, and only the CLI writes to
+stdout or stderr.
 
 No linter ships with the declared dependencies, so these are small AST
 scans.  Every import in an ``__init__.py`` is a re-export and counts as
@@ -190,3 +191,42 @@ def test_sources_parse_as_python_3_10(path):
     # pyproject declares requires-python >= 3.10, and the code relies on
     # it (int.bit_count), so no file may use later syntax
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+STREAMS = {("sys", "stdout"), ("sys", "stderr"), ("os", "write")}
+
+
+def stream_writes(source: str) -> list[str]:
+    """The lines of ``source`` that call ``print``, or read or import
+    ``sys.stdout``, ``sys.stderr`` or ``os.write``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"):
+            hits.append((node.lineno, "print"))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and (node.value.id, node.attr) in STREAMS):
+            hits.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            hits += [(node.lineno, f"{node.module}.{a.name}")
+                     for a in node.names if (node.module, a.name) in STREAMS]
+    return [f"line {line}: {name}" for line, name in sorted(hits)]
+
+
+def test_scan_flags_a_stream_write():
+    assert stream_writes(
+        "import os, sys\nfrom sys import stderr as e\nprint(1)\n"
+        "sys.stdout.write('a')\nos.write(2, b'b')\nout = sys.stderr\n"
+        "log.print(1)\nsys.argv\n") == [
+        "line 2: sys.stderr", "line 3: print", "line 4: sys.stdout",
+        "line 5: os.write", "line 6: sys.stderr"]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name ==
+                                  "extlab" and p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_writes_to_stdout_or_stderr(path):
+    # the benchmark client prints READY first and one JSON line last, so
+    # a stray write from the library breaks its protocol
+    assert stream_writes(path.read_text()) == []

@@ -83,12 +83,19 @@ def test_matrices_match_per_index_draws(r, n_bad):
 
 
 def test_make_generator_caps_bad_set():
+    # at most r^(1/2 - alpha) bad indices: 9^0.25 = 1.73 admits 1 and
+    # 101^0.499 = 10.004 admits 10; 81^0.25 is exactly 3 and admits 3
     rng = np.random.Generator(np.random.Philox(61))
-    p = default_params(9, alpha=0.25)  # max bad = ceil(9^0.25) = 2
-    gen = make_generator(rng, p, n_bad=2)
-    assert len(gen.bad_set) == 2
-    with pytest.raises(ParamError):
-        make_generator(rng, p, n_bad=3)
+    for r, alpha, max_bad, bound in ((9, 0.25, 1, "1.73205"),
+                                     (101, 0.001, 10, "10.0036"),
+                                     (81, 0.25, 3, "3")):
+        p = default_params(r, alpha=alpha)
+        gen = make_generator(rng, p, n_bad=max_bad)
+        assert len(gen.bad_set) == max_bad
+        with pytest.raises(ParamError) as e:
+            make_generator(rng, p, n_bad=max_bad + 1)
+        assert str(e.value) == \
+            f"bad_set: {max_bad + 1} > r^(1/2-alpha) = {bound}"
 
 
 def test_reduce_and_multi_ext_roundtrip():

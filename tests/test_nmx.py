@@ -1,15 +1,17 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from extlab import cbreak, nmx
 from extlab.bits import BitString, matrix, slice_bits
-from extlab.cbreak import adv_gen, flip_flop, flip_flop_vals
+from extlab.cbreak import (AdvGenParams, FlipFlopParams, adv_gen, flip_flop,
+                           flip_flop_vals)
 from extlab.ipm import ipm_weak, merge_rows_val
-from extlab.nipm import ParamError, recursive_nipm
-from extlab.nmx import desk_params, micro_params, nm_ext, plan_params
+from extlab.nipm import ParamError, hand_plan, recursive_nipm
+from extlab.nmx import (NmExtParams, desk_params, micro_params, nm_ext,
+                        plan_params)
 from extlab.pamp import _rand_bits
 from extlab.sext import affine_scheme, ext, ext_val
 
@@ -34,16 +36,55 @@ def test_plan_params_named_errors():
         plan_params(1024, 768, 512, 32, 2 ** -8, rescale="bogus")
     assert e.value.name == "rescale"
     with pytest.raises(ParamError) as e:
+        # seed too short for the 512-bit flip-flop token
+        plan_params(1024, 768, 256, 32, 2 ** -8)
+    assert str(e.value) == "d1: seed too short for the flip-flop chain"
+    with pytest.raises(ParamError) as e:
         # entropy budget too small for the flip-flop output
         plan_params(1024, 256, 512, 32, 2 ** -8)
-    assert e.value.name == "k"
+    assert str(e.value) == "k: flip-flop output exceeds the entropy budget"
 
 
-def test_params_reject_a_flip_flop_of_another_source_width():
+def test_params_reject_rows_wider_than_the_source():
+    # micro's 8-bit flip-flop rows on a 4-bit source
     p = micro_params()
     with pytest.raises(ParamError) as e:
-        replace(p, ff=replace(p.ff, n=24))
-    assert e.value.name == "n"
+        replace(p, adv=AdvGenParams(4, 16))
+    assert e.value.name == "m_ff"
+
+
+def test_params_reject_merger_slices_wider_than_z():
+    # a level-1 slice of 12 bits of micro's 8-bit z
+    p = micro_params()
+    lv0, lv1 = p.nipm.levels
+    with pytest.raises(ParamError) as e:
+        replace(p, nipm=hand_plan(10, 1, (lv0, replace(lv1, d_slice=12))))
+    assert str(e.value) == "d: merger seed slices exceed z"
+
+
+def test_planned_widths_meet_their_invariants():
+    # what makes the checks NmExtParams no longer runs hold on every plan:
+    # token, rows and z are 2 m_v wide and fit in x, y1 is min(d, 2w),
+    # the merger's slices fit in z, and the symbol path is taken exactly
+    # when n, d and level 0's chain token are multiples of 16
+    plans = symbol_plans = 0
+    grid = [(n, k, d, m, t) for n in (1000, 1024, 2048)
+            for k in (n // 2, 3 * n // 4) for d in (256, 512, 520, 1024)
+            for m in (8, 20, 32) for t in (1, 2)]
+    for n, k, d, m, t in grid:
+        try:
+            p = plan_params(n, k, d, m, 2 ** -8, t=t)
+        except ParamError:
+            continue
+        plans += 1
+        ff, lv = p.ff, p.nipm.levels[0]
+        assert ff.w == ff.m_out == p.ipm.d_z == 2 * p.ipm.m_v <= n
+        assert p.d1 == min(d, 2 * ff.w)
+        assert p.nipm.d_min <= p.ipm.d_z
+        sym = not (n % 16 or d % 16 or lv.w % 16)
+        assert bool(p.symbols16) == sym
+        symbol_plans += sym
+    assert (plans, symbol_plans) == (114, 56)
 
 
 def test_log_rescale_gives_larger_eps1():
@@ -58,8 +99,16 @@ def test_micro_params_shape():
     assert p.d1 == 16 and p.ipm.m_v == 4 and p.adv.a0 == 12
     assert p.adv.advice_len == 10
     assert p.ipm.nipm.m_out == 1 and p.ipm.d_z == p.ff.m_out == 8
-    # the weak-seed merger is derived, so a replaced width reaches it
-    assert replace(p, d_z=6).ipm.d_z == 6
+    assert p.ff == FlipFlopParams(n=16, d_y=16, w=8, m_out=8)
+    # the plan stores its choices only; the flip-flop and the weak-seed
+    # merger are derived, so a replaced merger reaches them
+    assert [f.name for f in fields(NmExtParams) if f.init] \
+        == ["adv", "nipm", "nominal"]
+    lv0, lv1 = p.nipm.levels
+    q = replace(p, nipm=hand_plan(10, 1, (replace(lv0, m_in=3),
+                                          replace(lv1, d_slice=6))))
+    assert (q.ff.w, q.ff.m_out, q.ipm.d_z, q.ipm.m_v) == (6, 6, 6, 3)
+    assert q.d1 == 12
 
 
 def _flip_flop_rows(x, y, p):
@@ -224,12 +273,11 @@ def test_symbol_path_matches_the_int_path_on_zero_symbols(plan, advice,
 
 def _fold_kinds(q):
     """How ``sext.fold`` takes each symbol-path source to twice its law's
-    output, from the plan's widths: x to 2w, y1 to 2w, x to 2 m_ff and y
-    to 2 d_z."""
-    return tuple("identity" if n == 2 * k else "zero pad" if n == k
-                 else "half pad" if n < 2 * k else "xor fold"
-                 for n, k in ((q.nx, q.w), (q.d1, q.w), (q.nx, q.m_ff),
-                              (q.ny, q.d_z)))
+    output, from the plan's widths: x to 2w (r1), y1 to 2w, x to 2w (the
+    rows) and y to 2w (z)."""
+    return tuple("identity" if n == 2 * q.w else "zero pad" if n == q.w
+                 else "half pad" if n < 2 * q.w else "xor fold"
+                 for n in (q.nx, q.d1, q.nx, q.ny))
 
 
 def test_symbol_plans_reach_every_fold_case():
