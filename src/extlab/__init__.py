@@ -2,18 +2,17 @@
 multi-source randomness extraction, with exact-rational oracles at
 micro scale."""
 
-from .bits import BitString, RowMatrix, blocks, concat, matrix, slice_bits
+from .bits import BitString, blocks, slice_bits
 from .prob import (Dist, flat, from_counts, from_weights, min_entropy,
-                   point_mass, sample_flat_source, stat_distance,
-                   stat_distance_maps, uniform, xor_bit_dists)
+                   point_mass, sample_flat_source, stat_distance, uniform,
+                   xor_bit_dists)
 from .sext import (ExtScheme, affine_scheme, avg_case_bound, ext,
-                   lhl_bound, poly_scheme, sample_positions)
-from .altx import LevelPlan, look_ahead
+                   lhl_bound, poly_scheme)
+from .altx import LevelPlan
 from .nipm import (NipmParams, ParamError, assembled_bound, hand_plan,
-                   lt_nipm, plan_nipm, recursive_nipm)
-from .ipm import IpmParams, ipm_weak, micro_ipm
-from .cbreak import (AdvGenParams, FlipFlopParams, adv_gen, flip_flop,
-                     plan_adv_gen)
+                   plan_nipm)
+from .ipm import IpmParams, micro_ipm
+from .cbreak import AdvGenParams, FlipFlopParams, plan_adv_gen
 from .nmx import (NmExtParams, NominalPlan, desk_params, micro_params,
                   nm_ext, plan_params)
 from .msrc import (MultiParams, SyntheticGenerator, default_params,

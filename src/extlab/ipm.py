@@ -33,10 +33,8 @@ class IpmParams:
     def __post_init__(self) -> None:
         if self.d_z > self.m:
             raise ParamError("d_z", "bootstrap slice exceeds row width")
-        if self.m_v > self.d_z:
+        if self.m_v > self.d_z:  # and so m_v <= d_z <= m
             raise ParamError("m_v", "refresh slice exceeds z")
-        if self.m_v > self.m:
-            raise ParamError("m_v", "refreshed rows wider than rows")
 
     @property
     def m_v(self) -> int:

@@ -44,6 +44,13 @@ def _clog2(x: float) -> int:
     return max(1, math.ceil(math.log2(x)))
 
 
+def _at_least_1(**values: int) -> None:
+    """Refuse the first of the named planner inputs that is below 1."""
+    for name, v in values.items():
+        if v < 1:
+            raise ParamError(name, f"{v} is below 1")
+
+
 @dataclass(frozen=True)
 class NipmParams:
     L: int
@@ -73,6 +80,7 @@ class NipmParams:
 def nominal_m1(m: int, ell: int, t: int, eps: float) -> int:
     """Nominal merged output length (0.9/t)*(m - c*(t+1)*ell*log(m/eps))
     with c = DEFAULT_C; the t=1 case reduces to 0.9*(m - c*ell*log(m/eps))."""
+    _at_least_1(m=m, t=t)
     overhead = DEFAULT_C * (t + 1) * ell * _clog2(m / eps)
     return math.floor((0.9 / t) * (m - overhead))
 
@@ -82,6 +90,7 @@ def nominal_schedule(L: int, ell: int, t: int, m: int, eps: float
     """(r, m_i list, d_i list, total error) for the recursive merger."""
     if ell < 2:
         raise ParamError("ell", "fan-in must be at least 2")
+    _at_least_1(m=m, t=t)
     c = DEFAULT_C
     r = math.ceil(math.log(L) / math.log(ell)) if L > 1 else 1
     logterm = _clog2(m / eps)
@@ -98,17 +107,17 @@ def nominal_schedule(L: int, ell: int, t: int, m: int, eps: float
 
 
 def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
-              ell: int | None = None, m_target: int | None = None
-              ) -> NipmParams:
+              ell: int | None = None) -> NipmParams:
     """Plan a recursive (L, ell, t) merger over m-bit rows with a d-bit
     seed source.  Implemented widths follow the affine chain family
     (token width = level output width); nominal fields record the
     abstract schedule."""
     if L < 1:
         raise ParamError("L", "need at least one row")
+    _at_least_1(m=m, t=t)
     if ell is None:
-        ell = 1 << math.ceil(math.sqrt(max(1, math.ceil(math.log2(max(L, 2))))))
-        ell = min(max(ell, 2), max(L, 2))
+        ell = 1 << math.ceil(math.sqrt(math.ceil(math.log2(max(L, 2)))))
+        ell = min(ell, max(L, 2))
     elif ell < 2:
         raise ParamError("ell", "fan-in must be at least 2")
     r, m_nom, d_nom, err = (nominal_schedule(L, ell, t, m, eps)
@@ -119,9 +128,7 @@ def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
     levels: list[LevelPlan] = []
     m_in = m
     for i in range(r):
-        m_out = m_target if (m_target and i == r - 1) else max(m_in // 2, 8)
-        if m_out < 8:
-            raise ParamError("m_i", f"level {i} output {m_out} below 8 bits")
+        m_out = max(m_in // 2, 8)
         if m_out > m_in:
             raise ParamError("m_i", "level output exceeds row width")
         d_slice = min(d, max(8, 2 * m_out) * (t + 2) ** i)
@@ -129,8 +136,6 @@ def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
             raise ParamError("d_i", f"seed slice {d_slice} too narrow")
         levels.append(LevelPlan(ell, m_in, m_out, m_out, d_slice))
         m_in = m_out
-    if levels[-1].d_slice > d:
-        raise ParamError("d", "seed source shorter than final slice")
     return NipmParams(L=L, t=t, levels=tuple(levels), eps=eps, c=DEFAULT_C,
                       m1_nominal=nominal_m1(m, ell, t, eps),
                       m_nominal=tuple(m_nom), d_nominal=tuple(d_nom),
@@ -256,12 +261,11 @@ def assembled_bound(params: NipmParams, k_row: float, k_seed: float
         ky_lvl, kr_lvl = ky, kr
         for j in range(1, lv.ell):
             ky_lvl -= (t + 1) * lv.w          # tokens S_j revealed
-            eps_level += avg_case_bound(lv.scheme_seed_src(),
-                                        max(ky_lvl, 0))
+            eps_level += avg_case_bound(lv.scheme_seed_src(), ky_lvl)
             kr_step = kr_lvl - (t + 1) * lv.w  # tokens R_j revealed
             scheme = (lv.scheme_final() if j == lv.ell - 1
                       else lv.scheme_row())
-            eps_level += avg_case_bound(scheme, max(kr_step, 0))
+            eps_level += avg_case_bound(scheme, kr_step)
         total = lv.ell * total + eps_level
         kr = lv.m_out  # merged rows at most this wide
         ky -= (t + 1) * 2 * lv.w * (lv.ell - 1)

@@ -36,8 +36,8 @@ from .bits import BitString
 from .cbreak import AdvGenParams, FlipFlopParams, adv_gen_val, \
     flip_flop_vals, plan_adv_gen
 from .ipm import IpmParams, merge_rows_val
-from .nipm import LevelPlan, NipmParams, ParamError, _clog2, \
-    _merge_level, chain16, hand_plan, plan_nipm, recursive_nipm_val
+from .nipm import LevelPlan, NipmParams, ParamError, _at_least_1, \
+    _clog2, _merge_level, chain16, hand_plan, plan_nipm, recursive_nipm_val
 from .sext import fold16
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
@@ -153,7 +153,7 @@ def _nominal_plan(n: int, k: int, d: int, eps: float,
         raise ParamError("eps", f"rescaled error of eps={eps} is not > 0")
     log_n = _clog2(n / eps1)
     L_nom = C_ADV * log_n
-    ell_nom = 1 << math.ceil(math.sqrt(math.log2(max(L_nom, 2))))
+    ell_nom = 1 << math.ceil(math.sqrt(math.log2(L_nom)))
     r_nom = math.ceil(math.log(L_nom) / math.log(ell_nom))
     d1_nom = (C_ADV + C_ADV + 1) * log_n
     d_z_nom = C_RESCALE * _clog2(max(d, 2) / eps1)
@@ -172,6 +172,7 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
     ``rescale`` picks the error rescaling of the outer reduction:
     "linear" sets eps1 = eps / (2 C n), "log" sets eps1 = eps/(2 C log n).
     """
+    _at_least_1(n=n, m=m, t=t)
     if k > n:
         raise ParamError("k", f"min-entropy {k} exceeds the source width {n}")
     nominal = _nominal_plan(n, k, d, eps, rescale)
@@ -181,13 +182,15 @@ def plan_params(n: int, k: int, d: int, m: int, eps: float, t: int = 1,
     adv = plan_adv_gen(n, d, eps1)
     L = adv.advice_len
     ell_impl = 4
-    r_impl = max(1, math.ceil(math.log(L) / math.log(ell_impl)))
+    r_impl = math.ceil(math.log(L) / math.log(ell_impl))
     m_v = m << r_impl               # rows halve once per merger level
     if 2 * m_v > d:
         raise ParamError("d1", "seed too short for the flip-flop chain")
     if 2 * m_v > k:
         raise ParamError("k", "flip-flop output exceeds the entropy budget")
-    nipm = plan_nipm(L, t, m_v, 2 * m_v, eps1, ell=ell_impl, m_target=m)
+    nipm = plan_nipm(L, t, m_v, 2 * m_v, eps1, ell=ell_impl)
+    if nipm.m_out != m:             # the halving floors rows at 8 bits
+        raise ParamError("m_i", f"level {nipm.r - 1} output {m} below 8 bits")
     return NmExtParams(adv=adv, nipm=nipm, nominal=nominal)
 
 

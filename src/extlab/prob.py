@@ -1,8 +1,8 @@
 """Exact finite probability distributions over bit strings.
 
 A distribution is stored as its support: ascending points x, each with a
-positive integer weight c, over one integer denominator den, so that
-Pr[x] = c / den.  A flat source has c = 1 everywhere and den = |support|.
+positive integer weight c, over their sum den, so that Pr[x] = c / den.
+A flat source has c = 1 everywhere and den = |support|.
 Statistical distance, min-entropy and the XOR bias law are computed on
 those integers and return exact Fractions (min-entropy is returned as
 the float of an exact rational).  Distributions are capped at N_MAX bits
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import ge
 from typing import Iterable, Sequence
@@ -28,7 +28,7 @@ class Dist:
     n: int
     points: tuple[int, ...]
     weights: tuple[int, ...]
-    den: int
+    den: int = field(init=False)  # sum of the weights (derived)
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.n > N_MAX:
@@ -40,8 +40,7 @@ class Dist:
             raise ValueError("points must be distinct, ascending, in range")
         if min(self.weights) <= 0:
             raise ValueError("non-positive weight")
-        if sum(self.weights) != self.den:
-            raise ValueError("weights do not sum to den")
+        object.__setattr__(self, "den", sum(self.weights))
 
     def weight(self, x: int) -> int:
         """Integer weight of x; 0 off the support."""
@@ -61,7 +60,7 @@ def uniform(n: int) -> Dist:
 
 
 def point_mass(n: int, x: int) -> Dist:
-    return Dist(n, (x,), (1,), 1)
+    return Dist(n, (x,), (1,))
 
 
 def from_counts(n: int, counts: Sequence[int]) -> Dist:
@@ -75,7 +74,7 @@ def from_counts(n: int, counts: Sequence[int]) -> Dist:
         raise ValueError("empty counts")
     xs, cs = zip(*sup)
     g = math.gcd(*cs)  # lowest terms, so equal distributions compare equal
-    return Dist(n, xs, tuple(c // g for c in cs), sum(cs) // g)
+    return Dist(n, xs, tuple(c // g for c in cs))
 
 
 def from_weights(n: int, w: Sequence[Fraction]) -> Dist:
@@ -93,7 +92,7 @@ def flat(n: int, support: Iterable[int]) -> Dist:
     sup = tuple(sorted(set(support)))
     if not sup:
         raise ValueError("empty support")
-    return Dist(n, sup, (1,) * len(sup), len(sup))
+    return Dist(n, sup, (1,) * len(sup))
 
 
 def stat_distance(p: Dist, q: Dist) -> Fraction:
@@ -146,4 +145,4 @@ def sample_flat_source(rng, n: int, k: int) -> Dist:
         raise ValueError("k exceeds n")
     sup = rng.choice(1 << n, size=size, replace=False)
     sup.sort()  # a draw without replacement is already distinct
-    return Dist(n, tuple(sup.tolist()), (1,) * size, size)
+    return Dist(n, tuple(sup.tolist()), (1,) * size)

@@ -217,9 +217,7 @@ def lhl_bound(scheme: ExtScheme, k: int) -> Fraction:
         excess = Fraction(n_blocks - 1, 1 << b) * (1 << m)
     else:
         # one differing block suffices to collide: 2^-b almost-universal
-        excess = Fraction(1 << m, 1 << b) - 1 if m > b else Fraction(0)
-        if excess < 0:
-            excess = Fraction(0)
+        excess = Fraction(1 << m, 1 << b) - 1  # b divides m
     inside = Fraction(1 << m, 1 << k) + excess
     val = _sqrt_fraction_upper(inside) / 2
     return min(val, Fraction(1))
@@ -231,20 +229,13 @@ def avg_case_bound(scheme: ExtScheme, k_avg: float) -> Fraction:
     over g of lhl_bound(k_avg - g) + 2^-g."""
     best = Fraction(1)
     kf = math.floor(k_avg)
-    for g in range(0, max(kf, 0) + 1):
-        kk = kf - g
-        if kk < 0:
-            break
-        cand = lhl_bound(scheme, kk) + Fraction(1, 1 << g)
-        if cand < best:
-            best = cand
-    return min(best, Fraction(1))
+    for g in range(kf + 1):
+        best = min(best, lhl_bound(scheme, kf - g) + Fraction(1, 1 << g))
+    return best
 
 
 def _sqrt_fraction_upper(x: Fraction) -> Fraction:
     """Upper bound on sqrt(x) exact to ~2^-48 relative error."""
-    if x == 0:
-        return Fraction(0)
     scale = 1 << 96
     num = math.isqrt(x.numerator * scale // x.denominator) + 1
     return Fraction(num, 1 << 48)

@@ -149,7 +149,10 @@ def strong_distance(f: ExtFn, source: Dist, d_seed: int, m_out: int
 def strong_distance_poly_fast(scheme: ExtScheme, source: Dist) -> Fraction:
     """Exact strong distance for poly schemes over flat sources, from the
     output-by-seed count table of ``ext_all_seeds_poly``.  Non-flat
-    sources go to the scalar ``strong_distance``."""
+    sources go to the scalar ``strong_distance``.  Both refuse a source
+    wider than the scheme, as ``ext_fn_of`` does."""
+    if source.points[-1] >> scheme.n_in:
+        raise ValueError(f"value does not fit in {scheme.n_in} bits")
     if len(set(source.weights)) > 1:  # not flat
         return strong_distance(ext_fn_of(scheme), source,
                                scheme.d_seed, scheme.m_out)

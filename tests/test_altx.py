@@ -69,3 +69,13 @@ def test_chain_keeps_constant_width(monkeypatch):
     out = look_ahead(rows, BitString(32, 0xDEADBEEF), p)
     assert len(tokens) == 2 * 10 and tokens[-1] == out  # R_1..R_10, S_2..S_11
     assert {t.n for t in tokens} == {8}
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: LevelPlan(ell=2, m_in=4, w=4, m_out=8, d_slice=8), ValueError,
+     "output exceeds row width"),
+], ids=["m_out_over_m_in"])
+def test_bad_inputs_raise_named_errors(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

@@ -126,3 +126,15 @@ def test_row_matrix_checks_row_widths():
     with pytest.raises(ValueError, match="row width mismatch"):
         RowMatrix(3, (BitString(3, 0b101), BitString(2, 0b01)))
     assert RowMatrix(2, ()).L == 0
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: BitString(4, 3).bit(4), IndexError, "4"),
+    (lambda: BitString(4, 3).bit(-5), IndexError, "-5"),
+    (lambda: int_blocks(5, 4, 0), ValueError, "block size must be positive"),
+    (lambda: matrix([]), ValueError, "empty matrix"),
+], ids=["bit_past_end", "bit_before_start", "block_0", "empty_matrix"])
+def test_bad_inputs_raise_named_errors(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

@@ -198,3 +198,16 @@ def test_flip_flop_rejects_bad_advice():
     p = FlipFlopParams(n=16, d_y=16, w=8, m_out=8)
     with pytest.raises(ValueError):
         flip_flop(BitString(16, 0), BitString(16, 0), 2, p)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: adv_gen(BitString(15, 0), BitString(16, 0), micro_params().adv),
+     ValueError, "input width mismatch"),
+    (lambda: flip_flop(BitString(16, 0), BitString(15, 0), 0,
+                       micro_params().ff),
+     ValueError, "input width mismatch"),
+], ids=["adv_gen_width", "flip_flop_width"])
+def test_bad_inputs_raise_named_errors(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

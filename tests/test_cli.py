@@ -521,3 +521,18 @@ def test_failed_row_exits_1_and_writes_the_report(cmd, tmp_path,
 def test_reports_without_a_verdict_exit_0(argv, capsys):
     assert main(argv) == 0
     assert "pass" not in capsys.readouterr().out.splitlines()[0].split("\t")
+
+
+@pytest.mark.parametrize("argv, spec, message", [
+    (["pa", "simulate", "--trials", "2", "--adversary"], '["0x1"]',
+     "error: adversary: expected a JSON object"),
+    (["params", "plan-nipm", "--L", "20", "--m", "4", "--d", "512",
+      "--eps", "0.01"], None, "error: m_i: level output exceeds row width"),
+], ids=["adversary_array", "plan_nipm_m_4"])
+def test_bad_inputs_print_named_errors(argv, spec, message, tmp_path,
+                                       capsys):
+    if spec is not None:  # the last option names a file holding spec
+        path = tmp_path / "adv.json"
+        path.write_text(spec)
+        argv = argv + [str(path)]
+    assert _assert_usage_error(main(argv), capsys).strip() == message

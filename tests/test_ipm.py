@@ -5,6 +5,7 @@ from extlab import ipm
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.ipm import ipm_weak, micro_ipm
 from extlab.nipm import LevelPlan, ParamError, hand_plan, recursive_nipm
+from extlab.nmx import micro_params
 from extlab.sext import affine_scheme, ext, ext_val
 
 
@@ -75,3 +76,15 @@ def test_ipm_weak_width_checks():
         ipm_weak(matrix([BitString(7, 0)] * 2), BitString(8, 0), p)
     with pytest.raises(ValueError):
         ipm_weak(matrix([BitString(8, 0)] * 2), BitString(9, 0), p)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    # micro's merger takes 4-bit rows: refreshing them needs 4 bits of z
+    (lambda: ipm.IpmParams(n_y=16, k_y=16, m=8, d_z=2,
+                           nipm=micro_params().nipm),
+     ParamError, "m_v: refresh slice exceeds z"),
+], ids=["m_v_over_d_z"])
+def test_bad_inputs_raise_named_errors(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

@@ -11,7 +11,8 @@ from extlab.altx import look_ahead
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.nipm import (LevelPlan, NipmParams, ParamError, _merge_level,
                          assembled_bound, hand_plan, lt_nipm, nominal_m1,
-                         nominal_schedule, plan_nipm, recursive_nipm)
+                         nominal_schedule, plan_nipm, recursive_nipm,
+                         recursive_nipm_val)
 
 
 def micro_params(L=4, t=1):
@@ -68,7 +69,7 @@ def test_plan_nipm_named_errors():
 
 
 def test_plan_nipm_reduces_to_one_row():
-    p = plan_nipm(20, 1, 256, 512, 1e-4, ell=4, m_target=32)
+    p = plan_nipm(20, 1, 256, 512, 1e-4, ell=4)
     assert p.r == 3 and p.m_out == 32
     assert p.d_min <= 512
     # the implemented widths shrink monotonically
@@ -250,3 +251,38 @@ def test_desk_level_0_runs_in_lockstep(monkeypatch):
                BitString(p.d, rng.getrandbits(p.d)), p)
     assert [lv.ell for lv in p.nipm.levels] == [4, 4, 4]
     assert p.nipm.L == 20 and calls == [20]
+
+
+LEVEL = LevelPlan(ell=2, m_in=8, w=4, m_out=4, d_slice=8)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    # 4-bit rows are narrower than the 8-bit output floor
+    (lambda: plan_nipm(20, 1, 4, 512, 0.01), ParamError,
+     "m_i: level output exceeds row width"),
+    (lambda: recursive_nipm_val([1, 2], 7, 0, 12, [LEVEL]), ValueError,
+     "row width mismatch"),
+    (lambda: recursive_nipm_val([1, 2], 8, 0, 7, [LEVEL]), ValueError,
+     "slice width 8 out of range for 7 bits"),
+    (lambda: recursive_nipm_val([1, 2, 3], 8, 0, 12, [LEVEL]), ValueError,
+     "level schedule did not reduce to one row"),
+    # planner inputs below 1, by name rather than an arithmetic error
+    (lambda: nmx.plan_params(1024, 768, 512, 0, 0.01), ParamError,
+     "m: 0 is below 1"),
+    (lambda: plan_nipm(20, 1, 0, 512, 0.01), ParamError, "m: 0 is below 1"),
+    (lambda: nominal_m1(0, 4, 1, 0.01), ParamError, "m: 0 is below 1"),
+    (lambda: nominal_schedule(20, 4, 1, 0, 0.01), ParamError,
+     "m: 0 is below 1"),
+    (lambda: nmx.plan_params(0, 0, 512, 32, 0.01), ParamError,
+     "n: 0 is below 1"),
+    (lambda: nmx.plan_params(1024, 768, 512, 32, 0.01, t=0), ParamError,
+     "t: 0 is below 1"),
+    (lambda: plan_nipm(20, 0, 256, 512, 0.01), ParamError, "t: 0 is below 1"),
+], ids=["plan_nipm_m_4", "row_width", "slice_over_seed", "rows_left",
+        "plan_params_m_0", "plan_nipm_m_0", "nominal_m1_m_0",
+        "nominal_schedule_m_0", "plan_params_n_0", "plan_params_t_0",
+        "plan_nipm_t_0"])
+def test_bad_inputs_raise_named_errors(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

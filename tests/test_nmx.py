@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from dataclasses import fields, replace
 
@@ -9,11 +11,14 @@ from extlab.bits import BitString, matrix, slice_bits
 from extlab.cbreak import (AdvGenParams, FlipFlopParams, adv_gen, flip_flop,
                            flip_flop_vals)
 from extlab.ipm import ipm_weak, merge_rows_val
-from extlab.nipm import ParamError, hand_plan, recursive_nipm
+from extlab.nipm import ParamError, hand_plan, plan_nipm, recursive_nipm
 from extlab.nmx import (NmExtParams, desk_params, micro_params, nm_ext,
                         plan_params)
 from extlab.pamp import _rand_bits
 from extlab.sext import affine_scheme, ext, ext_val
+
+PLANNER_DIGEST = ("0c3d6c1b7cc4f1bb424a91d32b70d589"
+                  "ae769c51fefa25098b67ba73d6a0c664")
 
 
 def test_plan_params_desk_scale():
@@ -85,6 +90,37 @@ def test_planned_widths_meet_their_invariants():
         assert bool(p.symbols16) == sym
         symbol_plans += sym
     assert (plans, symbol_plans) == (114, 56)
+
+
+def _planner_digest() -> str:
+    """SHA-256 of the repr of every plan_params and plan_nipm result on a
+    grid of inputs at least 1, or of the ParamError name and message
+    where a cell raises."""
+    h = hashlib.sha256()
+
+    def cell(f, *args, **kw):
+        try:
+            out = repr(f(*args, **kw))
+        except ParamError as e:
+            out = f"{e.name}|{e}"
+        h.update(f"{f.__name__}{args}{kw}={out}\n".encode())
+    for n in (64, 1000, 1024, 2048):
+        for k, d, m, eps, t in itertools.product(
+                (n // 2, 3 * n // 4, n), (16, 256, 512, 520, 1024),
+                (1, 7, 8, 20, 32), (2 ** -8, 0.1), (1, 2)):
+            cell(plan_params, n, k, d, m, eps, t=t)
+    for L, t, m, d, eps, ell in itertools.product(
+            (1, 2, 5, 20, 33), (1, 2), (4, 8, 64, 256), (8, 64, 512),
+            (2 ** -8, 0.1), (None, 1, 2, 4)):
+        cell(plan_nipm, L, t, m, d, eps, ell=ell)
+    return h.hexdigest()
+
+
+def test_planner_digest_is_pinned():
+    # every plan and named error on the grid, recorded on the planner
+    # before plan_nipm lost its m_target argument; a change that moves a
+    # plan on purpose re-records it and says so
+    assert _planner_digest() == PLANNER_DIGEST
 
 
 def test_log_rescale_gives_larger_eps1():

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from extlab import gf2, pamp
 from extlab.bits import BitString, concat, slice_bits
-from extlab.nmx import desk_params, nm_ext
-from extlab.pamp import (Adversary, flip_round1, flip_round2,
+from extlab.nipm import ParamError
+from extlab.nmx import desk_params, micro_params, nm_ext
+from extlab.pamp import (Adversary, PampParams, flip_round1, flip_round2,
                          hoeffding_ci, mac_tag, make_params, passive,
                          random_adversary, replace_round1, run_protocol,
                          security_experiment, table_adversary,
                          _flat_secret, _rand_bits)
-from extlab.sext import ext
+from extlab.sext import ext, poly_scheme
 
 DESK = make_params(desk_params())
 
@@ -246,3 +247,19 @@ def test_nm_ext_runs_once_per_distinct_seed(adv, calls, monkeypatch):
         x = _flat_secret(rng, DESK.nmx.n, 768)
         run_protocol(x, rng, DESK, adv)
         assert len(seeds) == len(set(seeds)) == calls
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: PampParams(micro_params(), poly_scheme(16, 32, block=32)),
+     ParamError, "m: round-1 key shorter than two MAC words"),
+    (lambda: PampParams(desk_params(), poly_scheme(1024, 32, block=40)),
+     ParamError, "w_len: final seed width mismatch"),
+    (lambda: PampParams(desk_params(), poly_scheme(1024, 16, block=16)),
+     ParamError, "w_len: final seed width mismatch"),
+    (lambda: mac_tag(BitString(32, 5), BitString(20, 1), 16), ValueError,
+     "message must be whole symbols"),
+], ids=["m_below_32", "final_seed_wide", "final_seed_narrow", "mac_msg"])
+def test_bad_inputs_raise_named_errors(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

@@ -30,21 +30,23 @@ def test_from_weights_keeps_the_distribution():
     assert [d.p(x) for x in range(4)] == list(w)
 
 
-@pytest.mark.parametrize("n, points, weights, den", [
-    (2, (1, 1), (1, 1), 2),          # duplicate point
-    (2, (2, 1), (1, 1), 2),          # not ascending
-    (2, (0, 4), (1, 1), 2),          # point out of range
-    (2, (-1, 0), (1, 1), 2),         # negative point
-    (2, (0, 1), (1, 0), 1),          # zero weight
-    (2, (0, 1), (2, -1), 1),         # negative weight
-    (2, (0, 1), (1, 1), 3),          # weights do not sum to den
-    (2, (0, 1), (1,), 1),            # one weight per point
-    (2, (), (), 0),                  # empty support
-    (N_MAX + 1, (0,), (1,), 1),      # arity over N_MAX
-])
-def test_dist_rejects_malformed_support(n, points, weights, den):
+@pytest.mark.parametrize("n, points, weights", [
+    (2, (1, 1), (1, 1)),          # duplicate point
+    (2, (2, 1), (1, 1)),          # not ascending
+    (2, (0, 4), (1, 1)),          # point out of range
+    (2, (-1, 0), (1, 1)),         # negative point
+    (2, (0, 1), (1, 0)),          # zero weight
+    (2, (0, 1), (2, -1)),         # negative weight
+    (2, (0, 1), (1,)),            # one weight per point
+    (2, (), ()),                  # empty support
+    (N_MAX + 1, (0,), (1,)),      # arity over N_MAX
+], ids=[  # the names these cases had while the table also gave a den
+    "2-points0-weights0-2", "2-points1-weights1-2", "2-points2-weights2-2",
+    "2-points3-weights3-2", "2-points4-weights4-1", "2-points5-weights5-1",
+    "2-points7-weights7-1", "2-points8-weights8-0", "21-points9-weights9-1"])
+def test_dist_rejects_malformed_support(n, points, weights):
     with pytest.raises(ValueError):
-        Dist(n, points, weights, den)
+        Dist(n, points, weights)
 
 
 def test_stat_distance_known_values():
@@ -139,3 +141,19 @@ def test_xor_bit_dists_matches_dense(pairs):
     out = xor_bit_dists(dists)
     assert [out.p(0), out.p(1)] == [p0, 1 - p0]
     assert bit_error(out) == abs(p0 - HALF)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: from_counts(1, [0, 0]), ValueError, "empty counts"),
+    (lambda: flat(2, []), ValueError, "empty support"),
+    (lambda: stat_distance(uniform(1), uniform(2)), ValueError,
+     "arity mismatch"),
+    (lambda: bit_error(uniform(2)), ValueError,
+     "1-bit distribution required"),
+    (lambda: sample_flat_source(np.random.Generator(np.random.Philox(1)), 3,
+                                4), ValueError, "k exceeds n"),
+], ids=["zero_counts", "flat_empty", "arity", "not_1_bit", "k_over_n"])
+def test_bad_inputs_raise_named_errors(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

@@ -326,3 +326,23 @@ def test_width_mismatch_raises():
         ext(s, BitString(11, 0), BitString(16, 0))
     with pytest.raises(ValueError):
         ext(s, BitString(12, 0), BitString(15, 0))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: ExtScheme(8, 4, "cubic", 8), ValueError,
+     "unknown family 'cubic'"),
+    (lambda: ExtScheme(8, 4, "poly", 0), ValueError,
+     "block size out of range"),
+    (lambda: ExtScheme(8, 4, "poly", gf2.MAX_DEGREE + 1), ValueError,
+     "block size out of range"),
+    (lambda: ExtScheme(8, 0, "poly", 8), ValueError, "empty output"),
+    (lambda: sample_positions(BitString(8, 1), 1, 0), ValueError,
+     "empty universe"),
+    (lambda: ext_all_seeds_poly(poly_scheme(8, 4, block=9), [1]),
+     ValueError, "seed space too large to enumerate"),
+], ids=["family", "block_0", "block_over_max", "empty_output",
+        "empty_universe", "block_9_seeds"])
+def test_bad_inputs_raise_named_errors(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

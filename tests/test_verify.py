@@ -278,6 +278,23 @@ def test_strong_distance_poly_fast_matches_scalar_at_block_8():
         ext_fn_of(scheme), src, scheme.d_seed, scheme.m_out)
 
 
+def test_strong_distance_refuses_a_source_wider_than_the_scheme():
+    # a 12-bit source on a 10-bit scheme: its largest point, 4073, does
+    # not fit, so both paths refuse it rather than drop its high bits
+    scheme = poly_scheme(10, 2, block=5)
+    src = sample_flat_source(np.random.Generator(np.random.Philox(5)), 12, 6)
+    assert src.points[-1] == 4073
+    for path in (strong_distance_poly_fast, lambda s, x: strong_distance(
+            ext_fn_of(s), x, s.d_seed, s.m_out)):
+        with pytest.raises(ValueError) as e:
+            path(scheme, src)
+        assert str(e.value) == "value does not fit in 10 bits"
+    # a narrower source stays legal
+    narrow = flat(8, [0x01, 0x7F, 0xA5])
+    assert strong_distance_poly_fast(scheme, narrow) == strong_distance(
+        ext_fn_of(scheme), narrow, scheme.d_seed, scheme.m_out)
+
+
 @pytest.mark.parametrize("big", [1 << 63, 1 << 70])
 def test_strong_and_nm_distance_with_weights_past_int64(big):
     # weights near 2^63 or 2^70 put total 2^(m+1) past 2^63, so the
@@ -363,3 +380,29 @@ def test_merger_distance_calls_merge_once_per_needed_cell():
     assert calls == Counter(dict.fromkeys(need, 1))
     assert isinstance(got, Fraction) and 0 < got < 1
     assert got == _dense_merger(merge, inst, 2)
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: TamperFn(2, (1, 0, 3)), ValueError, "table size mismatch"),
+    (lambda: TamperFn(1, (2, 0)), ValueError, "table value out of range"),
+    (lambda: next(iter(enumerate_tampers(4))), ValueError,
+     "full enumeration limited to d <= 3; sample instead"),
+    (lambda: nm_distance(lambda x, s: 0, uniform(2), 2, 1,
+                         flip_low_bit_tamper(3)), ValueError,
+     "tamper arity mismatch"),
+    (lambda: MergerInstance(L=2, m=20, d=5, t=0, witness=0, lat_x_bits=20,
+                            rows_of=None, tamper_rows=(), tamper_y=()),
+     ValueError, "latent space too large to enumerate"),
+    (lambda: MergerInstance(L=2, m=2, d=2, t=1, witness=0, lat_x_bits=2,
+                            rows_of=None, tamper_rows=(), tamper_y=()),
+     ValueError, "need one tamper pair per copy"),
+    (lambda: build_instance(np.random.Generator(np.random.Philox(1)), 2, 2,
+                            2, 1, 2), ValueError, "witness out of range"),
+    (lambda: adversarial_xor_instance(np.random.Generator(
+        np.random.Philox(1)), 1, 2, 2), ValueError, "need at least two rows"),
+], ids=["tamper_size", "tamper_value", "enumerate_d_4", "nm_arity",
+        "latent_space", "unpaired_tampers", "witness", "xor_one_row"])
+def test_bad_inputs_raise_named_errors(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message
