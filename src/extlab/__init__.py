@@ -8,9 +8,8 @@ from .prob import (Dist, flat, from_counts, from_weights, min_entropy,
                    xor_bit_dists)
 from .sext import (ExtScheme, affine_scheme, avg_case_bound, ext,
                    lhl_bound, poly_scheme)
-from .altx import LevelPlan
-from .nipm import (NipmParams, ParamError, assembled_bound, hand_plan,
-                   plan_nipm)
+from .nipm import (LevelPlan, NipmParams, ParamError, assembled_bound,
+                   hand_plan, plan_nipm)
 from .ipm import IpmParams, micro_ipm
 from .cbreak import AdvGenParams, FlipFlopParams, plan_adv_gen
 from .nmx import (NmExtParams, NominalPlan, desk_params, micro_params,

@@ -1,4 +1,4 @@
-"""Fixed-width bit strings and row matrices.
+"""Fixed-width bit strings.
 
 A BitString is an immutable (length, value) pair.  Bit 0 is the leftmost
 bit, i.e. the most significant bit of ``val``.  ``slice_bits`` takes the
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 MAX_LEN = 1 << 24  # sanity guard; real instances stay far below this
 # struct format codes of the byte-aligned block widths
@@ -57,14 +58,6 @@ def slice_bits(x: BitString, w: int) -> BitString:
     return BitString(w, x.val >> (x.n - w))
 
 
-def concat(*parts: BitString) -> BitString:
-    n, val = 0, 0
-    for p in parts:
-        n += p.n
-        val = (val << p.n) | p.val
-    return BitString(n, val)
-
-
 def blocks(x: BitString, b: int) -> list[int]:
     """Split into ceil(n/b) blocks of b bits, left to right, the last one
     right-padded with zeros.  Returned as ints."""
@@ -90,37 +83,15 @@ def int_blocks(val: int, n: int, b: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, init=False)
-class RowMatrix:
-    """L rows of m bits each."""
-
-    __slots__ = ("m", "rows")
-    m: int
-    rows: tuple[BitString, ...]
-
-    def __init__(self, m: int, rows: tuple[BitString, ...]) -> None:
-        if any(r.n != m for r in rows):
-            raise ValueError("row width mismatch")
-        _set_m(self, m)
-        _set_rows(self, rows)
-
-    def __reduce__(self):
-        return RowMatrix, (self.m, self.rows)
-
-    @property
-    def L(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int) -> BitString:
-        return self.rows[i]
-
-
 # the slots' own setters, which a slotted frozen dataclass's __init__ needs
 _set_n, _set_val = BitString.n.__set__, BitString.val.__set__
-_set_m, _set_rows = RowMatrix.m.__set__, RowMatrix.rows.__set__
 
 
-def matrix(rows: list[BitString]) -> RowMatrix:
+def matrix(rows: Sequence[BitString]) -> tuple[BitString, ...]:
+    """The rows as a tuple, refused if there are none or their widths
+    differ."""
     if not rows:
         raise ValueError("empty matrix")
-    return RowMatrix(rows[0].n, tuple(rows))
+    if any(r.n != rows[0].n for r in rows):
+        raise ValueError("row width mismatch")
+    return tuple(rows)

@@ -7,9 +7,9 @@ row; the refreshed rows are merged by the recursive merger seeded with
 z itself.  A single Y is shared by all tampered copies.
 
 ``merge_rows_val`` is the one bootstrap-and-merge body, on plain ints.
-``ipm_weak`` checks widths, runs it on a matrix's rows and wraps its
-result in a ``BitString``.  The non-malleable extractor (``nmx.nm_ext``)
-calls ``merge_rows_val`` on its flip-flop rows.
+``ipm_weak`` checks widths, runs it on any sequence of ``BitString``
+rows and wraps the result in a ``BitString``.  The non-malleable
+extractor, ``nmx.nm_ext``, calls it on its flip-flop rows.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bits import BitString, RowMatrix
+from .bits import BitString
 from .nipm import NipmParams, ParamError, recursive_nipm_val
 from .sext import ExtScheme, affine_scheme, ext_val
 
@@ -55,12 +55,16 @@ def micro_ipm(L: int, t: int, m: int, n_y: int, k_y: int, d_z: int,
     return IpmParams(n_y=n_y, k_y=k_y, m=m, d_z=d_z, nipm=nipm)
 
 
-def ipm_weak(mat: RowMatrix, y: BitString, p: IpmParams) -> BitString:
-    if mat.m != p.m:
+def ipm_weak(rows: Sequence[BitString], y: BitString, p: IpmParams
+             ) -> BitString:
+    vals = [r.val for r in rows if r.n == p.m]
+    if len(vals) != len(rows):
         raise ValueError("row width mismatch")
+    if not vals:
+        raise ValueError("no rows")
     if y.n != p.n_y:
         raise ValueError("seed width mismatch")
-    return BitString(*merge_rows_val([r.val for r in mat.rows], y.val, p))
+    return BitString(*merge_rows_val(vals, y.val, p))
 
 
 def merge_rows_val(rows: Sequence[int], y: int, p: IpmParams

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
-from .bits import BitString, RowMatrix, matrix
+from .bits import BitString
 from .ipm import IpmParams, ipm_weak, micro_ipm
 from .nipm import LevelPlan, ParamError, hand_plan
 
@@ -73,7 +73,8 @@ class SyntheticGenerator:
     seed: int
     bad_set: tuple[int, ...]
 
-    def matrices(self, sources: Sequence[BitString]) -> list[RowMatrix]:
+    def matrices(self, sources: Sequence[BitString]
+                 ) -> list[tuple[BitString, ...]]:
         import numpy as np
 
         p = self.params
@@ -85,8 +86,8 @@ class SyntheticGenerator:
         # one draw for every good row: the Generator consumes its stream
         # in order, so these are the draws of one call per good index
         vals = iter(rng.integers(1 << p.m, size=sum(good) * p.L).tolist())
-        ones = matrix([BitString(p.m, (1 << p.m) - 1)] * p.L)
-        return [matrix([BitString(p.m, next(vals)) for _ in range(p.L)])
+        ones = (BitString(p.m, (1 << p.m) - 1),) * p.L
+        return [tuple([BitString(p.m, next(vals)) for _ in range(p.L)])
                 if g else ones for g in good]
 
 
@@ -100,7 +101,7 @@ def make_generator(rng, p: MultiParams, n_bad: int) -> SyntheticGenerator:
                               bad_set=bad)
 
 
-def reduce_bits(mats: Sequence[RowMatrix], weak: BitString,
+def reduce_bits(mats: Sequence[Sequence[BitString]], weak: BitString,
                 p: MultiParams) -> list[int]:
     """Bit i is the first bit of the weak-seed merger on matrix i."""
     return [ipm_weak(mat, weak, p.ipm).bit(0) for mat in mats]

@@ -1,13 +1,13 @@
 """Independence-preserving mergers built on look-ahead extraction.
 
-``lt_nipm`` merges up to ell rows in one look-ahead chain: one block of
-the level body, ``_merge_level``, with ``BitString`` ends.
+``LevelPlan`` holds the widths of one merger level and of the chain it
+runs.  ``lt_nipm`` merges up to ell rows in one look-ahead chain: one
+block of the level body, ``_merge_level``, with ``BitString`` ends.
 ``recursive_nipm`` merges L rows with geometrically growing seed slices,
 running each level's chains on plain ints (``recursive_nipm_val``), one
 block at a time in pure Python at every width; ``altx.look_ahead`` is
-the ``BitString`` reference both are tested against.  ``chain16`` is the
-same chain on numpy arrays of GF(2^16) symbols, all blocks at once: only
-``nmx.nm_ext``'s symbol path runs it, on its level-0 blocks.
+the ``BitString`` reference both are tested against.  ``nmx.nm_ext``'s
+symbol path runs its level-0 blocks itself, on GF(2^16) symbols.
 
 Planners emit the nominal parameter schedule (output lengths and errors
 as stated for the abstract construction, with all logs ceiled) next to
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .altx import LevelPlan
-from .bits import BitString, RowMatrix
-from .sext import affine16, affine_int, avg_case_bound, fold
+from .bits import BitString
+from .sext import ExtScheme, affine_int, affine_scheme, avg_case_bound, fold
 
 DEFAULT_C = 4  # planner constant for the c * ell * log(m/eps) overhead
 
@@ -49,6 +48,45 @@ def _at_least_1(**values: int) -> None:
     for name, v in values.items():
         if v < 1:
             raise ParamError(name, f"{v} is below 1")
+
+
+def _positive_eps(eps: float) -> None:
+    """Refuse an error bound that is not positive and finite (nan is not)."""
+    if not 0 < eps < math.inf:
+        raise ParamError("eps", f"{eps} is not a positive finite error")
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """Widths for one merger level and the chain each of its blocks runs."""
+
+    ell: int       # fan-in at this level
+    m_in: int      # row width entering the level
+    w: int         # chain token width (the d1 of the construction)
+    m_out: int     # merged row width leaving the level
+    d_slice: int   # prefix of the seed source visible to this level
+
+    def __post_init__(self) -> None:
+        if self.ell < 2:
+            raise ValueError("fan-in must be at least 2")
+        if self.m_out < 1:  # and so w >= m_out >= 1 below
+            raise ValueError("output width must be positive")
+        if self.w > self.m_in:
+            raise ValueError("chain width exceeds row width")
+        if self.m_out > self.m_in:
+            raise ValueError("output exceeds row width")
+        if self.m_out > self.w:
+            # the final seed is a slice of an intermediate token
+            raise ValueError("m_out exceeds chain width")
+
+    def scheme_seed_src(self) -> ExtScheme:
+        return affine_scheme(self.d_slice, self.w)
+
+    def scheme_row(self) -> ExtScheme:
+        return affine_scheme(self.m_in, self.w)
+
+    def scheme_final(self) -> ExtScheme:
+        return affine_scheme(self.m_in, self.m_out)
 
 
 @dataclass(frozen=True)
@@ -81,6 +119,7 @@ def nominal_m1(m: int, ell: int, t: int, eps: float) -> int:
     """Nominal merged output length (0.9/t)*(m - c*(t+1)*ell*log(m/eps))
     with c = DEFAULT_C; the t=1 case reduces to 0.9*(m - c*ell*log(m/eps))."""
     _at_least_1(m=m, t=t)
+    _positive_eps(eps)
     overhead = DEFAULT_C * (t + 1) * ell * _clog2(m / eps)
     return math.floor((0.9 / t) * (m - overhead))
 
@@ -91,6 +130,7 @@ def nominal_schedule(L: int, ell: int, t: int, m: int, eps: float
     if ell < 2:
         raise ParamError("ell", "fan-in must be at least 2")
     _at_least_1(m=m, t=t)
+    _positive_eps(eps)
     c = DEFAULT_C
     r = math.ceil(math.log(L) / math.log(ell)) if L > 1 else 1
     logterm = _clog2(m / eps)
@@ -115,6 +155,7 @@ def plan_nipm(L: int, t: int, m: int, d: int, eps: float,
     if L < 1:
         raise ParamError("L", "need at least one row")
     _at_least_1(m=m, t=t)
+    _positive_eps(eps)
     if ell is None:
         ell = 1 << math.ceil(math.sqrt(math.ceil(math.log2(max(L, 2)))))
         ell = min(ell, max(L, 2))
@@ -179,12 +220,15 @@ def lt_nipm(rows: Sequence[BitString], y: BitString, lp: LevelPlan
     return BitString(m_out, affine_int(m_out, z, w_src >> (d - m_out)))
 
 
-def recursive_nipm(mat: RowMatrix, y: BitString, params: NipmParams
-                   ) -> BitString:
-    """Merge an L-row matrix level by level; every level runs one
+def recursive_nipm(rows: Sequence[BitString], y: BitString,
+                   params: NipmParams) -> BitString:
+    """Merge L equal-width rows level by level; every level runs one
     look-ahead chain per block of rows (``_merge_level``)."""
-    return BitString(*recursive_nipm_val([r.val for r in mat.rows], mat.m,
-                                         y.val, y.n, params.levels))
+    m = params.levels[0].m_in
+    vals = [r.val for r in rows if r.n == m]
+    if len(vals) != len(rows):
+        raise ValueError("row width mismatch")
+    return BitString(*recursive_nipm_val(vals, m, y.val, y.n, params.levels))
 
 
 def recursive_nipm_val(rows: Sequence[int], m: int, y: int, y_n: int,
@@ -227,20 +271,6 @@ def _merge_level(rows: Sequence[int], w_src: int, lp: LevelPlan
         r = affine_int(w, z_src, s) >> (w - m_out)
         out.append(affine_int(m_out, fold(block[-1], m_in, 2 * m_out), r))
     return out
-
-
-def chain16(log_z, v_z, s, log_mid, v_mid, log_last, v_last):
-    """The look-ahead chains of one block-16 level, all at once on
-    (chains, ...) arrays of GF(2^16) symbols through ``affine16``: z_src
-    folded to 2w bits (the logs of its u half, and its v half), each
-    chain's w-bit start token s, the logs and v halves of its middle
-    rows folded to 2w bits, shape (chains, ell - 2, w/16), and of its
-    last row folded to 2 * m_out bits.  Returns the (chains, m_out/16)
-    outputs."""
-    for j in range(log_mid.shape[1]):
-        s = affine16(log_mid[:, j], affine16(log_z, s, v_z), v_mid[:, j])
-    r = affine16(log_z, s, v_z)[:, :log_last.shape[-1]]
-    return affine16(log_last, r, v_last)
 
 
 def assembled_bound(params: NipmParams, k_row: float, k_seed: float

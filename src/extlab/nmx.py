@@ -16,9 +16,10 @@ nominal schedule; the flip-flop and the weak-seed merger are derived
 level 0's token are multiples of 16 and level 0 folds its rows by
 identity (``NmExtParams.symbols16``, a ``SymbolPlan``; desk among them),
 those stages run on GF(2^16) symbol arrays instead, both rows at once
-(``_nm_ext16``), and numpy runs there only; the int stages are pure
-Python at every width, the path of every other plan and the reference
-the symbol path is tested against.
+(``_nm_ext16``), and numpy runs there only: its kernels are the block-16
+affine law ``affine16``, the fold ``fold16`` and level 0's chains
+``chain16``.  The int stages are pure Python at every width, the path of
+every other plan and the reference the symbol path is tested against.
 
 ``plan_params`` emits the nominal schedule (rescaled error, advice
 length, fan-in and recursion depth as stated for the abstract
@@ -37,8 +38,8 @@ from .cbreak import AdvGenParams, FlipFlopParams, adv_gen_val, \
     flip_flop_vals, plan_adv_gen
 from .ipm import IpmParams, merge_rows_val
 from .nipm import LevelPlan, NipmParams, ParamError, _at_least_1, \
-    _clog2, _merge_level, chain16, hand_plan, plan_nipm, recursive_nipm_val
-from .sext import fold16
+    _clog2, _merge_level, _positive_eps, hand_plan, plan_nipm, \
+    recursive_nipm_val
 
 C_RESCALE = 4       # eps1 = eps / (2 * C * n)  (default rescaling)
 C_ADV = 2           # advice length multiplier
@@ -143,6 +144,7 @@ class NmExtParams:
 
 def _nominal_plan(n: int, k: int, d: int, eps: float,
                   rescale: str) -> NominalPlan:
+    _positive_eps(eps)
     if rescale == "linear":
         eps1 = eps / (2 * C_RESCALE * n)
     elif rescale == "log":
@@ -239,7 +241,7 @@ def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
     flip-flop, the bootstrap, the refresh and merger level 0 run as
     affine laws on symbol arrays (``_law16``), both advice bits' rows at
     once in (2, symbols) arrays whatever the advice.  Level 0 gathers
-    its rows by the advice bits and runs ``nipm.chain16`` on its full
+    its rows by the advice bits and runs ``chain16`` on its full
     blocks; a ragged last block and the later levels run on ints.
     Returns (width, value)."""
     import numpy as np
@@ -264,7 +266,7 @@ def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
     # rows fold to 2 m_v by identity)
     z = _law16(ys, ly, w, log.take(rows[advice >> q.top]))
     lz = log.take(z[:mv])
-    fresh = exp.take(log.take(rows[:, :mv]) + lz) ^ rows[:, mv:]
+    fresh = affine16(lz, rows[:, :mv], rows[:, mv:])
     z_int = _sym_int(z)
     out = []
     if q.chains:
@@ -290,7 +292,7 @@ def _nm_ext16(x: int, y: int, advice: int, p: NmExtParams
 
 
 def _law16(a, la, k: int, lseed):
-    """The affine law u * s + v (``sext.affine16``) of the symbols a
+    """The affine law u * s + v (``affine16``) of the symbols a
     folded to 2k symbols by ``sext.fold``'s rule, keyed by the seed logs
     lseed; la holds a's logs.  An a wider than 2k XOR-folds and takes
     its u half's logs afresh; one no wider pads (or is already 2k), so
@@ -304,6 +306,48 @@ def _law16(a, la, k: int, lseed):
     if a.shape[-1] > k:
         out[..., :a.shape[-1] - k] ^= a[..., k:]
     return out
+
+
+def chain16(log_z, v_z, s, log_mid, v_mid, log_last, v_last):
+    """The look-ahead chains of one block-16 level, all at once on
+    (chains, ...) arrays of GF(2^16) symbols through ``affine16``: z_src
+    folded to 2w bits (the logs of its u half, and its v half), each
+    chain's w-bit start token s, the logs and v halves of its middle
+    rows folded to 2w bits, shape (chains, ell - 2, w/16), and of its
+    last row folded to 2 * m_out bits.  Returns the (chains, m_out/16)
+    outputs."""
+    for j in range(log_mid.shape[1]):
+        s = affine16(log_mid[:, j], affine16(log_z, s, v_z), v_mid[:, j])
+    r = affine16(log_z, s, v_z)[:, :log_last.shape[-1]]
+    return affine16(log_last, r, v_last)
+
+
+def affine16(log_u, s, v):
+    """The block-16 affine law u * s + v on numpy arrays of GF(2^16)
+    symbols, one gather, add, gather and XOR: log_u holds the
+    ``gf2.np_tables(16)`` logs of u, and s and v hold symbols; the three
+    broadcast, e.g. over (chains, symbols).  The zero-sentinel tables
+    make the law hold at zero symbols with no mask.  The result is
+    native-order uint16, so take ``astype(">u2")`` before
+    ``tobytes()``."""
+    log, exp = gf2.np_tables(16)
+    return exp.take(log_u + log.take(s)) ^ v
+
+
+def fold16(a, width: int):
+    """``sext.fold`` on numpy arrays of GF(2^16) symbols: the XOR of
+    consecutive ``width``-bit segments along a's last axis (the last
+    padded right), for width a multiple of 16, over any leading axes."""
+    import numpy as np
+
+    k = width // 16
+    pad = -a.shape[-1] % k
+    if pad:
+        a = np.concatenate((a, np.zeros(a.shape[:-1] + (pad,), a.dtype)), -1)
+    if a.shape[-1] == k:
+        return a
+    return np.bitwise_xor.reduce(
+        a.reshape(a.shape[:-1] + (a.shape[-1] // k, k)), axis=-2)
 
 
 def _sym_int(a) -> int:

@@ -124,22 +124,6 @@ def fold(x: int, n: int, width: int) -> int:
     return acc
 
 
-def fold16(a, width: int):
-    """``fold`` on numpy arrays of GF(2^16) symbols: the XOR of
-    consecutive ``width``-bit segments along a's last axis (the last
-    padded right), for width a multiple of 16, over any leading axes."""
-    import numpy as np
-
-    k = width // 16
-    pad = -a.shape[-1] % k
-    if pad:
-        a = np.concatenate((a, np.zeros(a.shape[:-1] + (pad,), a.dtype)), -1)
-    if a.shape[-1] == k:
-        return a
-    return np.bitwise_xor.reduce(
-        a.reshape(a.shape[:-1] + (a.shape[-1] // k, k)), axis=-2)
-
-
 def affine_int(m: int, z: int, s: int) -> int:
     """The affine law on ints: z is the source folded to 2m bits and s the
     m-bit seed; the output is u*s + v blockwise over GF(2^b), where u and
@@ -147,7 +131,7 @@ def affine_int(m: int, z: int, s: int) -> int:
     the products are one lookup in ``_product_table(m)``; wider outputs
     multiply block by block through the zero-sentinel GF(2^b) log/exp
     tables, in a pure-Python loop at every block (at block 16 the scalar
-    reference that ``affine16``, the symbol path's kernel, is tested
+    reference that ``nmx.affine16``, the symbol path's kernel, is tested
     against)."""
     u, v = z >> m, z & ((1 << m) - 1)
     if m <= 8:
@@ -195,18 +179,6 @@ def _product_table(m: int) -> bytes:
     return b"".join(rows)
 
 
-def affine16(log_u, s, v):
-    """The block-16 affine law u * s + v on numpy arrays of GF(2^16)
-    symbols, one gather, add, gather and XOR: log_u holds the
-    ``gf2.np_tables(16)`` logs of u, and s and v hold symbols; the three
-    broadcast, e.g. over (chains, symbols).  The zero-sentinel tables
-    make the law hold at zero symbols with no mask.  The result is
-    native-order uint16, so take ``astype(">u2")`` before
-    ``tobytes()``."""
-    log, exp = gf2.np_tables(16)
-    return exp.take(log_u + log.take(s)) ^ v
-
-
 def lhl_bound(scheme: ExtScheme, k: int) -> Fraction:
     """Leftover-hash error bound for a (n, k) source, as an exact
     Fraction capped at 1: half the square root of 2^(m-k) plus the
@@ -239,22 +211,6 @@ def _sqrt_fraction_upper(x: Fraction) -> Fraction:
     scale = 1 << 96
     num = math.isqrt(x.numerator * scale // x.denominator) + 1
     return Fraction(num, 1 << 48)
-
-
-def sample_positions(r: BitString, count: int, universe: int) -> list[int]:
-    """Deterministically turn extractor output r into ``count`` positions
-    in range(universe), reading fixed-width chunks left to right (the
-    reference for ``cbreak.adv_gen_val``'s inline chunks)."""
-    r, n = r.val, r.n
-    if universe < 1:
-        raise ValueError("empty universe")
-    w = max(1, (universe - 1).bit_length())
-    if count * w > n:
-        raise ValueError(
-            f"sampler needs {count * w} bits, extractor output has {n}")
-    mask = (1 << w) - 1
-    return [((r >> (n - (i + 1) * w)) & mask) % universe
-            for i in range(count)]
 
 
 def ext_all_seeds_poly(scheme: ExtScheme, xs: list[int]):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from extlab import altx
-from extlab.altx import LevelPlan, look_ahead
+from extlab.altx import look_ahead
 from extlab.bits import BitString, slice_bits
+from extlab.nipm import LevelPlan
 from extlab.sext import ext
 
 

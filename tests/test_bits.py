@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab.bits import (MAX_LEN, BitString, RowMatrix, blocks, concat,
-                         int_blocks, matrix, slice_bits)
+from extlab.bits import (MAX_LEN, BitString, blocks, int_blocks, matrix,
+                         slice_bits)
+from reference import concat
 
 
 def test_bit_indexing_is_left_to_right():
@@ -47,9 +48,10 @@ def test_blocks_pad_last_on_the_right():
 
 
 def test_matrix_uniform_width():
-    m = matrix([BitString(3, 0b101), BitString(3, 0b010)])
-    assert m.L == 2 and m.m == 3
-    assert m[1] == BitString(3, 0b010)
+    # the checked rows come back as a tuple, from a list or a tuple
+    rows = [BitString(3, 0b101), BitString(3, 0b010)]
+    assert matrix(rows) == tuple(rows) and type(matrix(rows)) is tuple
+    assert matrix(tuple(rows)) == tuple(rows)
     with pytest.raises(ValueError):
         matrix([BitString(3, 0b101), BitString(2, 0b01)])
 
@@ -89,23 +91,21 @@ def test_byte_aligned_blocks_match_the_peel(b, data):
     assert int_blocks(val, n, b) == _peel(val, n, b)
 
 
-def test_bitstring_and_row_matrix_keep_frozen_record_semantics():
+def test_bitstring_keeps_frozen_record_semantics():
     # slots and a hand-written __init__ keep the frozen dataclass behaviour
-    x, m = BitString(4, 11), matrix([BitString(3, 5), BitString(3, 2)])
+    x = BitString(4, 11)
     assert x == BitString(4, 11) and x != BitString(4, 10)
-    assert x != (4, 11) and m != (3, m.rows)  # another class is unequal
-    assert hash(x) == hash((4, 11)) and hash(m) == hash((3, m.rows))
+    assert x != (4, 11)  # another class is unequal
+    assert hash(x) == hash((4, 11))
     assert repr(x) == "BitString(n=4, val=11)"
-    assert repr(m) == ("RowMatrix(m=3, rows=(BitString(n=3, val=5), "
-                       "BitString(n=3, val=2)))")
-    for obj, field in ((x, "n"), (x, "val"), (m, "rows")):
+    for field in ("n", "val"):
         with pytest.raises(FrozenInstanceError):
-            setattr(obj, field, 1)
+            setattr(x, field, 1)
         with pytest.raises(FrozenInstanceError):
-            delattr(obj, field)
+            delattr(x, field)
     with pytest.raises(FrozenInstanceError):
         x.extra = 1
-    for obj in (x, m, BitString(0, 0)):
+    for obj in (x, BitString(0, 0)):
         for twin in (copy.copy(obj), copy.deepcopy(obj),
                      pickle.loads(pickle.dumps(obj))):
             assert twin == obj and type(twin) is type(obj)
@@ -122,18 +122,15 @@ def test_bitstring_checks_width_and_value(n, val, msg):
         BitString(n, val)
 
 
-def test_row_matrix_checks_row_widths():
-    with pytest.raises(ValueError, match="row width mismatch"):
-        RowMatrix(3, (BitString(3, 0b101), BitString(2, 0b01)))
-    assert RowMatrix(2, ()).L == 0
-
-
 @pytest.mark.parametrize("call, exc, message", [
     (lambda: BitString(4, 3).bit(4), IndexError, "4"),
     (lambda: BitString(4, 3).bit(-5), IndexError, "-5"),
     (lambda: int_blocks(5, 4, 0), ValueError, "block size must be positive"),
     (lambda: matrix([]), ValueError, "empty matrix"),
-], ids=["bit_past_end", "bit_before_start", "block_0", "empty_matrix"])
+    (lambda: matrix([BitString(3, 0b101), BitString(2, 0b01)]), ValueError,
+     "row width mismatch"),
+], ids=["bit_past_end", "bit_before_start", "block_0", "empty_matrix",
+        "matrix_row_width"])
 def test_bad_inputs_raise_named_errors(call, exc, message):
     with pytest.raises(exc) as e:
         call()

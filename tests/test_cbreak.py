@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from extlab import gf2
-from extlab.bits import BitString, blocks, concat, slice_bits
+from extlab.bits import BitString, blocks, slice_bits
 from extlab.cbreak import (AdvGenParams, FlipFlopParams, adv_gen,
                            adv_gen_val, collision_bound, flip_flop,
                            plan_adv_gen, rs_masks)
 from extlab.nipm import ParamError
 from extlab.nmx import desk_params, micro_params
 from extlab.pamp import _rand_bits
-from extlab.sext import ext, lhl_bound, poly_scheme, sample_positions
+from extlab.sext import ext, lhl_bound, poly_scheme
+from reference import concat, sample_positions
 
 
 def test_plan_adv_gen_micro_shape():

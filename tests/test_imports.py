@@ -1,7 +1,8 @@
 """No module in ``src/extlab/`` or ``tests/`` imports a name it never reads,
 every public top-level function or class of ``src/extlab/`` has a
-reader, ``import extlab`` loads no numpy, and only the CLI writes to
-stdout or stderr.
+reader, ``import extlab`` loads no numpy, only the CLI writes to stdout
+or stderr, no ``src/extlab/`` module imports the ``altx`` reference, and
+the GF(2^16) symbol kernels stay in ``nmx``.
 
 No linter ships with the declared dependencies, so these are small AST
 scans.  Every import in an ``__init__.py`` is a re-export and counts as
@@ -230,3 +231,53 @@ def test_only_the_cli_writes_to_stdout_or_stderr(path):
     # the benchmark client prints READY first and one JSON line last, so
     # a stray write from the library breaks its protocol
     assert stream_writes(path.read_text()) == []
+
+
+KERNELS = {"affine16", "fold16", "chain16"}
+
+
+def layout_breaches(module: str, source: str) -> list[str]:
+    """The lines of ``src/extlab`` module ``module`` that import ``altx``,
+    or, outside ``nmx``, define or call a GF(2^16) symbol kernel."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            names = []
+        if any("altx" in name.split(".") for name in names):
+            hits.append((node.lineno, "imports altx"))
+        if module == "nmx":
+            continue
+        if isinstance(node, ast.FunctionDef) and node.name in KERNELS:
+            hits.append((node.lineno, f"defines {node.name}"))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name in KERNELS:
+                hits.append((node.lineno, f"calls {name}"))
+    return [f"line {line}: {what}" for line, what in sorted(hits)]
+
+
+def test_scan_flags_an_altx_import_and_a_stray_kernel():
+    source = ("from . import altx\nfrom .altx import look_ahead\n"
+              "import extlab.altx\ndef fold16(a): pass\n"
+              "nmx.chain16(1)\naffine16(1, 2, 3)\nfrom .nmx import fold16\n")
+    assert layout_breaches("nipm", source) == [
+        "line 1: imports altx", "line 2: imports altx",
+        "line 3: imports altx", "line 4: defines fold16",
+        "line 5: calls chain16", "line 6: calls affine16"]
+    assert layout_breaches("nmx", source) == [
+        "line 1: imports altx", "line 2: imports altx",
+        "line 3: imports altx"]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES
+                                  if p.parent.name == "extlab"],
+                         ids=lambda p: p.name)
+def test_no_module_imports_altx_and_kernels_stay_in_nmx(path):
+    # altx.look_ahead is a test reference, and only nmx's symbol path
+    # runs the numpy kernels
+    assert layout_breaches(path.stem, path.read_text()) == []

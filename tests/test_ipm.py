@@ -14,6 +14,10 @@ def micro_nipm():
     return hand_plan(2, 1, levels)
 
 
+def micro_weak():
+    return micro_ipm(L=2, t=1, m=8, n_y=8, k_y=6, d_z=6, nipm=micro_nipm())
+
+
 def test_params_validation():
     with pytest.raises(ParamError) as e:
         micro_ipm(L=2, t=1, m=2, n_y=8, k_y=6, d_z=6,
@@ -70,6 +74,15 @@ def test_ipm_weak_refreshes_each_distinct_row_once(monkeypatch):
             sorted(set(rows), key=lambda r: r.val)
 
 
+def test_ipm_weak_takes_any_row_sequence():
+    # a list, a tuple and matrix()'s checked tuple merge alike
+    p = micro_weak()
+    rows, y = [BitString(8, 0x3C), BitString(8, 0xA5)], BitString(8, 0x5D)
+    want = ipm_weak(rows, y, p)
+    assert ipm_weak(tuple(rows), y, p) == want
+    assert ipm_weak(matrix(rows), y, p) == want
+
+
 def test_ipm_weak_width_checks():
     p = micro_ipm(L=2, t=1, m=8, n_y=8, k_y=6, d_z=6, nipm=micro_nipm())
     with pytest.raises(ValueError):
@@ -83,7 +96,12 @@ def test_ipm_weak_width_checks():
     (lambda: ipm.IpmParams(n_y=16, k_y=16, m=8, d_z=2,
                            nipm=micro_params().nipm),
      ParamError, "m_v: refresh slice exceeds z"),
-], ids=["m_v_over_d_z"])
+    # one row of another width, and no rows at all
+    (lambda: ipm_weak([BitString(8, 0), BitString(7, 0)], BitString(8, 0),
+                      micro_weak()), ValueError, "row width mismatch"),
+    (lambda: ipm_weak([], BitString(8, 0), micro_weak()), ValueError,
+     "no rows"),
+], ids=["m_v_over_d_z", "ipm_weak_row_width", "ipm_weak_no_rows"])
 def test_bad_inputs_raise_named_errors(call, exc, message):
     with pytest.raises(exc) as e:
         call()

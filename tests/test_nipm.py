@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extlab import msrc, nipm, nmx
+from extlab import msrc, nmx
 from extlab.altx import look_ahead
 from extlab.bits import BitString, matrix, slice_bits
 from extlab.nipm import (LevelPlan, NipmParams, ParamError, _merge_level,
@@ -112,6 +113,16 @@ def test_recursive_nipm_two_levels():
         a = _chain(rows[:2], y, lv0)
         b = _chain(rows[2:], y, lv0)
         assert out == _chain([a, b], y, lv1)
+
+
+def test_recursive_nipm_takes_any_row_sequence():
+    # a list, a tuple and matrix()'s checked tuple merge alike
+    p = micro_params()
+    rows = [BitString(8, v) for v in (0x3C, 0xA5, 0x0F, 0x81)]
+    y = BitString(12, 0x5D7)
+    want = recursive_nipm(rows, y, p)
+    assert recursive_nipm(tuple(rows), y, p) == want
+    assert recursive_nipm(matrix(rows), y, p) == want
 
 
 def test_recursive_handles_leftover_row():
@@ -239,7 +250,7 @@ def test_desk_level_0_runs_in_lockstep(monkeypatch):
     # desk nm_ext merges 20 rows: level 0 (five chains of 128 bits) in
     # lockstep on its GF(2^16) symbols, one chain16 call for all 20 rows;
     # the single chains of levels 1 and 2 as int chains
-    calls, real = [], nipm.chain16
+    calls, real = [], nmx.chain16
 
     def spy(log_z, v_z, s, log_mid, *rest):
         calls.append(len(s) * (log_mid.shape[1] + 2))
@@ -254,6 +265,13 @@ def test_desk_level_0_runs_in_lockstep(monkeypatch):
 
 
 LEVEL = LevelPlan(ell=2, m_in=8, w=4, m_out=4, d_slice=8)
+# each planner that reads eps, on an eps that is not positive and finite
+EPS_CALLS = {
+    "plan_nipm": lambda eps: plan_nipm(20, 1, 256, 512, eps),
+    "nominal_m1": lambda eps: nominal_m1(256, 4, 1, eps),
+    "nominal_schedule": lambda eps: nominal_schedule(20, 4, 1, 256, eps),
+    "plan_params": lambda eps: nmx.plan_params(1024, 768, 512, 32, eps)}
+BAD_EPS = {"0": 0, "negative": -0.1, "nan": math.nan, "inf": math.inf}
 
 
 @pytest.mark.parametrize("call, exc, message", [
@@ -278,10 +296,22 @@ LEVEL = LevelPlan(ell=2, m_in=8, w=4, m_out=4, d_slice=8)
     (lambda: nmx.plan_params(1024, 768, 512, 32, 0.01, t=0), ParamError,
      "t: 0 is below 1"),
     (lambda: plan_nipm(20, 0, 256, 512, 0.01), ParamError, "t: 0 is below 1"),
-], ids=["plan_nipm_m_4", "row_width", "slice_over_seed", "rows_left",
-        "plan_params_m_0", "plan_nipm_m_0", "nominal_m1_m_0",
-        "nominal_schedule_m_0", "plan_params_n_0", "plan_params_t_0",
-        "plan_nipm_t_0"])
+    # one row of another width
+    (lambda: recursive_nipm([BitString(8, 1), BitString(7, 1)] * 2,
+                            BitString(12, 0), micro_params()), ValueError,
+     "row width mismatch"),
+    # a positive eps whose rescaled error underflows to 0
+    (lambda: nmx.plan_params(1024, 768, 512, 32, 1e-320), ParamError,
+     "eps: rescaled error of eps=1e-320 is not > 0"),
+] + [(lambda f=f, eps=eps: f(eps), ParamError,
+      f"eps: {eps} is not a positive finite error")
+     for f in EPS_CALLS.values() for eps in BAD_EPS.values()],
+    ids=["plan_nipm_m_4", "row_width", "slice_over_seed", "rows_left",
+         "plan_params_m_0", "plan_nipm_m_0", "nominal_m1_m_0",
+         "nominal_schedule_m_0", "plan_params_n_0", "plan_params_t_0",
+         "plan_nipm_t_0", "recursive_nipm_row_width",
+         "plan_params_eps_underflow"]
+    + [f"{f}_eps_{eps}" for f in EPS_CALLS for eps in BAD_EPS])
 def test_bad_inputs_raise_named_errors(call, exc, message):
     with pytest.raises(exc) as e:
         call()

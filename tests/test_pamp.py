@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extlab import gf2, pamp
-from extlab.bits import BitString, concat, slice_bits
+from extlab.bits import BitString, slice_bits
 from extlab.nipm import ParamError
 from extlab.nmx import desk_params, micro_params, nm_ext
 from extlab.pamp import (Adversary, PampParams, flip_round1, flip_round2,
@@ -13,6 +13,7 @@ from extlab.pamp import (Adversary, PampParams, flip_round1, flip_round2,
                          security_experiment, table_adversary,
                          _flat_secret, _rand_bits)
 from extlab.sext import ext, poly_scheme
+from reference import concat
 
 DESK = make_params(desk_params())
 

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from extlab import gf2
 from extlab.bits import BitString, blocks, int_blocks
+from extlab.nmx import fold16
 from extlab.prob import sample_flat_source
 from extlab.sext import (ExtScheme, affine_int, affine_scheme,
                          avg_case_bound, ext, ext_all_seeds_poly, ext_val,
-                         fold, fold16, lhl_bound, poly_scheme,
-                         sample_positions)
+                         fold, lhl_bound, poly_scheme)
 from extlab.verify import strong_distance, strong_distance_poly_fast, \
     ext_fn_of
+from reference import sample_positions
 
 
 def test_poly_scheme_shape():
